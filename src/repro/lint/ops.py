@@ -26,8 +26,10 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.kernel.kernel import Kernel, MachineConfig
+from repro.kernel.process import Process
 from repro.lint.decorators import ComplexityClass
 from repro.lint.fit import DEFAULT_CONSTANT_SPAN, FitResult, fit_series
+from repro.qos.memcg import MemCg
 from repro.units import MIB, PAGE_SIZE
 from repro.vm.vma import MapFlags
 
@@ -323,20 +325,43 @@ def _run_qos_charge(n: int) -> int:
     return _measure(kernel, lambda: buddy.alloc(0))
 
 
+def _fault_tenant(kernel: Kernel, name: str, cgroup: MemCg, pages: int) -> Process:
+    """An LRU-tracking process in ``cgroup`` with ``pages`` faulted in."""
+    process = kernel.spawn(name, track_lru=True, cgroup=cgroup)
+    va = kernel.syscalls(process).mmap(pages * PAGE_SIZE, flags=MapFlags.PRIVATE)
+    # Demand-fault every page: only the fault path feeds the LRU.
+    kernel.access_range(process, va, pages * PAGE_SIZE, write=True)
+    return process
+
+
 def _run_qos_reclaim_batch(n: int) -> int:
     kernel = _machine(swap_pages=16384)
     qos = kernel.arm_qos()
     cg = qos.cgroup("fit")  # limitless: setup never breaches
-    process = kernel.spawn("fit", track_lru=True, cgroup=cg)
-    sys = kernel.syscalls(process)
-    # Resident population = scan cap's worth of pages plus n more, so
-    # every measurement scans exactly the 4x-batch bound and evicts one
-    # full batch — however much memory is resident beyond it.
-    pages = 4 * qos.config.reclaim_batch * 4 + n
-    va = sys.mmap(pages * PAGE_SIZE, flags=MapFlags.PRIVATE)
-    # Demand-fault every page: only the fault path feeds the LRU.
-    kernel.access_range(process, va, pages * PAGE_SIZE, write=True)
+    # Resident population = scan cap's worth of pages plus n more, all
+    # freshly referenced, so every measurement pops exactly the 4x-batch
+    # bound off the inactive list however long that list is.
+    _fault_tenant(kernel, "fit", cg, 4 * qos.config.reclaim_batch * 4 + n)
     return _measure(kernel, lambda: qos.reclaim_batch(cg))
+
+
+def _run_qos_reclaim_neighbours(n: int) -> int:
+    kernel = _machine(swap_pages=16384)
+    qos = kernel.arm_qos()
+    batch = qos.config.reclaim_batch
+    # The neighbour faults first: on one machine-wide list its n pages
+    # would be the first the clock hand meets.
+    _fault_tenant(kernel, "neighbour", qos.cgroup("neighbour"), n)
+    target = qos.cgroup("target")
+    _fault_tenant(kernel, "target", target, 2 * batch)
+    freed: List[int] = []
+    cost = _measure(kernel, lambda: freed.append(qos.reclaim_batch(target)))
+    if freed != [batch]:
+        raise AssertionError(
+            f"reclaim_batch(target) evicted {freed[0]} of a {batch}-page "
+            f"batch with {n} neighbour pages resident"
+        )
+    return cost
 
 
 _C = ComplexityClass.CONSTANT
@@ -415,8 +440,14 @@ OPERATIONS: List[Operation] = [
     ),
     Operation(
         "qos.reclaim_batch", _C, _run_qos_reclaim_batch,
-        note="one direct-reclaim batch: scan capped at 4x batch size "
-             "(n = resident pages beyond the scan cap)",
+        note="one direct-reclaim batch: inactive-list pops capped at 4x "
+             "batch size (n = the target's resident pages beyond the cap)",
+    ),
+    Operation(
+        "qos.reclaim_batch.neighbours", _C, _run_qos_reclaim_neighbours,
+        note="one direct-reclaim batch that must evict a full batch of the "
+             "target's pages (n = a neighbour cgroup's resident pages, "
+             "faulted first)",
     ),
     Operation(
         "vfs.lookup", _N, _run_vfs_lookup,

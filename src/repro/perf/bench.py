@@ -318,6 +318,26 @@ def _prep_spawn_exit() -> Callable[[], object]:
     return cycle
 
 
+def _prep_qos_reclaim_batch(round_budget: int) -> Callable[[], object]:
+    from repro.vm.vma import MapFlags
+
+    kernel = _machine(swap_pages=8192)
+    qos = kernel.arm_qos()
+    batch = qos.config.reclaim_batch
+    pages = (round_budget + 1) * batch
+    # The target's watermarks sit above its footprint: setup never breaches.
+    target = qos.cgroup("target", high=2 * pages, max_frames=4 * pages)
+    for cg, npages in ((qos.cgroup("neighbour"), 512), (target, pages)):
+        process = kernel.spawn(cg.name, track_lru=True, cgroup=cg)
+        va = kernel.syscalls(process).mmap(npages * PAGE_SIZE, flags=MapFlags.PRIVATE)
+        kernel.access_range(process, va, npages * PAGE_SIZE, write=True)
+    # Fresh pages are referenced: the first batches only promote them.
+    # Once the hand has aged them, every batch evicts a full batch.
+    while qos.reclaim_batch(target) < batch:
+        pass
+    return lambda: qos.reclaim_batch(target)
+
+
 #: The tier-1 registry: every hot operation the lint fitter also covers,
 #: measured on the wall clock.  Keep ``batch`` sized so one full round
 #: lands in roughly 1-10 ms on a developer machine.
@@ -357,6 +377,9 @@ TIER1_OPS: List[BenchOp] = [
             "single-extent range-translation map + unmap cycle"),
     BenchOp("kernel.spawn_exit", _prep_spawn_exit, 64,
             "process spawn (fresh page table + address space) + exit"),
+    BenchOp("qos.reclaim_batch", lambda: _prep_qos_reclaim_batch(16), 16,
+            "one direct-reclaim batch (32 evictions to swap) against a "
+            "limited cgroup, with a neighbour cgroup's pages resident"),
 ]
 
 

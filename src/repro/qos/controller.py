@@ -22,9 +22,9 @@ Charge sites (all O(1) per event):
 Watermark policy (cgroup-v2 semantics):
 
 * over ``high`` → *backpressure, not failure*: one bounded-batch direct
-  reclaim pass targeted at the cgroup's own frames (``qos.reclaim``
-  chaos site), then — if still over — a clock-charged throttle stall
-  growing linearly with the breach streak;
+  reclaim pass over the cgroup's own LRU lists (``qos.reclaim`` chaos
+  site), then — if still over — a clock-charged throttle stall growing
+  linearly with the breach streak;
 * over ``max`` → bounded reclaim retries, then the pluggable OOM killer
   (``qos.oom_kill`` chaos site): victims come only from the offending
   cgroup's subtree and die through the existing ``Process.exit``
@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Union
 from repro.errors import OomKilledError, OutOfMemoryError
 from repro.lint import allocfree, complexity, o1
 from repro.qos.memcg import OOM_POLICIES, CgroupError, MemCg
-from repro.vm.reclaimd import ClockReclaimer, _LruEntry
+from repro.vm.reclaimd import ClockReclaimer, LruLists
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.kernel import Kernel
@@ -50,8 +50,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class QosConfig:
     """Tunables for the pressure slow paths (never touched within limits)."""
 
-    #: Pages per direct-reclaim batch; the scan bound is 4x this, so one
-    #: batch is O(1) however much memory is resident.
+    #: Pages per direct-reclaim batch; one batch pops at most 4x this
+    #: from the target cgroup's inactive lists.
     reclaim_batch: int = 32
     #: Reclaim passes attempted against a ``max`` breach before the OOM
     #: killer is invoked.
@@ -72,7 +72,8 @@ class QosController:
         self._clock = kernel.clock
         self._counters = kernel.counters
         self.config = config if config is not None else QosConfig()
-        self.root = MemCg("root")
+        self._frame_table = kernel.frame_table
+        self.root = MemCg("root", lru=kernel.lru)
         self._cgs: Dict[str, MemCg] = {"root": self.root}
         self._cg_of_pid: Dict[int, MemCg] = {}
         #: first-pfn -> owning cgroup for live DRAM blocks.
@@ -81,9 +82,6 @@ class QosController:
         self._owner_n: Dict[int, int] = {}
         #: The cgroup charged for allocations happening right now.
         self.current: MemCg = self.root
-        self._reclaimer = ClockReclaimer(
-            kernel.lru, kernel.frame_table, kernel.counters
-        )
         #: Reentrancy latch: reclaim/OOM work may itself allocate and
         #: free frames; those charges are recorded but never recurse
         #: into another pressure slow path.
@@ -120,6 +118,7 @@ class QosController:
             max_frames=max_frames,
             oom_policy=oom_policy,
             oom_priority=oom_priority,
+            lru=LruLists(self._frame_table),
         )
         self._cgs[name] = cg
         return cg
@@ -135,13 +134,20 @@ class QosController:
         return cg if isinstance(cg, MemCg) else self.lookup(cg)
 
     def attach(self, process: "Process", cg: Union[MemCg, str]) -> MemCg:
-        """Bind ``process`` (and its future allocations) to ``cg``."""
+        """Bind ``process`` (and its future allocations) to ``cg``.
+
+        An LRU-tracking process's future faults land on ``cg``'s lists.
+        Pages it already has stay on the old cgroup's lists, just as
+        cgroup v2 leaves existing charges with the old cgroup.
+        """
         node = self._resolve(cg)
         previous = self._cg_of_pid.get(process.pid)
         if previous is not None:
             previous.pids.discard(process.pid)
         node.pids.add(process.pid)
         self._cg_of_pid[process.pid] = node
+        if process.space.lru is not None:
+            process.space.lru = node.lru
         return node
 
     def detach(self, pid: int) -> None:
@@ -300,13 +306,18 @@ class QosController:
             # proceeds from reserves and it dies at the next safe point.
             break
 
-    @complexity("n", note="one bounded-batch reclaim pass (scan cap = 4x batch)")
+    @complexity("n", note="n = the target subtree's resident pages, never other tenants'")
     def reclaim_batch(self, cg: MemCg) -> int:
-        """One direct-reclaim batch against ``cg``'s own frames.
+        """One direct-reclaim batch against ``cg``'s own pages.
 
-        The scan bound is ``4 * reclaim_batch`` pages regardless of how
-        much memory is resident — the property the ``qos.reclaim_batch``
-        fitter operation pins as CONSTANT.
+        The clock hand runs over ``cg``'s LRU lists, then its
+        descendants', and the lists share one budget of
+        ``4 * reclaim_batch`` inactive-list pops, so a batch never scans
+        another tenant's page.  The budget does not cover aging: a pass
+        that refills an empty inactive list moves that cgroup's whole
+        active list.  The bound is therefore the target subtree's own
+        resident pages, however much memory other tenants hold — the
+        ``qos.reclaim_batch.neighbours`` fitter operation pins that.
         """
         chaos = getattr(self._counters, "chaos", None)
         if chaos is not None and chaos.hit("qos.reclaim") == "error":
@@ -315,37 +326,34 @@ class QosController:
             self._counters.bump("qos_reclaim_error")
             return 0
         started = self._clock.now
+        scanned_before = self._counters.get("reclaim_scanned")
         batch = self.config.reclaim_batch
-
-        def owned(entry: _LruEntry) -> bool:
-            return self._owned_by_subtree(entry.pfn, cg)
-
+        budget = 4 * batch
+        freed = 0
         try:
-            freed = self._reclaimer.reclaim(
-                batch, max_scan=4 * batch, should_evict=owned
-            )
+            # o1: allow(flow-bounded) -- the subtree's lists share one pop budget; aging moves only the subtree's own pages, the declared n
+            for node in cg.walk():
+                reclaimer = ClockReclaimer(
+                    node.lru, self._frame_table, self._counters
+                )
+                freed += reclaimer.reclaim(batch - freed, max_scan=budget)
+                budget -= reclaimer.scanned
+                if freed >= batch or budget <= 0:
+                    break
         except OutOfMemoryError:
             # Swap device full: nothing more to writeback this pass.
             self._counters.bump("qos_reclaim_error")
-            freed = 0
         self._counters.bump("qos_reclaim_batch")
         cg.events["reclaim"] += 1
+        cg.events["scanned"] += (
+            self._counters.get("reclaim_scanned") - scanned_before
+        )
+        cg.events["evicted"] += freed
         stalled = self._clock.now - started
         if stalled > 0:
             cg.psi.record(self._clock.now, stalled, full=False)
             self._counters.observe("qos_stall_some_ns", stalled)
         return freed
-
-    @o1(note="ancestor chain capped at MAX_DEPTH")
-    @allocfree(note="dict probe and pointer chases only")
-    def _owned_by_subtree(self, pfn: int, cg: MemCg) -> bool:
-        owner = self._owner.get(pfn)
-        # o1: allow(o1-size-loop) -- ancestor chain capped at MAX_DEPTH
-        while owner is not None:
-            if owner is cg:
-                return True
-            owner = owner.parent
-        return False
 
     def _throttle(self, cg: MemCg) -> None:
         """Clock-charged linear-backoff stall (backpressure, not failure)."""

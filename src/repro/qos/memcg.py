@@ -41,6 +41,7 @@ from repro.lint import allocbound, allocfree, complexity, o1
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.process import Process
+    from repro.vm.reclaimd import LruLists
 
 
 class CgroupError(ValueError):
@@ -130,7 +131,9 @@ class MemCg:
     ``usage_frames`` is hierarchical (a child's charge lands on every
     ancestor too), matching cgroup v2.  ``nvm_blocks`` and
     ``kmem_frames`` are informational side ledgers (PMFS block and slab
-    charging) with no watermark actions of their own.
+    charging) with no watermark actions of their own.  ``lru`` holds the
+    pages this node's LRU-tracking processes faulted in (Linux's
+    per-memcg lruvec), so reclaim targeted here scans only them.
     """
 
     #: Hierarchy depth cap — what makes per-charge lineage walks O(1).
@@ -154,6 +157,7 @@ class MemCg:
         "events",
         "throttle_streak",
         "psi",
+        "lru",
     )
 
     def __init__(
@@ -164,6 +168,7 @@ class MemCg:
         max_frames: Optional[int] = None,
         oom_policy: str = "largest_rss",
         oom_priority: int = 0,
+        lru: Optional["LruLists"] = None,
     ) -> None:
         if parent is not None and parent.depth + 1 > self.MAX_DEPTH:
             raise CgroupError(
@@ -204,9 +209,13 @@ class MemCg:
             "reclaim": 0,
             "throttle": 0,
             "oom_kill": 0,
+            # Pages this node's direct-reclaim batches examined / evicted.
+            "scanned": 0,
+            "evicted": 0,
         }
         self.throttle_streak = 0
         self.psi = PsiTracker()
+        self.lru = lru
         if parent is not None:
             parent.children.append(self)
 

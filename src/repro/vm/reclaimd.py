@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Any, Deque, Dict, Optional
 
 from repro.hw.clock import EventCounters, SimClock
 from repro.hw.costmodel import CostModel
 from repro.lint import complexity
-from repro.mem.frame_meta import FrameTable, PageFlags
+from repro.mem.frame_meta import FrameMeta, FrameTable, PageFlags
 
 
 @dataclass
@@ -26,12 +26,27 @@ class _LruEntry:
     """One resident page the reclaimers may scan."""
 
     pfn: int
-    space: object  # AddressSpace; typed loosely to avoid an import cycle
+    space: Any  # AddressSpace; typed loosely to avoid an import cycle
     vaddr: int
+
+    def is_mapped(self) -> bool:
+        """True while ``space`` still translates ``vaddr``."""
+        return self.space.page_table.lookup(self.vaddr) is not None
 
 
 class LruLists:
-    """Active/inactive page lists shared by the reclaim algorithms."""
+    """Active/inactive page lists shared by the reclaim algorithms.
+
+    ``kernel.lru`` is the machine-wide instance.  An armed QoS controller
+    gives every memory cgroup its own (Linux's per-memcg lruvec), and the
+    root cgroup's lists are ``kernel.lru``.
+
+    An entry is indexed by the pfn it faulted in, but it stands for the
+    page ``space`` maps at ``vaddr``.  munmap and exit do no per-page
+    list work, so an entry can outlive its page: the scan drops such a
+    dead entry when it reaches it, and :meth:`page_mapped` replaces one
+    whose pfn a new fault reuses.
+    """
 
     def __init__(self, frame_table: FrameTable) -> None:
         self._frame_table = frame_table
@@ -40,8 +55,13 @@ class LruLists:
         self._entries: Dict[int, _LruEntry] = {}
 
     def page_mapped(self, pfn: int, space: object, vaddr: int) -> None:
-        """Register a freshly mapped page (called from the fault path)."""
-        if pfn in self._entries:
+        """Register a freshly mapped page (called from the fault path).
+
+        A pfn whose entry is still mapped keeps it (a shared page is
+        scanned once); a dead entry holding a reused pfn is replaced.
+        """
+        tracked = self._entries.get(pfn)
+        if tracked is not None and tracked.is_mapped():
             return
         entry = _LruEntry(pfn=pfn, space=space, vaddr=vaddr)
         self._entries[pfn] = entry
@@ -67,7 +87,26 @@ class LruLists:
         return len(self._entries)
 
     def _drop(self, entry: _LruEntry) -> None:
-        self._entries.pop(entry.pfn, None)
+        # A replaced dead entry no longer owns its pfn's slot.
+        if self._entries.get(entry.pfn) is entry:
+            del self._entries[entry.pfn]
+
+    def _evict(self, entry: _LruEntry, meta: FrameMeta) -> bool:
+        """Evict ``entry``'s page; on refusal requeue or drop the entry."""
+        if entry.space.evict_page(entry.vaddr):
+            self._drop(entry)
+            meta.lru_list = ""
+            return True
+        if entry.is_mapped():
+            # Pinned (e.g. a fork-shared COW window): keep it on the
+            # active list so it is revisited once unpinned, instead of
+            # silently falling off both lists.
+            meta.lru_list = "active"
+            self.active.append(entry)
+        else:
+            # Dead: munmap or exit already took the page.
+            self._drop(entry)
+        return False
 
 
 class ClockReclaimer:
@@ -77,7 +116,9 @@ class ClockReclaimer:
     chance (promoted to active, flag cleared); unreferenced pages are
     evicted via their address space.  When the inactive list runs dry the
     active list is aged into it.  Every examined page is a charged
-    ``FrameTable.touch`` — the linear scan cost.
+    ``FrameTable.touch`` — the linear scan cost.  The reclaimer only ever
+    sees its own lists, so reclaim targeted at one memory cgroup runs
+    over that cgroup's lists.
     """
 
     def __init__(
@@ -89,42 +130,35 @@ class ClockReclaimer:
         self._lru = lru
         self._frame_table = frame_table
         self._counters = counters
+        #: Inactive-list pages the last :meth:`reclaim` examined: its
+        #: ``max_scan`` spend, so a caller can share one budget across
+        #: several reclaimers' lists.
+        self.scanned = 0
 
     @complexity("n", note="the scan IS the cost; callers bound it via max_scan")
-    def reclaim(
-        self,
-        nr_pages: int,
-        max_scan: Optional[int] = None,
-        should_evict: Optional[Callable[[_LruEntry], bool]] = None,
-    ) -> int:
+    def reclaim(self, nr_pages: int, max_scan: Optional[int] = None) -> int:
         """Try to evict ``nr_pages``; returns pages actually reclaimed.
 
-        ``max_scan`` caps the number of pages examined (the QoS
-        controller passes a batch-proportional cap so one direct-reclaim
-        pass stays O(1) in resident memory); the default is the kswapd-
-        style few-passes-over-everything budget.  ``should_evict``
-        filters candidates — pages it rejects keep their second chance
-        on the active list (memcg-targeted reclaim skips other tenants'
-        frames without losing track of them).
+        ``max_scan`` caps the inactive-list pages examined (the QoS
+        controller passes a batch-proportional cap); the default is the
+        kswapd-style few-passes-over-everything budget.  The cap does not
+        cover aging: a pass that refills an empty inactive list moves the
+        whole active list.
         """
         tracer = self._counters.tracer
         if tracer is not None and tracer.enabled:
             tracer.begin("reclaim", "reclaim", args={"requested": nr_pages})
             try:
-                reclaimed = self._reclaim(nr_pages, max_scan, should_evict)
+                reclaimed = self._reclaim(nr_pages, max_scan)
             finally:
                 tracer.end()
             return reclaimed
-        return self._reclaim(nr_pages, max_scan, should_evict)
+        return self._reclaim(nr_pages, max_scan)
 
     @complexity("n", note="scan-budgeted clock hand; every touch is charged")
-    def _reclaim(
-        self,
-        nr_pages: int,
-        max_scan: Optional[int] = None,
-        should_evict: Optional[Callable[[_LruEntry], bool]] = None,
-    ) -> int:
+    def _reclaim(self, nr_pages: int, max_scan: Optional[int] = None) -> int:
         reclaimed = 0
+        scanned = 0
         # Bound total scanning at a few passes over everything, as kswapd
         # priorities do, so pressure with all-hot pages terminates.
         scan_budget = (
@@ -132,13 +166,13 @@ class ClockReclaimer:
             if max_scan is not None
             else 4 * max(1, self._lru.resident_count)
         )
-        while reclaimed < nr_pages and scan_budget > 0:
+        while reclaimed < nr_pages and scanned < scan_budget:
             if not self._lru.inactive:
                 # o1: allow(flow-bounded) -- aging moves pages the scan then consumes; amortized into the declared n
                 if not self._age_active():
                     break
             entry = self._lru.inactive.popleft()
-            scan_budget -= 1
+            scanned += 1
             self._counters.bump("reclaim_scanned")
             meta = self._frame_table.touch(entry.pfn)
             if meta.has_flag(PageFlags.REFERENCED):
@@ -146,22 +180,10 @@ class ClockReclaimer:
                 meta.lru_list = "active"
                 self._lru.active.append(entry)
                 continue
-            if should_evict is not None and not should_evict(entry):
-                # Not this caller's page to take: protect it for now.
-                meta.lru_list = "active"
-                self._lru.active.append(entry)
-                continue
-            if entry.space.evict_page(entry.vaddr):
-                self._lru._drop(entry)
-                meta.lru_list = ""
+            if self._lru._evict(entry, meta):
                 reclaimed += 1
                 self._counters.bump("reclaim_evicted")
-            else:
-                # Pinned (e.g. a fork-shared COW window): keep it on the
-                # active list so it is revisited once unpinned, instead
-                # of silently falling off both lists.
-                meta.lru_list = "active"
-                self._lru.active.append(entry)
+        self.scanned = scanned
         return reclaimed
 
     @complexity("n", note="one pass over the active list; charged per touch")
@@ -239,14 +261,7 @@ class TwoQueueReclaimer:
                 meta.lru_list = "active"
                 self._lru.active.append(entry)
                 continue
-            if entry.space.evict_page(entry.vaddr):
-                self._lru._drop(entry)
-                meta.lru_list = ""
+            if self._lru._evict(entry, meta):
                 reclaimed += 1
                 self._counters.bump("reclaim_evicted")
-            else:
-                # Pinned page (fork-shared COW window): protect it rather
-                # than dropping it from both lists.
-                meta.lru_list = "active"
-                self._lru.active.append(entry)
         return reclaimed

@@ -208,6 +208,59 @@ class TestHighWatermark:
         assert process.alive
 
 
+class TestTargetedReclaim:
+    """Each cgroup's pages sit on its own LRU lists."""
+
+    @staticmethod
+    def _tenant(kernel, qos, name, pages, parent=None):
+        cg = qos.cgroup(name, parent=parent)
+        process = kernel.spawn(name, track_lru=True, cgroup=cg)
+        va = kernel.syscalls(process).mmap(pages * PAGE_SIZE, flags=MapFlags.PRIVATE)
+        _touch(kernel, process, va, pages)
+        return cg, process
+
+    def test_batch_ignores_neighbour_faulted_first(self, qos_kernel):
+        kernel = qos_kernel
+        qos = kernel.arm_qos()
+        batch = qos.config.reclaim_batch
+        _, neighbour = self._tenant(kernel, qos, "neighbour", 256)
+        # Fresh pages are referenced: one pass promotes them, aging
+        # brings them back, and the batch evicts from the second pass.
+        pages = 3 * batch // 2
+        target, process = self._tenant(kernel, qos, "target", pages)
+        scanned_before = kernel.counters.get("reclaim_scanned")
+
+        assert qos.reclaim_batch(target) == batch
+        scanned = kernel.counters.get("reclaim_scanned") - scanned_before
+        assert scanned <= 4 * batch
+        assert process.space.resident_pages() == pages - batch
+        assert neighbour.space.resident_pages() == 256
+        assert target.events["scanned"] == scanned
+        assert target.events["evicted"] == batch
+
+    def test_parent_batch_reaches_children_not_siblings(self, qos_kernel):
+        kernel = qos_kernel
+        qos = kernel.arm_qos()
+        parent = qos.cgroup("parent")
+        _, child = self._tenant(kernel, qos, "child", 64, parent=parent)
+        sibling_root = qos.cgroup("sibling")
+        _, sibling = self._tenant(kernel, qos, "nephew", 64, parent=sibling_root)
+
+        assert qos.reclaim_batch(parent) == qos.config.reclaim_batch
+        assert child.space.resident_pages() == 64 - qos.config.reclaim_batch
+        assert sibling.space.resident_pages() == 64
+
+    def test_reattach_leaves_resident_pages_on_old_lists(self, qos_kernel):
+        kernel = qos_kernel
+        qos = kernel.arm_qos()
+        old, process = self._tenant(kernel, qos, "old", 8)
+        new = qos.attach(process, qos.cgroup("new"))
+        assert process.space.lru is new.lru
+        va = kernel.syscalls(process).mmap(4 * PAGE_SIZE, flags=MapFlags.PRIVATE)
+        _touch(kernel, process, va, 4)
+        assert (old.lru.resident_count, new.lru.resident_count) == (8, 4)
+
+
 class TestOomKiller:
     def test_kill_confined_to_offending_cgroup(self, qos_kernel):
         kernel = qos_kernel

@@ -83,6 +83,39 @@ class TestClockReclaimer:
         assert reclaimer.reclaim(10) == 0
 
 
+class TestStaleEntries:
+    """munmap and exit leave entries behind; reclaim must cope with them."""
+
+    def test_reused_pfns_are_tracked_and_reclaimable(self, machine):
+        kernel, first, sys = machine
+        va = fault_in(kernel, first, sys, 64)
+        first_pfns = {
+            first.space.page_table.lookup(va + i * PAGE_SIZE).pfn
+            for i in range(64)
+        }
+        sys.munmap(va, 64 * PAGE_SIZE)
+        second = kernel.spawn("second", track_lru=True)
+        va = fault_in(kernel, second, kernel.syscalls(second), 64)
+        second_pfns = {
+            second.space.page_table.lookup(va + i * PAGE_SIZE).pfn
+            for i in range(64)
+        }
+        assert len(first_pfns & second_pfns) >= 32  # the frames were reused
+        reclaimer = ClockReclaimer(kernel.lru, kernel.frame_table, kernel.counters)
+        assert reclaimer.reclaim(16) == 16
+        assert second.space.resident_pages() == 48
+
+    def test_exited_process_entries_are_dropped(self, machine):
+        kernel, process, sys = machine
+        fault_in(kernel, process, sys, 16)
+        process.exit()
+        reclaimer = ClockReclaimer(kernel.lru, kernel.frame_table, kernel.counters)
+        assert reclaimer.reclaim(16) == 0
+        # Dead entries fall off both lists instead of cycling forever.
+        assert not kernel.lru.active and not kernel.lru.inactive
+        assert kernel.lru.resident_count == 0
+
+
 class TestTwoQueueReclaimer:
     def test_reclaims(self, machine):
         kernel, process, sys = machine

@@ -116,29 +116,35 @@ class TestPinnedWindows:
 
 
 class TestTargetedReclaim:
-    def test_should_evict_filter_protects_other_pages(self, swap_kernel):
-        kernel = swap_kernel
-        a, _va_a = _faulted_parent(kernel)
-        b = kernel.spawn("other", track_lru=True)
-        va_b = kernel.syscalls(b).mmap(PAGES * PAGE_SIZE, flags=MapFlags.PRIVATE)
-        for i in range(PAGES):
-            kernel.access(b, va_b + i * PAGE_SIZE, write=True)
+    """Reclaim aimed at one memory cgroup runs over that cgroup's lists."""
 
-        reclaimer = _reclaimer(kernel)
-        reclaimed = reclaimer.reclaim(
-            4, should_evict=lambda entry: entry.space is b.space
-        )
-        assert reclaimed == 4
-        # Only b's pages were taken; a's footprint is untouched.
+    def test_cgroup_lists_protect_other_tenants_pages(self, swap_kernel):
+        kernel = swap_kernel
+        qos = kernel.arm_qos()
+        cg_a, cg_b = qos.cgroup("a"), qos.cgroup("b")
+        a = kernel.spawn("a", track_lru=True, cgroup=cg_a)
+        b = kernel.spawn("b", track_lru=True, cgroup=cg_b)
+        for process in (a, b):
+            va = kernel.syscalls(process).mmap(
+                PAGES * PAGE_SIZE, flags=MapFlags.PRIVATE
+            )
+            for i in range(PAGES):
+                kernel.access(process, va + i * PAGE_SIZE, write=True)
+        assert (cg_a.lru.resident_count, cg_b.lru.resident_count) == (PAGES, PAGES)
+        assert kernel.lru.resident_count == 0  # root's lists are kernel.lru
+
+        reclaimer = ClockReclaimer(cg_b.lru, kernel.frame_table, kernel.counters)
+        assert reclaimer.reclaim(4) == 4
+        # Only b's pages were taken, and a's lists were never scanned.
         assert a.space.resident_pages() == PAGES
         assert b.space.resident_pages() == PAGES - 4
+        assert len(cg_a.lru.inactive) == PAGES
 
     def test_max_scan_caps_work_when_nothing_qualifies(self, swap_kernel):
         kernel = swap_kernel
-        _faulted_parent(kernel)
+        _faulted_parent(kernel)  # every page fresh, so referenced
         scanned_before = kernel.counters.get("reclaim_scanned")
-        reclaimed = _reclaimer(kernel).reclaim(
-            8, max_scan=4, should_evict=lambda entry: False
-        )
-        assert reclaimed == 0
+        reclaimer = _reclaimer(kernel)
+        assert reclaimer.reclaim(8, max_scan=4) == 0
         assert kernel.counters.get("reclaim_scanned") - scanned_before <= 4
+        assert reclaimer.scanned == 4
