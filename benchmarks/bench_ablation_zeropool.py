@@ -8,11 +8,12 @@ and the reserved-memory bill — the sizing curve an operator would tune.
 from conftest import run_once
 
 from repro.analysis import format_table
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel, MemoryTechnology
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.physical import MemoryRegion
 from repro.mem.zeropool import ZeroPool
+from repro.obs.metrics import MetricsRegistry
 from repro.units import GIB, KIB, MIB, PAGE_SIZE
 
 POOL_TARGETS = [0, 64, 512, 4096]
@@ -22,7 +23,7 @@ BURST_FRAMES = 128  # 512 KiB per burst
 
 def run_pool(target: int):
     clock = SimClock()
-    counters = EventCounters()
+    counters = MetricsRegistry()
     costs = CostModel()
     region = MemoryRegion(start=0, size=1 * GIB, tech=MemoryTechnology.DRAM)
     buddy = BuddyAllocator(region, max_order=18)

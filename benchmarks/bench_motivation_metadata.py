@@ -11,10 +11,11 @@ bitmap state.
 from conftest import run_once
 
 from repro.analysis import Series, format_series_table
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel, MemoryTechnology
 from repro.mem.bitmap import Bitmap
 from repro.mem.frame_meta import FrameTable, PageFlags
+from repro.obs.metrics import MetricsRegistry
 from repro.units import GIB, PAGE_SIZE
 
 SIZES_GB = [1, 4, 16, 64]
@@ -22,7 +23,7 @@ SIZES_GB = [1, 4, 16, 64]
 
 def scan_cost(size_gb: int) -> int:
     clock = SimClock()
-    table = FrameTable(clock, CostModel(), EventCounters())
+    table = FrameTable(clock, CostModel(), MetricsRegistry())
     frames = size_gb * GIB // PAGE_SIZE
     # One aging pass: touch every frame's metadata (as kswapd would).
     for meta in table.scan(iter(range(frames))):

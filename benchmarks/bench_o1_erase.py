@@ -11,11 +11,12 @@ from conftest import run_once
 
 from repro.analysis import Series, format_series_table
 from repro.core.o1.zeroing import CryptoErase, EagerZeroing, PooledZeroing
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel, MemoryTechnology
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.physical import MemoryRegion
 from repro.mem.zeropool import ZeroPool
+from repro.obs.metrics import MetricsRegistry
 from repro.units import GIB, KIB, MIB, PAGE_SIZE
 
 SIZES_KB = [4, 64, 1024, 16 * 1024, 256 * 1024]  # up to 256 MiB
@@ -28,7 +29,7 @@ def make_buddy():
 
 def foreground_cost(strategy_name: str, size_kb: int):
     clock = SimClock()
-    counters = EventCounters()
+    counters = MetricsRegistry()
     costs = CostModel()
     buddy = make_buddy()
     if strategy_name == "eager":

@@ -39,7 +39,7 @@ def smaps(process: "Process") -> str:
                 f"{vma.start:#x}-{vma.end:#x}",
                 fmt_bytes(vma.length),
                 fmt_bytes(resident),
-                str(vma.prot).replace("Protection.", ""),
+                str(vma.prot),
                 vma.name or "anon",
             ]
         )

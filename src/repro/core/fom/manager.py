@@ -59,7 +59,7 @@ class FomRegion:
     vaddr: int
     length: int
     strategy: MapStrategy
-    prot: Protection
+    prot: int
     persistent: bool
     discardable: bool
     #: Strategy-specific teardown handle.
@@ -132,7 +132,7 @@ class FileOnlyMemory:
         process: "Process",
         size: int,
         name: Optional[str] = None,
-        prot: Protection = Protection.rw(),
+        prot: int = Protection.rw(),
         strategy: Optional[MapStrategy] = None,
         persistent: bool = False,
         discardable: bool = False,
@@ -170,7 +170,7 @@ class FileOnlyMemory:
         self,
         process: "Process",
         path: str,
-        prot: Protection = Protection.rw(),
+        prot: int = Protection.rw(),
         strategy: Optional[MapStrategy] = None,
     ) -> FomRegion:
         """Map an *existing* file (named persistent data, or re-open after
@@ -220,7 +220,7 @@ class FileOnlyMemory:
         path: str,
         inode: Inode,
         length: int,
-        prot: Protection,
+        prot: int,
         strategy: MapStrategy,
         persistent: bool,
         discardable: bool,

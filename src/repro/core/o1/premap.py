@@ -24,9 +24,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import MappingError, OutOfMemoryError
 from repro.fs.vfs import Inode
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel
 from repro.lint import complexity, o1
+from repro.obs.metrics import MetricsRegistry
 from repro.paging.pagetable import PageTable, PageTableNode
 from repro.units import PAGE_SIZE
 from repro.vm.addrspace import AddressSpace
@@ -73,7 +74,7 @@ class PageTableCache:
         levels: int,
         clock: SimClock,
         costs: CostModel,
-        counters: EventCounters,
+        counters: MetricsRegistry,
     ) -> None:
         self._levels = levels
         self._clock = clock
@@ -147,7 +148,7 @@ class PageTableCache:
         self,
         space: AddressSpace,
         inode: Inode,
-        prot: Protection = Protection.rw(),
+        prot: int = Protection.rw(),
         vaddr: Optional[int] = None,
     ) -> Attachment:
         """Map ``inode`` into ``space`` by linking cached subtrees.

@@ -23,11 +23,12 @@ import abc
 from typing import Dict, List, Optional
 
 from repro.errors import OutOfMemoryError
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel
 from repro.lint import complexity, o1
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.zeropool import ZeroPool
+from repro.obs.metrics import MetricsRegistry
 from repro.units import PAGE_SIZE
 
 
@@ -35,7 +36,7 @@ from repro.units import PAGE_SIZE
 def _alloc_with_retry(
     buddy: BuddyAllocator,
     order: int,
-    counters: Optional[EventCounters],
+    counters: Optional[MetricsRegistry],
     attempts: int = 3,
 ) -> int:
     """Buddy allocation with bounded retry on transient exhaustion.
@@ -85,7 +86,7 @@ class EagerZeroing(ZeroingStrategy):
         buddy: BuddyAllocator,
         clock: SimClock,
         costs: CostModel,
-        counters: EventCounters,
+        counters: MetricsRegistry,
     ) -> None:
         self._buddy = buddy
         self._clock = clock
@@ -168,7 +169,7 @@ class CryptoErase(ZeroingStrategy):
         buddy: BuddyAllocator,
         clock: SimClock,
         costs: CostModel,
-        counters: EventCounters,
+        counters: MetricsRegistry,
     ) -> None:
         self._buddy = buddy
         self._clock = clock

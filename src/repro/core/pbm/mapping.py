@@ -118,7 +118,7 @@ class PbmManager:
         self,
         process: "Process",
         inode: Inode,
-        prot: Protection = Protection.rw(),
+        prot: int = Protection.rw(),
     ) -> PbmMapping:
         """Map ``inode`` at its physically based addresses.
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel
+from repro.obs.metrics import MetricsRegistry
 from repro.paging.pagetable import PageTable, PageTableNode
 from repro.units import HUGE_PAGE_2M, PAGE_SIZE
 
@@ -31,7 +32,7 @@ class SharedSubtrees:
         levels: int,
         clock: SimClock,
         costs: CostModel,
-        counters: EventCounters,
+        counters: MetricsRegistry,
     ) -> None:
         self._levels = levels
         self._clock = clock

@@ -79,7 +79,7 @@ class RangeMemory:
         self,
         process: "Process",
         inode: Inode,
-        prot: Protection = Protection.rw(),
+        prot: int = Protection.rw(),
     ) -> RangeMapping:
         """Map a whole file: one RTE per extent.
 
@@ -129,7 +129,7 @@ class RangeMemory:
         process: "Process",
         paddr: int,
         length: int,
-        prot: Protection = Protection.rw(),
+        prot: int = Protection.rw(),
         backing=None,
         name: str = "range:anon",
     ) -> RangeMapping:

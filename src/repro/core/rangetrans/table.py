@@ -13,10 +13,11 @@ import bisect
 from typing import List, Optional
 
 from repro.errors import MappingError
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel
 from repro.hw.rtlb import RangeEntry
 from repro.lint import o1
+from repro.obs.metrics import MetricsRegistry
 
 
 class RangeTable:
@@ -27,7 +28,7 @@ class RangeTable:
         asid: int,
         clock: SimClock,
         costs: CostModel,
-        counters: EventCounters,
+        counters: MetricsRegistry,
     ) -> None:
         self._asid = asid
         self._clock = clock

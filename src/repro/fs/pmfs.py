@@ -21,11 +21,12 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.errors import FileSystemError, NoSpaceError, SimulatedCrashError
 from repro.fs.extent import Extent, ExtentTree
 from repro.fs.vfs import FileSystem, Inode
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel, MemoryTechnology
 from repro.lint import complexity, o1
 from repro.mem.bitmap import Bitmap
 from repro.mem.physical import MemoryRegion
+from repro.obs.metrics import MetricsRegistry
 from repro.units import PAGE_SIZE
 from repro.vm.vma import MemoryBacking
 
@@ -44,7 +45,7 @@ class BlockAllocator:
         region: MemoryRegion,
         clock: SimClock,
         costs: CostModel,
-        counters: EventCounters,
+        counters: MetricsRegistry,
     ) -> None:
         self._region = region
         self._clock = clock
@@ -304,7 +305,7 @@ class Pmfs(FileSystem):
         allocator: BlockAllocator,
         clock: SimClock,
         costs: CostModel,
-        counters: EventCounters,
+        counters: MetricsRegistry,
         dax: bool = True,
         extent_align_frames: int = 1,
     ) -> None:

@@ -16,11 +16,12 @@ from __future__ import annotations
 from typing import Dict, Iterator, Tuple
 
 from repro.errors import FileSystemError
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel, MemoryTechnology
 from repro.lint import complexity, o1
 from repro.mem.buddy import BuddyAllocator
 from repro.fs.vfs import FileSystem, Inode
+from repro.obs.metrics import MetricsRegistry
 from repro.units import PAGE_SIZE
 from repro.vm.vma import MemoryBacking
 
@@ -60,7 +61,7 @@ class Tmpfs(FileSystem):
         buddy: BuddyAllocator,
         clock: SimClock,
         costs: CostModel,
-        counters: EventCounters,
+        counters: MetricsRegistry,
     ) -> None:
         super().__init__(name, clock, costs, counters)
         self._buddy = buddy

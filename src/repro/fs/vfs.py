@@ -25,9 +25,10 @@ from repro.errors import (
     FileNotFoundError_,
     FileSystemError,
 )
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel, MemoryTechnology
 from repro.lint import complexity
+from repro.obs.metrics import MetricsRegistry
 from repro.units import CACHE_LINE, PAGE_SIZE, pages_for
 from repro.vm.vma import MemoryBacking
 
@@ -96,7 +97,7 @@ class FileSystem(abc.ABC):
         name: str,
         clock: SimClock,
         costs: CostModel,
-        counters: EventCounters,
+        counters: MetricsRegistry,
     ) -> None:
         self.name = name
         self._clock = clock
@@ -313,7 +314,7 @@ class FileHandle:
         inode: Inode,
         clock: SimClock,
         costs: CostModel,
-        counters: EventCounters,
+        counters: MetricsRegistry,
     ) -> None:
         self.inode = inode
         self.pos = 0

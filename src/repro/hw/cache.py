@@ -18,9 +18,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Optional
 
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel, MemoryTechnology
 from repro.lint.decorators import allocfree
+from repro.obs.metrics import MetricsRegistry
 from repro.units import CACHE_LINE
 
 
@@ -44,7 +45,7 @@ class CacheModel:
         self,
         clock: SimClock,
         costs: CostModel,
-        counters: EventCounters,
+        counters: MetricsRegistry,
         tech_of: Optional[Callable[[int], MemoryTechnology]] = None,
         l1_lines: int = 512,
         llc_lines: int = 262144,

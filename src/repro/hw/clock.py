@@ -1,4 +1,4 @@
-"""Deterministic simulated clock and event counters.
+"""Deterministic simulated clock.
 
 The whole simulator is single-threaded and deterministic: time only moves
 when a component calls :meth:`SimClock.advance`.  Benchmarks read simulated
@@ -7,9 +7,6 @@ there is no wall-clock noise in any reported figure.
 """
 
 from __future__ import annotations
-
-from collections import Counter
-from typing import Dict, Iterator, Tuple
 
 from repro.lint.decorators import allocfree
 
@@ -46,77 +43,3 @@ class SimClock:
 
     def __repr__(self) -> str:
         return f"SimClock(now={self._now}ns)"
-
-
-class EventCounters:
-    """Named counters for memory-management events.
-
-    Components increment counters like ``tlb_miss``, ``minor_fault``,
-    ``pte_write`` as they run; tests and benchmarks assert on them to verify
-    that the *mechanism* (not just the cost) matches the paper's narrative —
-    e.g. that MAP_POPULATE eliminates all minor faults.
-
-    Counter names follow the ``subsystem_verb_object`` convention; the
-    canonical list lives in :mod:`repro.obs.names`.
-    :class:`repro.obs.metrics.MetricsRegistry` extends this class with
-    latency histograms — new code should prefer it.
-    """
-
-    __slots__ = ("_counts",)
-
-    #: Optional :class:`repro.obs.trace.Tracer` back-reference.  Components
-    #: that hold counters reach the machine's tracer through it (``None``
-    #: means no tracing); :class:`~repro.obs.metrics.MetricsRegistry`
-    #: instances override it per machine.
-    tracer = None
-
-    #: Optional :class:`repro.chaos.plan.FaultPlan` back-reference, set by
-    #: ``Kernel.arm_chaos``.  Instrumented hot paths consult it the same
-    #: way they reach the tracer (``None`` means no fault injection).
-    chaos = None
-
-    #: Optional :class:`repro.perf.profiler.WallProfiler` back-reference,
-    #: set by ``Kernel.arm_profiler`` (``None`` means no wall-time
-    #: attribution).
-    profiler = None
-
-    def __init__(self) -> None:
-        self._counts: Counter = Counter()
-
-    @allocfree(note="one Counter increment on an existing key")
-    def bump(self, name: str, amount: int = 1) -> None:
-        """Increment counter ``name`` by ``amount``."""
-        self._counts[name] += amount
-
-    def get(self, name: str) -> int:
-        """Current value of counter ``name`` (0 if never bumped)."""
-        return self._counts[name]
-
-    def snapshot(self) -> Dict[str, int]:
-        """A copy of all counters, for diffing around a measured region."""
-        return dict(self._counts)
-
-    def delta_since(self, snapshot: Dict[str, int]) -> Dict[str, int]:
-        """Counters that changed since ``snapshot``, as name -> increase.
-
-        Deltas are clamped at zero: a :meth:`reset` between snapshot and
-        read would otherwise report negative "increases" for counters
-        that were already non-zero at snapshot time.
-        """
-        out = {}
-        for name, value in self._counts.items():
-            change = value - snapshot.get(name, 0)
-            if change > 0:
-                out[name] = change
-        return out
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self._counts.clear()
-
-    def __iter__(self) -> Iterator[Tuple[str, int]]:
-        return iter(sorted(self._counts.items()))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in self)
-        return f"EventCounters({inner})"

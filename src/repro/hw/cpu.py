@@ -21,11 +21,12 @@ from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
 
 from repro.errors import ProtectionError
 from repro.hw.cache import CacheModel
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel
 from repro.hw.rtlb import RangeEntry, RangeTlb
 from repro.hw.tlb import Tlb, TlbEntry
 from repro.lint.decorators import allocbound, allocfree, complexity, o1
+from repro.obs.metrics import MetricsRegistry
 from repro.units import CACHE_LINE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -69,7 +70,7 @@ class Cpu:
         self,
         clock: SimClock,
         costs: CostModel,
-        counters: EventCounters,
+        counters: MetricsRegistry,
         cache: CacheModel,
         tlb: Optional[Tlb] = None,
         rtlb: Optional[RangeTlb] = None,

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import MappingError
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel
 from repro.mem.frame_meta import FrameTable, PageFlags
+from repro.obs.metrics import MetricsRegistry
 from repro.units import PAGE_SIZE
 
 #: IOMMU page-request-interface round trip (device fault -> OS -> resume);
@@ -57,7 +58,7 @@ class Iommu:
         self,
         clock: SimClock,
         costs: CostModel,
-        counters: EventCounters,
+        counters: MetricsRegistry,
         frame_table: Optional[FrameTable] = None,
     ) -> None:
         self._clock = clock

@@ -95,8 +95,8 @@ class Kernel:
     def __init__(self, config: Optional[MachineConfig] = None, costs: Optional[CostModel] = None) -> None:
         self.config = config or MachineConfig()
         self.clock = SimClock()
-        #: Counters + latency histograms; an EventCounters superset, so
-        #: every component keeps its ``bump()`` interface.
+        #: Counters + latency histograms: the one counter object every
+        #: component of this machine bumps.
         self.counters = MetricsRegistry()
         #: Trace recorder (disabled until ``measure(trace=True)`` or an
         #: explicit ``kernel.tracer.enable()``).

@@ -139,8 +139,8 @@ class Syscalls:
     def mmap(
         self,
         length: int,
-        prot: Protection = Protection.rw(),
-        flags: MapFlags = MapFlags.PRIVATE,
+        prot: int = Protection.rw(),
+        flags: int = MapFlags.PRIVATE,
         fd: Optional[int] = None,
         offset: int = 0,
         addr: Optional[int] = None,
@@ -223,7 +223,7 @@ class Syscalls:
             self._exit()
 
     @complexity("n", note="per page in the protected range")
-    def mprotect(self, addr: int, length: int, prot: Protection) -> None:
+    def mprotect(self, addr: int, length: int, prot: int) -> None:
         """Change a mapping's protection."""
         self._enter("mprotect")
         try:

@@ -238,7 +238,7 @@ ALLOC_OPS: List[AllocOp] = [
             "repro.hw.tlb.Tlb.lookup",
             "repro.hw.cache.CacheModel.reference",
             "repro.hw.clock.SimClock.advance",
-            "repro.hw.clock.EventCounters.bump",
+            "repro.obs.metrics.MetricsRegistry.bump",
         ),
         warmup=512,
         calls=4096,

@@ -17,10 +17,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.errors import OutOfMemoryError
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel
 from repro.lint import complexity, o1
 from repro.mem.physical import MemoryRegion
+from repro.obs.metrics import MetricsRegistry
 from repro.units import PAGE_SIZE
 
 
@@ -37,7 +38,7 @@ class BuddyAllocator:
         max_order: int = 10,
         clock: Optional[SimClock] = None,
         costs: Optional[CostModel] = None,
-        counters: Optional[EventCounters] = None,
+        counters: Optional[MetricsRegistry] = None,
     ) -> None:
         if max_order < 0:
             raise ValueError(f"max_order must be >= 0, got {max_order}")

@@ -13,47 +13,47 @@ disappearing (one bit per block in a bitmap instead).
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel
+from repro.obs.metrics import MetricsRegistry
 
 
-class PageFlags(enum.IntFlag):
-    """Frame status flags, mirroring Linux's 25-flag ``enum pageflags``."""
+class PageFlags:
+    """Frame status bits mirroring Linux's 25-flag ``enum pageflags`` (ints)."""
 
-    LOCKED = enum.auto()
-    ERROR = enum.auto()
-    REFERENCED = enum.auto()
-    UPTODATE = enum.auto()
-    DIRTY = enum.auto()
-    LRU = enum.auto()
-    ACTIVE = enum.auto()
-    SLAB = enum.auto()
-    OWNER_PRIV = enum.auto()
-    ARCH = enum.auto()
-    RESERVED = enum.auto()
-    PRIVATE = enum.auto()
-    PRIVATE_2 = enum.auto()
-    WRITEBACK = enum.auto()
-    HEAD = enum.auto()
-    SWAPCACHE = enum.auto()
-    MAPPEDTODISK = enum.auto()
-    RECLAIM = enum.auto()
-    SWAPBACKED = enum.auto()
-    UNEVICTABLE = enum.auto()
-    MLOCKED = enum.auto()
-    UNCACHED = enum.auto()
-    HWPOISON = enum.auto()
-    YOUNG = enum.auto()
-    IDLE = enum.auto()
+    LOCKED = 1 << 0
+    ERROR = 1 << 1
+    REFERENCED = 1 << 2
+    UPTODATE = 1 << 3
+    DIRTY = 1 << 4
+    LRU = 1 << 5
+    ACTIVE = 1 << 6
+    SLAB = 1 << 7
+    OWNER_PRIV = 1 << 8
+    ARCH = 1 << 9
+    RESERVED = 1 << 10
+    PRIVATE = 1 << 11
+    PRIVATE_2 = 1 << 12
+    WRITEBACK = 1 << 13
+    HEAD = 1 << 14
+    SWAPCACHE = 1 << 15
+    MAPPEDTODISK = 1 << 16
+    RECLAIM = 1 << 17
+    SWAPBACKED = 1 << 18
+    UNEVICTABLE = 1 << 19
+    MLOCKED = 1 << 20
+    UNCACHED = 1 << 21
+    HWPOISON = 1 << 22
+    YOUNG = 1 << 23
+    IDLE = 1 << 24
 
     @classmethod
     def flag_count(cls) -> int:
         """Number of distinct flags (the paper counts 25 in Linux)."""
-        return len(cls.__members__)
+        return sum(1 for name in vars(cls) if name.isupper())
 
 
 @dataclass
@@ -67,7 +67,7 @@ class FrameMeta:
     """
 
     pfn: int
-    flags: PageFlags = PageFlags(0)
+    flags: int = 0  # PageFlags bits
     refcount: int = 0
     mapcount: int = 0
     #: Owning object (an inode or anon-region token) and page index in it.
@@ -79,15 +79,15 @@ class FrameMeta:
     #: page-reclaim scans maintain and file-only memory eliminates.
     lru_list: str = ""
 
-    def set_flag(self, flag: PageFlags) -> None:
+    def set_flag(self, flag: int) -> None:
         """Set ``flag`` on this frame."""
         self.flags |= flag
 
-    def clear_flag(self, flag: PageFlags) -> None:
+    def clear_flag(self, flag: int) -> None:
         """Clear ``flag`` on this frame."""
         self.flags &= ~flag
 
-    def has_flag(self, flag: PageFlags) -> bool:
+    def has_flag(self, flag: int) -> bool:
         """True if ``flag`` is set."""
         return bool(self.flags & flag)
 
@@ -106,7 +106,7 @@ class FrameTable:
         self,
         clock: Optional[SimClock] = None,
         costs: Optional[CostModel] = None,
-        counters: Optional[EventCounters] = None,
+        counters: Optional[MetricsRegistry] = None,
     ) -> None:
         self._clock = clock
         self._costs = costs

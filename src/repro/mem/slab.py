@@ -16,10 +16,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import OutOfMemoryError
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel
 from repro.lint import complexity, o1
 from repro.mem.buddy import BuddyAllocator
+from repro.obs.metrics import MetricsRegistry
 from repro.units import PAGE_SIZE
 
 
@@ -53,7 +54,7 @@ class SlabCache:
         slab_order: int = 0,
         clock: Optional[SimClock] = None,
         costs: Optional[CostModel] = None,
-        counters: Optional[EventCounters] = None,
+        counters: Optional[MetricsRegistry] = None,
     ) -> None:
         if object_size <= 0:
             raise ValueError(f"object_size must be positive, got {object_size}")

@@ -18,10 +18,11 @@ from collections import deque
 from typing import Deque, Dict, Optional
 
 from repro.errors import OutOfMemoryError
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel
 from repro.lint import complexity, o1
 from repro.mem.buddy import BuddyAllocator
+from repro.obs.metrics import MetricsRegistry
 from repro.units import PAGE_SIZE
 
 
@@ -43,7 +44,7 @@ class ZeroPool:
         target_size: int,
         clock: Optional[SimClock] = None,
         costs: Optional[CostModel] = None,
-        counters: Optional[EventCounters] = None,
+        counters: Optional[MetricsRegistry] = None,
     ) -> None:
         if target_size < 0:
             raise ValueError(f"target_size must be >= 0, got {target_size}")

@@ -5,9 +5,10 @@ The instrument panel for the simulator — see DESIGN.md §Observability.
 * :class:`~repro.obs.trace.Tracer` — span/instant events in a bounded
   ring, stamped with simulated ns, attributing self time per
   (process, subsystem);
-* :class:`~repro.obs.metrics.MetricsRegistry` — event counters (an
-  :class:`~repro.hw.clock.EventCounters` superset) plus log-bucketed
-  latency histograms with p50/p95/p99 summaries;
+* :class:`~repro.obs.metrics.MetricsRegistry` — the one counter class:
+  event counters (``bump()`` is a dict increment with no strict mode;
+  the source audit in ``tests/test_obs_names.py`` enforces names) plus
+  log-bucketed latency histograms with p50/p95/p99 summaries;
 * :mod:`~repro.obs.export` — Chrome ``trace_event`` JSON and the text
   attribution report;
 * :mod:`~repro.obs.names` — the canonical counter-name list and the
@@ -22,7 +23,7 @@ from repro.obs.export import (
     subsystem_self_times,
     write_chrome_trace,
 )
-from repro.obs.metrics import LatencyHistogram, MetricsRegistry, UnknownCounterError
+from repro.obs.metrics import LatencyHistogram, MetricsRegistry
 from repro.obs.names import CANONICAL_COUNTERS, SUBSYSTEMS, check_convention, is_canonical
 from repro.obs.trace import (
     DEFAULT_RING_CAPACITY,
@@ -40,7 +41,6 @@ __all__ = [
     "SUBSYSTEMS",
     "TraceEvent",
     "Tracer",
-    "UnknownCounterError",
     "attribution_rows",
     "check_convention",
     "chrome_trace",

@@ -126,11 +126,8 @@ def export_tracer(path: str, tracer: Tracer) -> int:
     Includes counter tracks for the machine's latency histograms when
     the tracer is wired to a :class:`MetricsRegistry`.
     """
-    metrics = tracer.metrics
-    if not isinstance(metrics, MetricsRegistry):
-        metrics = None
     return write_chrome_trace(
-        path, tracer.events(), tracer.process_names, metrics
+        path, tracer.events(), tracer.process_names, tracer.metrics
     )
 
 

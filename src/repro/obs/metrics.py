@@ -1,33 +1,22 @@
-"""Counters plus log-bucketed latency histograms.
+"""Event counters plus log-bucketed latency histograms.
 
-:class:`MetricsRegistry` subsumes :class:`~repro.hw.clock.EventCounters`:
-it *is* one (same ``bump``/``get``/``snapshot``/``delta_since``/``reset``
-surface, accepted everywhere a plain counter bag is), and adds
+:class:`MetricsRegistry` is the simulator's one counter class: every
+component takes one as ``counters`` (``kernel.counters`` is the
+machine's) and adds
 
-* **latency histograms** — :meth:`observe` records a simulated-ns sample
-  into a power-of-two-bucketed histogram with p50/p95/p99 summaries;
-  the tracer feeds one sample per finished span, so enabling tracing
-  yields latency distributions for every instrumented operation free;
-* **strict naming** — ``MetricsRegistry(strict=True)`` rejects counter
-  names outside :data:`repro.obs.names.CANONICAL_COUNTERS`, enforcing
-  the ``subsystem_verb_object`` convention at run time.
-
-Migration from ``EventCounters`` is a no-op for callers: ``Kernel``
-constructs a ``MetricsRegistry`` as ``kernel.counters`` and every
-component keeps calling ``bump()`` as before.
+* **named counters** — ``bump()`` is one dict increment with no run-time
+  name check; the source audit in ``tests/test_obs_names.py`` holds every
+  ``bump("literal")`` site to :data:`repro.obs.names.CANONICAL_COUNTERS`;
+* **latency histograms** — :meth:`~MetricsRegistry.observe` records a
+  simulated-ns sample into a power-of-two-bucketed histogram with
+  p50/p95/p99 summaries; the tracer feeds one sample per finished span.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.hw.clock import EventCounters
 from repro.lint.decorators import allocfree
-from repro.obs.names import CANONICAL_COUNTERS
-
-
-class UnknownCounterError(ValueError):
-    """A strict registry saw a counter name outside the canonical list."""
 
 
 class LatencyHistogram:
@@ -119,8 +108,13 @@ class LatencyHistogram:
         )
 
 
-class MetricsRegistry(EventCounters):
-    """Drop-in :class:`EventCounters` superset with histograms.
+class MetricsRegistry:
+    """Named event counters and latency histograms.
+
+    Components increment counters like ``tlb_miss``, ``fault_minor``,
+    ``pte_write`` as they run; tests and benchmarks assert on them to
+    verify that the *mechanism* (not just the cost) matches the paper's
+    narrative — e.g. that MAP_POPULATE eliminates all minor faults.
 
     >>> reg = MetricsRegistry()
     >>> reg.bump("tlb_hit")
@@ -129,24 +123,49 @@ class MetricsRegistry(EventCounters):
     (1, 1)
     """
 
-    # No __slots__: instances carry a __dict__ so the tracer back-reference
-    # (EventCounters.tracer class attribute) can be set per instance.
+    # No __slots__: the kernel sets its hook back-references (tracer, chaos,
+    # sanitize, ras, profiler, qos) per instance; ``None`` means hook off.
+    tracer = None
+    chaos = None
+    profiler = None
 
-    def __init__(self, strict: bool = False) -> None:
-        super().__init__()
+    def __init__(self) -> None:
+        self._counts: Dict[str, int] = {}
         self._histograms: Dict[str, LatencyHistogram] = {}
-        self.strict = strict
 
-    # -- counter surface (EventCounters-compatible) --------------------
-    @allocfree(note="set-membership check plus the base increment")
+    # -- counter surface -------------------------------------------------
+    @allocfree(note="one dict increment on an existing key")
     def bump(self, name: str, amount: int = 1) -> None:
-        """Increment counter ``name``; strict registries validate it."""
-        if self.strict and name not in CANONICAL_COUNTERS:
-            raise UnknownCounterError(
-                f"counter {name!r} is not in repro.obs.names.CANONICAL_COUNTERS; "
-                "declare it there (subsystem_verb_object convention)"
-            )
-        super().bump(name, amount)
+        """Increment counter ``name`` by ``amount``."""
+        try:
+            self._counts[name] += amount
+        except KeyError:
+            self._counts[name] = amount
+
+    def get(self, name: str) -> int:
+        """Current value of counter ``name`` (0 if never bumped)."""
+        return self._counts.get(name, 0)
+
+    def snapshot(self) -> Dict[str, int]:
+        """A copy of all counters, for diffing around a measured region."""
+        return dict(self._counts)
+
+    def delta_since(self, snapshot: Dict[str, int]) -> Dict[str, int]:
+        """Counters that changed since ``snapshot``, as name -> increase.
+
+        Deltas are clamped at zero: a :meth:`reset` between snapshot and
+        read would otherwise report negative "increases" for counters
+        that were already non-zero at snapshot time.
+        """
+        out = {}
+        for name, value in self._counts.items():
+            change = value - snapshot.get(name, 0)
+            if change > 0:
+                out[name] = change
+        return out
+
+    def __iter__(self) -> Iterator[Tuple[str, int]]:
+        return iter(sorted(self._counts.items()))
 
     # -- histogram surface ----------------------------------------------
     def histogram(self, name: str) -> LatencyHistogram:
@@ -171,11 +190,11 @@ class MetricsRegistry(EventCounters):
 
     def reset(self) -> None:
         """Zero every counter and drop every histogram."""
-        super().reset()
+        self._counts.clear()
         self._histograms.clear()
 
     def __repr__(self) -> str:
         return (
-            f"MetricsRegistry(counters={sum(1 for _ in self)}, "
+            f"MetricsRegistry(counters={len(self._counts)}, "
             f"histograms={len(self._histograms)})"
         )

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.hw.clock import SimClock
+from repro.obs.metrics import MetricsRegistry
 
 #: Default ring capacity: enough for ~16k spans before the oldest drop.
 DEFAULT_RING_CAPACITY = 65536
@@ -90,7 +91,7 @@ class Tracer:
         self,
         clock: SimClock,
         capacity: int = DEFAULT_RING_CAPACITY,
-        metrics: Optional[object] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if capacity <= 0:
             raise ValueError(f"ring capacity must be positive, got {capacity}")
@@ -144,7 +145,7 @@ class Tracer:
         return self._ring.maxlen or 0
 
     @property
-    def metrics(self) -> Optional[object]:
+    def metrics(self) -> Optional[MetricsRegistry]:
         """The registry this tracer feeds span latencies into (or None)."""
         return self._metrics
 

@@ -25,5 +25,5 @@ class FaultType(enum.Enum):
 
     @property
     def counter_name(self) -> str:
-        """EventCounters key under which this fault kind is tallied."""
+        """Counter name under which this fault kind is tallied."""
         return f"fault_{self.value}"

@@ -29,14 +29,22 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import AlignmentError, ConfigurationError, MappingError
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel
 from repro.lint import complexity, o1
+from repro.obs.metrics import MetricsRegistry
 from repro.units import HUGE_PAGE_1G, HUGE_PAGE_2M, PAGE_SIZE, PTES_PER_TABLE
 
 #: Bits translated per level and by the page offset.
 _BITS_PER_LEVEL = 9
 _PAGE_SHIFT = 12
+#: The radix index at depth ``d`` is ``(vaddr >> shifts[d]) & INDEX_MASK``;
+#: ``_SHIFTS`` holds the per-depth shifts, root first, per level count.
+INDEX_MASK = PTES_PER_TABLE - 1
+_SHIFTS = {
+    n: tuple(_PAGE_SHIFT + _BITS_PER_LEVEL * (n - 1 - d) for d in range(n))
+    for n in (4, 5)
+}
 
 #: Page size mapped by a leaf at depth (levels - 1 - d) from the bottom.
 _LEAF_SIZES = (PAGE_SIZE, HUGE_PAGE_2M, HUGE_PAGE_1G)
@@ -92,10 +100,6 @@ class PageTableNode:
         #: each leaf.
         self.wp_slots: set = set()
 
-    def entry_paddr(self, index: int) -> int:
-        """Physical address of slot ``index`` (8 bytes per entry)."""
-        return self.paddr + index * 8
-
     def __repr__(self) -> str:
         return (
             f"PageTableNode(depth={self.depth}, entries={len(self.entries)}, "
@@ -125,13 +129,14 @@ class PageTable:
         levels: int = 4,
         clock: Optional[SimClock] = None,
         costs: Optional[CostModel] = None,
-        counters: Optional[EventCounters] = None,
+        counters: Optional[MetricsRegistry] = None,
         frame_source: Optional[Callable[[], int]] = None,
         frame_sink: Optional[Callable[[List[int]], None]] = None,
     ) -> None:
-        if levels not in (4, 5):
+        if levels not in _SHIFTS:
             raise ConfigurationError(f"levels must be 4 or 5, got {levels}")
         self._levels = levels
+        self.shifts: Tuple[int, ...] = _SHIFTS[levels]
         self._clock = clock
         self._costs = costs
         self._counters = counters
@@ -182,12 +187,11 @@ class PageTable:
 
     def index_at(self, vaddr: int, depth: int) -> int:
         """Radix index used at ``depth`` (0 = root) for ``vaddr``."""
-        shift = _PAGE_SHIFT + _BITS_PER_LEVEL * (self._levels - 1 - depth)
-        return (vaddr >> shift) & (PTES_PER_TABLE - 1)
+        return (vaddr >> self.shifts[depth]) & INDEX_MASK
 
     def span_at(self, depth: int) -> int:
         """Bytes of VA covered by one slot at ``depth``."""
-        return 1 << (_PAGE_SHIFT + _BITS_PER_LEVEL * (self._levels - 1 - depth))
+        return 1 << self.shifts[depth]
 
     # ------------------------------------------------------------------
     # Charging helpers
@@ -251,7 +255,7 @@ class PageTable:
         node = self._root
         # o1: allow(o1-size-loop) -- leaf_depth is bounded by the table's level count
         for depth in range(leaf_depth):
-            index = self.index_at(vaddr, depth)
+            index = (vaddr >> self.shifts[depth]) & INDEX_MASK
             child = node.entries.get(index)
             if child is None:
                 child = self._new_node(depth + 1)
@@ -313,14 +317,14 @@ class PageTable:
         node = self._root
         # o1: allow(o1-size-loop) -- descent depth is fixed by the geometry
         for depth in range(leaf_depth):
-            index = self.index_at(vaddr, depth)
+            index = (vaddr >> self.shifts[depth]) & INDEX_MASK
             child = node.entries.get(index)
             if not isinstance(child, PageTableNode):
                 raise MappingError(f"vaddr {vaddr:#x} is not mapped")
             if child.refs > 1:
                 child = self._unshare_child(node, index, child)
             node = child
-        index = self.index_at(vaddr, leaf_depth)
+        index = (vaddr >> self.shifts[leaf_depth]) & INDEX_MASK
         entry = node.entries.get(index)
         if not isinstance(entry, Pte):
             raise MappingError(f"vaddr {vaddr:#x} is not mapped")
@@ -353,8 +357,8 @@ class PageTable:
         node = self._root
         write_protected = False
         # o1: allow(o1-size-loop) -- the level count is a hardware constant
-        for depth in range(self._levels):
-            index = self.index_at(vaddr, depth)
+        for shift in self.shifts:
+            index = (vaddr >> shift) & INDEX_MASK
             entry = node.entries.get(index)
             if entry is None:
                 return None
@@ -370,8 +374,8 @@ class PageTable:
     def path_write_protected(self, vaddr: int) -> bool:
         """True when a write-protected slot covers ``vaddr``'s path."""
         node = self._root
-        for depth in range(self._levels):
-            index = self.index_at(vaddr, depth)
+        for shift in self.shifts:
+            index = (vaddr >> shift) & INDEX_MASK
             if index in node.wp_slots:
                 return True
             entry = node.entries.get(index)
@@ -391,8 +395,8 @@ class PageTable:
         """
         node = self._root
         # o1: allow(o1-size-loop) -- the level count is a hardware constant
-        for depth in range(self._levels):
-            index = self.index_at(vaddr, depth)
+        for shift in self.shifts:
+            index = (vaddr >> shift) & INDEX_MASK
             if index in node.wp_slots:
                 return True
             entry = node.entries.get(index)
@@ -411,9 +415,10 @@ class PageTable:
         exists, if the translation is absent)."""
         nodes = [self._root]
         node = self._root
+        shifts = self.shifts
         # o1: allow(o1-size-loop) -- the level count is a hardware constant
         for depth in range(self._levels - 1):
-            entry = node.entries.get(self.index_at(vaddr, depth))
+            entry = node.entries.get((vaddr >> shifts[depth]) & INDEX_MASK)
             if not isinstance(entry, PageTableNode):
                 break
             node = entry

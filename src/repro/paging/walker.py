@@ -19,11 +19,12 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.hw.cache import CacheModel
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel
 from repro.hw.tlb import TlbEntry
 from repro.lint import allocbound, o1
-from repro.paging.pagetable import PageTable, Pte
+from repro.obs.metrics import MetricsRegistry
+from repro.paging.pagetable import INDEX_MASK, PageTable, Pte
 
 
 class PageWalker:
@@ -34,7 +35,7 @@ class PageWalker:
         cache: CacheModel,
         clock: SimClock,
         costs: CostModel,
-        counters: EventCounters,
+        counters: MetricsRegistry,
         virtualized: bool = False,
         nested_levels: Optional[int] = None,
     ) -> None:
@@ -84,12 +85,13 @@ class PageWalker:
     def _walk(self, table: PageTable, vaddr: int, asid: int) -> Optional[TlbEntry]:
         self._counters.bump("walk_start")
         nodes = table.path_nodes(vaddr)
+        shifts = table.shifts
         host_levels = self._nested_levels or table.levels
         pte: Optional[Pte] = None
         write_protected = False
         # o1: allow(o1-size-loop, o1-charge-in-loop) -- path_nodes is at most the level count
         for node in nodes:
-            index = table.index_at(vaddr, node.depth)
+            index = (vaddr >> shifts[node.depth]) & INDEX_MASK
             if index in node.wp_slots:
                 write_protected = True
             if self._virtualized:
@@ -106,7 +108,7 @@ class PageWalker:
                     )
                     self._cache.reference(host_line)
                     self._counters.bump("nested_walk_ref")
-            self._cache.reference(node.entry_paddr(index))
+            self._cache.reference(node.paddr + index * 8)  # 8-byte entries
             self._counters.bump("walk_ref")
             entry = node.entries.get(index)
             if isinstance(entry, Pte):

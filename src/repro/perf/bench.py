@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.kernel.kernel import Kernel, MachineConfig
+from repro.obs.metrics import MetricsRegistry
 from repro.units import KIB, MIB, PAGE_SIZE
 
 #: Schema identifier written into (and required from) every document.
@@ -338,6 +339,34 @@ def _prep_qos_reclaim_batch(round_budget: int) -> Callable[[], object]:
     return lambda: qos.reclaim_batch(target)
 
 
+def _prep_counters_bump() -> Callable[[], object]:
+    counters = MetricsRegistry()
+    counters.bump("tlb_hit")  # warm: the key exists, as on the hot path
+    return lambda: counters.bump("tlb_hit")
+
+
+def _prep_walker_walk() -> Callable[[], object]:
+    kernel = _machine()
+    process = kernel.spawn("b")
+    va = kernel.syscalls(process).mmap(PAGE_SIZE)
+    kernel.access(process, va)  # fault in; warms the walk's cache lines
+    walker, table = kernel.walker, process.space.page_table
+    return lambda: walker.walk(table, va)
+
+
+def _prep_qos_charge() -> Callable[[], object]:
+    kernel = _machine()
+    qos = kernel.arm_qos()
+    # Watermarks far above the tenant's few frames: no breach, ever.
+    tenant = qos.cgroup("tenant", high=4096, max_frames=8192)
+    qos.enter_pid(kernel.spawn("tenant", cgroup=tenant).pid)
+    buddy = kernel.dram_buddy
+    first = buddy.alloc(0)
+    buddy.alloc(0)  # first's buddy: keeps the freed block unmerged
+    buddy.free(first)  # exact-order hit: each cycle reuses this frame
+    return lambda: buddy.free(buddy.alloc(0))
+
+
 #: The tier-1 registry: every hot operation the lint fitter also covers,
 #: measured on the wall clock.  Keep ``batch`` sized so one full round
 #: lands in roughly 1-10 ms on a developer machine.
@@ -380,6 +409,12 @@ TIER1_OPS: List[BenchOp] = [
     BenchOp("qos.reclaim_batch", lambda: _prep_qos_reclaim_batch(16), 16,
             "one direct-reclaim batch (32 evictions to swap) against a "
             "limited cgroup, with a neighbour cgroup's pages resident"),
+    BenchOp("qos.charge", _prep_qos_charge, 256,
+            "order-0 alloc + free billed to a limited tenant cgroup"),
+    BenchOp("counters.bump", _prep_counters_bump, 16384,
+            "one counter increment on an existing key"),
+    BenchOp("walker.walk", _prep_walker_walk, 512,
+            "warm 4-level walk of a resident 4 KiB page, no fault"),
 ]
 
 

@@ -25,12 +25,13 @@ from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import MappingError, OutOfMemoryError, ProtectionError
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel
 from repro.hw.rtlb import RangeEntry
 from repro.hw.tlb import TlbEntry
 from repro.lint import complexity, o1
 from repro.mem.frame_meta import FrameTable, PageFlags
+from repro.obs.metrics import MetricsRegistry
 from repro.paging.fault import FaultType
 from repro.paging.hugepages import SUPPORTED_PAGE_SIZES, choose_page_runs
 from repro.paging.pagetable import PageTable, Pte
@@ -52,7 +53,7 @@ class AddressSpace:
         walker: PageWalker,
         clock: SimClock,
         costs: CostModel,
-        counters: EventCounters,
+        counters: MetricsRegistry,
         frame_table: Optional[FrameTable] = None,
         mmap_base: int = _MMAP_BASE,
     ) -> None:
@@ -188,8 +189,8 @@ class AddressSpace:
     def mmap(
         self,
         length: int,
-        prot: Protection,
-        flags: MapFlags,
+        prot: int,
+        flags: int,
         backing: MemoryBacking,
         addr: Optional[int] = None,
         backing_offset: int = 0,
@@ -516,7 +517,7 @@ class AddressSpace:
             self.cpu.invalidate_space_range(vma.start, vma.length, asid=self._asid)
 
     @complexity("n", note="rewrites every resident PTE of the VMA")
-    def mprotect(self, addr: int, length: int, prot: Protection) -> None:
+    def mprotect(self, addr: int, length: int, prot: int) -> None:
         """Change protection; rewrites every resident PTE (linear)."""
         length = align_up(length, PAGE_SIZE)
         vma = self.find_vma(addr)

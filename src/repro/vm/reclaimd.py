@@ -15,10 +15,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, Optional
 
-from repro.hw.clock import EventCounters, SimClock
-from repro.hw.costmodel import CostModel
 from repro.lint import complexity
 from repro.mem.frame_meta import FrameMeta, FrameTable, PageFlags
+from repro.obs.metrics import MetricsRegistry
 
 
 @dataclass
@@ -125,7 +124,7 @@ class ClockReclaimer:
         self,
         lru: LruLists,
         frame_table: FrameTable,
-        counters: EventCounters,
+        counters: MetricsRegistry,
     ) -> None:
         self._lru = lru
         self._frame_table = frame_table
@@ -212,7 +211,7 @@ class TwoQueueReclaimer:
         self,
         lru: LruLists,
         frame_table: FrameTable,
-        counters: EventCounters,
+        counters: MetricsRegistry,
         protected_fraction: float = 0.75,
     ) -> None:
         if not 0.0 < protected_fraction < 1.0:

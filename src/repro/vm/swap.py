@@ -12,8 +12,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Set
 
 from repro.errors import OutOfMemoryError
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel
+from repro.obs.metrics import MetricsRegistry
 
 
 class SwapDevice:
@@ -24,7 +25,7 @@ class SwapDevice:
         capacity_pages: int,
         clock: SimClock,
         costs: CostModel,
-        counters: EventCounters,
+        counters: MetricsRegistry,
     ) -> None:
         if capacity_pages <= 0:
             raise ValueError(f"capacity must be positive, got {capacity_pages}")

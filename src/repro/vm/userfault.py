@@ -65,7 +65,7 @@ class UserFaultRegion:
         process: "Process",
         length: int,
         handler: FaultHandler,
-        prot: Protection = Protection.rw(),
+        prot: int = Protection.rw(),
     ) -> None:
         if length <= 0 or length % PAGE_SIZE:
             raise MappingError(

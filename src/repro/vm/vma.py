@@ -15,7 +15,6 @@ what that costs.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Protocol, Tuple, runtime_checkable
 
@@ -23,31 +22,31 @@ from repro.errors import MappingError
 from repro.units import PAGE_SIZE
 
 
-class Protection(enum.IntFlag):
-    """Access permissions of a mapping (PROT_*)."""
+class Protection:
+    """Access permissions of a mapping (PROT_*), as int bit constants."""
 
     NONE = 0
-    READ = enum.auto()
-    WRITE = enum.auto()
-    EXEC = enum.auto()
+    READ = 1 << 0
+    WRITE = 1 << 1
+    EXEC = 1 << 2
 
     @classmethod
-    def rw(cls) -> "Protection":
+    def rw(cls) -> int:
         """Convenience READ|WRITE."""
         return cls.READ | cls.WRITE
 
 
-class MapFlags(enum.IntFlag):
-    """mmap() behaviour flags (MAP_*)."""
+class MapFlags:
+    """mmap() behaviour flags (MAP_*), as int bit constants."""
 
     NONE = 0
-    PRIVATE = enum.auto()
-    SHARED = enum.auto()
-    ANONYMOUS = enum.auto()
+    PRIVATE = 1 << 0
+    SHARED = 1 << 1
+    ANONYMOUS = 1 << 2
     #: Pre-populate all PTEs at map time — the linear-cost path of Fig 1a.
-    POPULATE = enum.auto()
+    POPULATE = 1 << 3
     #: Hint that huge pages may be used where alignment allows.
-    HUGEPAGE = enum.auto()
+    HUGEPAGE = 1 << 4
 
 
 @runtime_checkable
@@ -215,8 +214,8 @@ class Vma:
 
     start: int
     end: int
-    prot: Protection
-    flags: MapFlags
+    prot: int  # Protection bits
+    flags: int  # MapFlags bits
     backing: MemoryBacking
     #: Page offset into the backing at which this VMA begins.
     backing_offset: int = 0

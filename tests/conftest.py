@@ -18,11 +18,12 @@ import os
 import pytest
 from hypothesis import HealthCheck, settings
 
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel, MemoryTechnology
 from repro.kernel import Kernel, MachineConfig
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.physical import MemoryRegion, PhysicalMemory
+from repro.obs.metrics import MetricsRegistry
 from repro.units import GIB, MIB
 
 _COMMON = dict(
@@ -105,8 +106,8 @@ def clock() -> SimClock:
 
 
 @pytest.fixture
-def counters() -> EventCounters:
-    return EventCounters()
+def counters() -> MetricsRegistry:
+    return MetricsRegistry()
 
 
 @pytest.fixture

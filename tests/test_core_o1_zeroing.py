@@ -3,17 +3,18 @@
 import pytest
 
 from repro.core.o1.zeroing import CryptoErase, EagerZeroing, PooledZeroing
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel, MemoryTechnology
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.physical import MemoryRegion
 from repro.mem.zeropool import ZeroPool
+from repro.obs.metrics import MetricsRegistry
 from repro.units import MIB, PAGE_SIZE
 
 
 def make_env(region_size=16 * MIB):
     clock = SimClock()
-    counters = EventCounters()
+    counters = MetricsRegistry()
     costs = CostModel()
     region = MemoryRegion(start=0, size=region_size, tech=MemoryTechnology.DRAM)
     buddy = BuddyAllocator(region, max_order=12)

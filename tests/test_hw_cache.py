@@ -3,14 +3,15 @@
 import pytest
 
 from repro.hw.cache import CacheModel
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel, MemoryTechnology
+from repro.obs.metrics import MetricsRegistry
 from repro.units import CACHE_LINE
 
 
 def make_cache(l1_lines=4, llc_lines=16, tech=MemoryTechnology.DRAM):
     clock = SimClock()
-    counters = EventCounters()
+    counters = MetricsRegistry()
     costs = CostModel()
     cache = CacheModel(
         clock,
@@ -103,7 +104,7 @@ class TestRangeAndMaintenance:
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(ValueError):
-            CacheModel(SimClock(), CostModel(), EventCounters(), l1_lines=0)
+            CacheModel(SimClock(), CostModel(), MetricsRegistry(), l1_lines=0)
 
     def test_warm_range_free_and_llc_resident(self):
         cache, clock, _, costs = make_cache(l1_lines=2, llc_lines=64)

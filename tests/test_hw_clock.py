@@ -1,8 +1,9 @@
-"""SimClock and EventCounters."""
+"""SimClock and MetricsRegistry."""
 
 import pytest
 
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
+from repro.obs.metrics import MetricsRegistry
 
 
 class TestSimClock:
@@ -34,16 +35,16 @@ class TestSimClock:
 
 class TestEventCounters:
     def test_unset_counter_reads_zero(self):
-        assert EventCounters().get("nothing") == 0
+        assert MetricsRegistry().get("nothing") == 0
 
     def test_bump_default_and_amount(self):
-        counters = EventCounters()
+        counters = MetricsRegistry()
         counters.bump("faults")
         counters.bump("faults", 4)
         assert counters.get("faults") == 5
 
     def test_snapshot_delta(self):
-        counters = EventCounters()
+        counters = MetricsRegistry()
         counters.bump("a", 2)
         snap = counters.snapshot()
         counters.bump("a")
@@ -52,19 +53,19 @@ class TestEventCounters:
         assert delta == {"a": 1, "b": 3}
 
     def test_delta_omits_unchanged(self):
-        counters = EventCounters()
+        counters = MetricsRegistry()
         counters.bump("a", 2)
         snap = counters.snapshot()
         assert counters.delta_since(snap) == {}
 
     def test_reset(self):
-        counters = EventCounters()
+        counters = MetricsRegistry()
         counters.bump("x", 9)
         counters.reset()
         assert counters.get("x") == 0
 
     def test_iteration_sorted(self):
-        counters = EventCounters()
+        counters = MetricsRegistry()
         counters.bump("zeta")
         counters.bump("alpha")
         assert [name for name, _ in counters] == ["alpha", "zeta"]

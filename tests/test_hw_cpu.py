@@ -4,11 +4,12 @@ import pytest
 
 from repro.errors import ProtectionError
 from repro.hw.cache import CacheModel
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel
 from repro.hw.cpu import Cpu
 from repro.hw.rtlb import RangeEntry, RangeTlb
 from repro.hw.tlb import Tlb, TlbEntry
+from repro.obs.metrics import MetricsRegistry
 from repro.units import MIB, PAGE_SIZE
 
 
@@ -51,7 +52,7 @@ class FakeSpace:
 
 def make_cpu(with_rtlb=False):
     clock = SimClock()
-    counters = EventCounters()
+    counters = MetricsRegistry()
     costs = CostModel()
     cache = CacheModel(clock, costs, counters)
     rtlb = RangeTlb(4) if with_rtlb else None

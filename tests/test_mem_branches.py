@@ -4,11 +4,12 @@ import pytest
 
 from repro.errors import NoSpaceError, OutOfMemoryError
 from repro.fs.pmfs import BlockAllocator
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel, MemoryTechnology
 from repro.mem.bitmap import Bitmap
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.physical import MemoryRegion
+from repro.obs.metrics import MetricsRegistry
 from repro.units import KIB, MIB, PAGE_SIZE
 
 
@@ -82,7 +83,7 @@ class TestBlockAllocatorRollback:
             start=0, size=blocks * PAGE_SIZE, tech=MemoryTechnology.NVM
         )
         return BlockAllocator(
-            region, SimClock(), CostModel(), EventCounters()
+            region, SimClock(), CostModel(), MetricsRegistry()
         )
 
     def test_best_effort_rolls_back_on_failure(self):

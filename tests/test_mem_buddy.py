@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import OutOfMemoryError
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel, MemoryTechnology
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.physical import MemoryRegion
+from repro.obs.metrics import MetricsRegistry
 from repro.units import MIB, PAGE_SIZE
 
 
@@ -105,7 +106,7 @@ class TestCoalescing:
 class TestAccounting:
     def test_charges_costs(self):
         clock = SimClock()
-        counters = EventCounters()
+        counters = MetricsRegistry()
         region = MemoryRegion(start=0, size=MIB, tech=MemoryTechnology.DRAM)
         buddy = BuddyAllocator(
             region, clock=clock, costs=CostModel(), counters=counters
@@ -160,7 +161,7 @@ class TestFreeMany:
 
     def test_batch_free_charges_once(self):
         clock = SimClock()
-        counters = EventCounters()
+        counters = MetricsRegistry()
         region = MemoryRegion(start=0, size=MIB, tech=MemoryTechnology.DRAM)
         buddy = BuddyAllocator(
             region, clock=clock, costs=CostModel(), counters=counters

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel
 from repro.mem.frame_meta import FrameMeta, FrameTable, PageFlags
+from repro.obs.metrics import MetricsRegistry
 
 
 class TestPageFlags:
@@ -25,7 +26,7 @@ class TestPageFlags:
 class TestFrameTable:
     def make(self):
         clock = SimClock()
-        counters = EventCounters()
+        counters = MetricsRegistry()
         return FrameTable(clock, CostModel(), counters), clock, counters
 
     def test_touch_charges_time(self):

@@ -2,17 +2,18 @@
 
 import pytest
 
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel, MemoryTechnology
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.physical import MemoryRegion
 from repro.mem.zeropool import ZeroPool
+from repro.obs.metrics import MetricsRegistry
 from repro.units import MIB, PAGE_SIZE
 
 
 def make_pool(target=8, region_size=MIB):
     clock = SimClock()
-    counters = EventCounters()
+    counters = MetricsRegistry()
     region = MemoryRegion(start=0, size=region_size, tech=MemoryTechnology.DRAM)
     buddy = BuddyAllocator(region)
     pool = ZeroPool(buddy, target, clock=clock, costs=CostModel(), counters=counters)

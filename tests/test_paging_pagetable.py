@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import AlignmentError, ConfigurationError, MappingError
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel
+from repro.obs.metrics import MetricsRegistry
 from repro.paging.pagetable import PageTable, Pte
 from repro.units import GIB, HUGE_PAGE_1G, HUGE_PAGE_2M, MIB, PAGE_SIZE
 
@@ -86,7 +87,7 @@ class TestMapping:
 
     def test_pte_write_charged(self):
         clock = SimClock()
-        counters = EventCounters()
+        counters = MetricsRegistry()
         table = PageTable(clock=clock, costs=CostModel(), counters=counters)
         table.map(0, 0)
         assert counters.get("pte_write") == 1
@@ -132,7 +133,7 @@ class TestSubtreeSharing:
         donor = PageTable()
         donor.map(0, 1)
         node = donor.subtree_at(0, 3)
-        counters = EventCounters()
+        counters = MetricsRegistry()
         other = PageTable(counters=counters)
         other.link_subtree(0, node)
         assert counters.get("pte_write") == 1

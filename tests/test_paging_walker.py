@@ -1,18 +1,23 @@
 """Page walker: per-level references, virtualized 2-D walks."""
 
-import pytest
+import contextlib
 
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.errors import MappingError
 from repro.hw.cache import CacheModel
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel
-from repro.paging.pagetable import PageTable
+from repro.obs.metrics import MetricsRegistry
+from repro.paging.pagetable import PageTable, PageTableNode
 from repro.paging.walker import PageWalker
-from repro.units import HUGE_PAGE_2M, PAGE_SIZE
+from repro.units import HUGE_PAGE_1G, HUGE_PAGE_2M, PAGE_SIZE
 
 
 def make_walker(levels=4, virtualized=False):
     clock = SimClock()
-    counters = EventCounters()
+    counters = MetricsRegistry()
     costs = CostModel()
     cache = CacheModel(clock, costs, counters)
     walker = PageWalker(cache, clock, costs, counters, virtualized=virtualized)
@@ -103,3 +108,119 @@ class TestVirtualized:
         virt_walker.walk(virt_table, 0)
         assert virt_clock.now > flat_clock.now
         assert virt_counters.get("nested_walk_ref") == 4 * 4 + 4
+
+
+#: A page address in a small VA box (two 1 GiB regions, four 2 MiB
+#: windows each, eight pages per window), so random leaves collide,
+#: share nodes, and land under write-protected windows.
+_PAGES = st.integers(0, 7)
+_VADDRS = st.builds(
+    lambda region, window, page: (
+        region * HUGE_PAGE_1G + window * HUGE_PAGE_2M + page * PAGE_SIZE
+    ),
+    st.integers(0, 1),
+    st.integers(0, 3),
+    _PAGES,
+)
+_PFNS = st.integers(0, 1 << 20)
+#: Tree-building steps: map a 4 KiB/2 MiB/1 GiB leaf; graft a donor
+#: table's node (bottom level, or one up) holding a few 4 KiB leaves;
+#: set or clear a window's write-protect bit.
+_STEPS = st.one_of(
+    st.tuples(
+        st.just("map"),
+        _VADDRS,
+        st.sampled_from([PAGE_SIZE, HUGE_PAGE_2M, HUGE_PAGE_1G]),
+        _PFNS,
+        st.booleans(),
+    ),
+    st.tuples(
+        st.just("link"),
+        _VADDRS,
+        st.sampled_from([1, 2]),
+        st.lists(st.tuples(_PAGES, _PFNS, st.booleans()), min_size=1, max_size=4),
+        st.booleans(),
+    ),
+    st.tuples(st.just("wp"), _VADDRS, st.booleans()),
+)
+#: Probes: (reuse a built address?, fresh address, byte offset).
+_PROBES = st.tuples(st.booleans(), _VADDRS, st.integers(0, PAGE_SIZE - 1))
+
+
+def _build(table, steps):
+    """Apply ``steps`` to ``table``, skipping ones that collide with
+    what is already mapped; returns the addresses that took."""
+    built = []
+    for step in steps:
+        with contextlib.suppress(MappingError):
+            if step[0] == "map":
+                _, vaddr, size, pfn, writable = step
+                vaddr -= vaddr % size
+                table.map(vaddr, pfn, page_size=size, writable=writable)
+            elif step[0] == "link":
+                _, vaddr, up, donor_leaves, write_protect = step
+                donor = PageTable(levels=table.levels)
+                for page, pfn, writable in donor_leaves:
+                    donor.map(page * PAGE_SIZE, pfn, writable=writable)
+                subtree = donor.subtree_at(0, table.levels - up)
+                vaddr -= vaddr % table.span_at(subtree.depth - 1)
+                table.link_subtree(vaddr, subtree, write_protect=write_protect)
+            else:
+                _, vaddr, protect = step
+                table.window_write_protect(vaddr, protect=protect)
+            built.append(vaddr)
+    return built
+
+
+def _nodes_visited(table, vaddr):
+    """Reference descent, indexing with the textbook shift formula:
+    nodes read until a leaf, an empty slot, or the bottom level."""
+    node, visited = table.root, 0
+    for depth in range(table.levels):
+        visited += 1
+        shift = 12 + 9 * (table.levels - 1 - depth)
+        entry = node.entries.get((vaddr >> shift) & 511)
+        if not isinstance(entry, PageTableNode):
+            break
+        node = entry
+    return visited
+
+
+class TestWalkMatchesLookup:
+    """Property: the hardware walker and the page table's own lookup
+    translate every address the same way, on random trees with huge
+    leaves, shared subtrees and write-protected windows."""
+
+    @given(
+        levels=st.sampled_from([4, 5]),
+        virtualized=st.booleans(),
+        steps=st.lists(_STEPS, min_size=1, max_size=24),
+        probes=st.lists(_PROBES, min_size=1, max_size=16),
+    )
+    def test_walk_agrees_with_lookup(self, levels, virtualized, steps, probes):
+        walker, table, _, counters = make_walker(levels, virtualized)
+        built = _build(table, steps)
+        for reuse, fresh, offset in probes:
+            vaddr = (built[fresh % len(built)] if reuse and built else fresh) + offset
+            expected = table.lookup(vaddr)
+            before = counters.snapshot()
+            entry = walker.walk(table, vaddr)
+            delta = counters.delta_since(before)
+            assert (entry is None) == (expected is None)
+            if expected is not None:
+                assert entry.pfn == expected.pfn
+                assert entry.page_size == expected.page_size
+                assert entry.writable == expected.writable
+                assert entry.vpn == vaddr // expected.page_size
+            visited = _nodes_visited(table, vaddr)
+            assert delta.get("walk_ref", 0) == visited
+            nested = delta.get("nested_walk_ref", 0)
+            if not virtualized:
+                assert nested == 0
+                continue
+            # One host walk per guest node read, plus one for the data
+            # page when the translation succeeds.
+            assert nested == levels * (visited + (entry is not None))
+            assert visited + nested <= walker.references_per_walk(levels)
+            if entry is not None and entry.page_size == PAGE_SIZE:
+                assert visited + nested == walker.references_per_walk(levels)

@@ -40,6 +40,9 @@ class TestArming:
     def test_spawn_cgroup_requires_armed_controller(self, kernel):
         from repro.errors import ConfigurationError
 
+        # The REPRO_QOS=1 suite arms every kernel; this test needs one
+        # without a controller.
+        kernel.disarm_qos()
         with pytest.raises(ConfigurationError, match="arm_qos"):
             kernel.spawn("orphan", cgroup="nowhere")
 

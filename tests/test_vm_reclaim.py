@@ -174,11 +174,12 @@ class TestSwapDevice:
 
     def test_capacity_exhaustion(self):
         from repro.errors import OutOfMemoryError
-        from repro.hw.clock import EventCounters, SimClock
+        from repro.hw.clock import SimClock
+        from repro.obs.metrics import MetricsRegistry
         from repro.hw.costmodel import CostModel
         from repro.vm.swap import SwapDevice
 
-        swap = SwapDevice(2, SimClock(), CostModel(), EventCounters())
+        swap = SwapDevice(2, SimClock(), CostModel(), MetricsRegistry())
         swap.write_page()
         swap.write_page()
         with pytest.raises(OutOfMemoryError):

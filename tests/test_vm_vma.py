@@ -3,17 +3,18 @@
 import pytest
 
 from repro.errors import MappingError
-from repro.hw.clock import EventCounters, SimClock
+from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel, MemoryTechnology
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.physical import MemoryRegion
+from repro.obs.metrics import MetricsRegistry
 from repro.units import MIB, PAGE_SIZE
 from repro.vm.vma import AnonBacking, MapFlags, Protection, Vma
 
 
 def make_anon(region_size=MIB):
     clock = SimClock()
-    counters = EventCounters()
+    counters = MetricsRegistry()
     region = MemoryRegion(start=0, size=region_size, tech=MemoryTechnology.DRAM)
     buddy = BuddyAllocator(region)
     return AnonBacking(buddy, clock, CostModel(), counters), buddy, clock, counters
