@@ -2,9 +2,10 @@
 
 The chaos engine generalizes PMFS's private crash ticks into named,
 kernel-wide fault sites.  A :class:`FaultPlan` — explicit schedule or
-seeded RNG — is armed on a machine with ``kernel.arm_chaos(plan)``; the
-instrumented hot paths consult it through ``counters.chaos`` so unarmed
-machines pay nothing.  :func:`~repro.chaos.explore.explore` turns the
+seeded RNG — is armed on a machine with ``kernel.arm_chaos(plan)``, which
+stores it in the registry's one ``counters.chaos`` slot; the instrumented
+hot paths read that attribute, so unarmed machines pay one attribute
+read per site.  :func:`~repro.chaos.explore.explore` turns the
 plan's hit census into exhaustive crash-at-any-point coverage with
 recovery oracles.
 

@@ -1,10 +1,11 @@
 """Deterministic, seedable fault plans.
 
 A :class:`FaultPlan` is armed on a machine (:meth:`Kernel.arm_chaos
-<repro.kernel.kernel.Kernel.arm_chaos>`) and consulted by every
-instrumented hot path through one call::
+<repro.kernel.kernel.Kernel.arm_chaos>`), which stores it in the
+registry's one ``chaos`` slot, and is consulted by every instrumented
+hot path through one call::
 
-    chaos = getattr(self._counters, "chaos", None)
+    chaos = self._counters.chaos
     if chaos is not None and chaos.hit("buddy.alloc") == "error":
         raise OutOfMemoryError("chaos: injected exhaustion")
 
@@ -39,6 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.chaos.sites import ACTIONS, SITE_ACTIONS, actions_for, is_site
 from repro.errors import SimulatedCrashError
 from repro.lint.decorators import o1
+from repro.obs.metrics import MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,8 @@ class FaultPlan:
         #: Faults that fired, in order.
         self.injections: List[Injection] = []
         self._fired_specs: set = set()
-        self._counters = None
+        #: Its own registry until :meth:`bind` hands it the machine's.
+        self._counters = MetricsRegistry()
 
     # ------------------------------------------------------------------
     # Constructors
@@ -160,7 +163,7 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # Arming
     # ------------------------------------------------------------------
-    def bind(self, counters) -> None:
+    def bind(self, counters: MetricsRegistry) -> None:
         """Attach the machine's counter registry (for obs events)."""
         self._counters = counters
 
@@ -180,21 +183,19 @@ class FaultPlan:
         self.hits[site] += 1
         self.total_hits += 1
         self.history.append(site)
-        if self._counters is not None:
-            self._counters.bump("chaos_site_hit")
+        self._counters.bump("chaos_site_hit")
         action = self._decide(site, index, site_count)
         if action is None:
             return None
         self.injections.append(Injection(index=index, site=site, action=action))
-        if self._counters is not None:
-            self._counters.bump("chaos_fault_injected")
-            tracer = getattr(self._counters, "tracer", None)
-            if tracer is not None and tracer.enabled:
-                tracer.instant(
-                    "chaos_fault",
-                    "kernel",
-                    args={"site": site, "action": action, "hit": index},
-                )
+        self._counters.bump("chaos_fault_injected")
+        tracer = self._counters.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.instant(
+                "chaos_fault",
+                "kernel",
+                args={"site": site, "action": action, "hit": index},
+            )
         if action == "crash":
             raise SimulatedCrashError(
                 f"chaos: injected power failure at {site} (hit {index})"

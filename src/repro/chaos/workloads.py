@@ -133,7 +133,7 @@ def fig2_workload(seed: int = 0) -> Tuple[Kernel, Callable[[], None]]:
         #    ``max`` with nothing on the LRU to reclaim, so the OOM
         #    killer fires (qos.oom_kill) and tears down the bulk filler
         #    — the largest-RSS victim, never the in-flight process.
-        qos = kernel.qos
+        qos = kernel.counters.qos
         if qos is None:
             qos = kernel.arm_qos()
         noisy = qos.cgroup("chaos-noisy", high=12, max_frames=24)
@@ -157,7 +157,7 @@ def fig2_workload(seed: int = 0) -> Tuple[Kernel, Callable[[], None]]:
         #    retire a free NVM block (badblock adoption) and a live file
         #    block (extent migration), making retirement and migration
         #    crash points ahead of the in-workload crash.
-        ras = kernel.ras
+        ras = kernel.counters.ras
         if ras is None:
             # A caller (the RAS sweep) may have armed a seeded engine
             # already; default to a clean model so only the two faults

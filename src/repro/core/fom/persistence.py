@@ -88,7 +88,7 @@ class PersistenceManager:
         survivors: List[str] = []
         erased: List[str] = []
         erase_start = clock.now
-        chaos = getattr(self._kernel.counters, "chaos", None)
+        chaos = self._kernel.counters.chaos
         for path, inode in list(fs.iter_files()):
             if chaos is not None:
                 # One crash point per file examined: recovery itself must

@@ -94,7 +94,7 @@ class PageTableCache:
         if cached is not None and cached.size >= inode.page_count * PAGE_SIZE:
             self._counters.bump("premap_cache_hit")
             return cached
-        chaos = getattr(self._counters, "chaos", None)
+        chaos = self._counters.chaos
         if chaos is not None and chaos.hit("premap.attach") == "error":
             raise OutOfMemoryError(
                 f"chaos: no frames for premap subtree of ino={inode.ino}"

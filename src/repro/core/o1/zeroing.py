@@ -36,7 +36,7 @@ from repro.units import PAGE_SIZE
 def _alloc_with_retry(
     buddy: BuddyAllocator,
     order: int,
-    counters: Optional[MetricsRegistry],
+    counters: MetricsRegistry,
     attempts: int = 3,
 ) -> int:
     """Buddy allocation with bounded retry on transient exhaustion.
@@ -48,7 +48,7 @@ def _alloc_with_retry(
     last_error: Optional[Exception] = None
     # o1: allow(o1-size-loop, o1-charge-in-loop) -- attempts is a constant retry budget
     for attempt in range(attempts):
-        if attempt and counters is not None:
+        if attempt:
             counters.bump("zero_alloc_retry")
         try:
             return buddy.alloc(order)
@@ -95,7 +95,7 @@ class EagerZeroing(ZeroingStrategy):
 
     @complexity("n", note="the linear baseline: zero every frame inline")
     def take_frames(self, count: int) -> List[int]:
-        chaos = getattr(self._counters, "chaos", None)
+        chaos = self._counters.chaos
         if chaos is not None:
             chaos.hit("zeroing.take")
         pfns = [
@@ -105,14 +105,14 @@ class EagerZeroing(ZeroingStrategy):
         ]
         self._clock.advance(self._costs.zero_page_ns(PAGE_SIZE) * count)
         self._counters.bump("zero_eager_pages", count)
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             san.on_frames_zeroed(pfns)
         return pfns
 
     @complexity("n", note="per-frame buddy frees")
     def return_frames(self, pfns: List[int]) -> None:
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             # Returned frames hold whatever the caller wrote: dirty.
             san.on_frames_tainted(pfns)
@@ -181,7 +181,7 @@ class CryptoErase(ZeroingStrategy):
 
     @complexity("n", note="key install is O(1); allocation stays per-frame")
     def take_frames(self, count: int) -> List[int]:
-        chaos = getattr(self._counters, "chaos", None)
+        chaos = self._counters.chaos
         if chaos is not None:
             chaos.hit("zeroing.take")
         pfns = [
@@ -194,7 +194,7 @@ class CryptoErase(ZeroingStrategy):
         if pfns:
             self._keys[pfns[0]] = self._next_key
             self._next_key += 1
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             # A fresh key makes the batch read as zeros (fresh ciphertext).
             san.on_frames_zeroed(pfns)
@@ -207,7 +207,7 @@ class CryptoErase(ZeroingStrategy):
         self._keys.pop(pfns[0], None)
         self._clock.advance(self.KEY_OP_NS)
         self._counters.bump("crypto_key_destroy")
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             # Key gone: old contents are unrecoverable garbage, not zeros.
             san.on_frames_tainted(pfns)

@@ -144,7 +144,7 @@ class PbmManager:
                 name=f"pbm:ino{inode.ino}",
             )
             segment = _Segment(vaddr=vaddr, length=length, vma=vma)
-            san = getattr(self._kernel.counters, "sanitize", None)
+            san = self._kernel.counters.sanitize
             if san is not None:
                 san.on_pbm_claim(inode.ino, pfn, run)
             # o1: allow(flow-bounded) -- the extents partition the declared n windows
@@ -172,7 +172,7 @@ class PbmManager:
     def unmap(self, mapping: PbmMapping) -> None:
         """Tear down: unlink shared windows (O(windows)), drop VMAs."""
         levels = self._kernel.config.page_table_levels
-        san = getattr(self._kernel.counters, "sanitize", None)
+        san = self._kernel.counters.sanitize
         for segment in mapping.segments:
             if san is not None:
                 san.on_pbm_release(

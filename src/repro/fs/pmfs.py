@@ -85,7 +85,7 @@ class BlockAllocator:
 
     @o1(note="one bitmap run update; the run search is the priced slow path")
     def _alloc_extent(self, nblocks: int, align_frames: int) -> Extent:
-        chaos = getattr(self._counters, "chaos", None)
+        chaos = self._counters.chaos
         if chaos is not None and chaos.hit("pmfs.extent.alloc") == "error":
             raise NoSpaceError(
                 f"chaos: injected exhaustion in {self._region.name or 'nvm'}"
@@ -102,10 +102,10 @@ class BlockAllocator:
             )
         self._bitmap.set_range(start, nblocks)
         self._hint = start + nblocks
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             san.on_nvm_alloc(self, self._region.first_pfn + start, nblocks)
-        qos = getattr(self._counters, "qos", None)
+        qos = self._counters.qos
         if qos is not None:
             # PMFS block charging: billed to the calling tenant's cgroup
             # (an informational side ledger; no watermark actions).
@@ -164,7 +164,7 @@ class BlockAllocator:
             self._counters.bump("extent_alloc")
             self._bitmap.set_range(start, run)
             self._hint = start + run
-            san = getattr(self._counters, "sanitize", None)
+            san = self._counters.sanitize
             if san is not None:
                 san.on_nvm_alloc(self, self._region.first_pfn + start, run)
             extents.append(
@@ -201,19 +201,19 @@ class BlockAllocator:
         self._clock.advance(self._costs.bitmap_run_ns)
         self._counters.bump("extent_alloc")
         self._bitmap.set_range(index, 1)
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             san.on_nvm_alloc(self, pfn, 1)
 
     @o1(note="one bitmap run update")
     def free_extent(self, extent: Extent) -> None:
         """Return an extent's blocks to the bitmap (one run update)."""
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             san.on_nvm_free(self, extent.pfn, extent.count)
         self._clock.advance(self._costs.bitmap_run_ns)
         self._counters.bump("extent_free")
-        qos = getattr(self._counters, "qos", None)
+        qos = self._counters.qos
         if qos is not None:
             qos.on_nvm_free(extent.count)
         self._bitmap.clear_range(extent.pfn - self._region.first_pfn, extent.count)
@@ -387,17 +387,17 @@ class Pmfs(FileSystem):
         self._counters.bump("journal_record")
         record = JournalRecord(op=op, ino=ino)
         self.journal.append(record)
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             san.on_journal_begin(self, record)
-        chaos = getattr(self._counters, "chaos", None)
+        chaos = self._counters.chaos
         if chaos is not None:
             chaos.hit("pmfs.journal.begin")
         return record
 
     def _journal_commit(self, record: "JournalRecord") -> None:
         self._tick()
-        chaos = getattr(self._counters, "chaos", None)
+        chaos = self._counters.chaos
         if chaos is not None and chaos.hit("pmfs.journal.commit.pre") == "corrupt":
             # The commit write is torn: the record is unreadable and the
             # machine loses power before anything else happens.
@@ -413,7 +413,7 @@ class Pmfs(FileSystem):
                 args={"op": record.op, "ino": record.ino},
             )
         record.committed = True
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             san.on_journal_commit(self, record)
         self._tick()
@@ -474,7 +474,7 @@ class Pmfs(FileSystem):
             try:
                 pieces = self.allocator.alloc_best_effort(nblocks)
             except NoSpaceError:
-                san = getattr(self._counters, "sanitize", None)
+                san = self._counters.sanitize
                 if san is not None:
                     # The transaction dies before its commit: close the
                     # epoch so later writes to this inode aren't blamed.
@@ -491,7 +491,7 @@ class Pmfs(FileSystem):
 
     @complexity("n", note="one tree insert per journaled extent")
     def _apply_alloc(self, record: "JournalRecord") -> None:
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             san.on_journal_apply(self, record)
         tree = self._trees.get(record.ino)
@@ -529,7 +529,7 @@ class Pmfs(FileSystem):
 
     @complexity("n", note="tree rebuild plus one free per journaled extent")
     def _apply_shrink(self, record: "JournalRecord") -> None:
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             san.on_journal_apply(self, record)
         tree = self._trees.get(record.ino)
@@ -575,7 +575,7 @@ class Pmfs(FileSystem):
 
     @complexity("n", note="one free per journaled extent")
     def _apply_free(self, record: "JournalRecord") -> None:
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             san.on_journal_apply(self, record)
         tree = self._trees.pop(record.ino, None)
@@ -660,7 +660,7 @@ class Pmfs(FileSystem):
             raise FileSystemError(
                 f"block {bad_pfn:#x} is not mapped by ino {inode.ino}"
             )
-        chaos = getattr(self._counters, "chaos", None)
+        chaos = self._counters.chaos
         if chaos is not None:
             chaos.hit("ras.migrate.extent")
         record = self._journal_begin("migrate", inode.ino)
@@ -668,7 +668,7 @@ class Pmfs(FileSystem):
         try:
             new = self.allocator.alloc_extent(1)
         except NoSpaceError:
-            san = getattr(self._counters, "sanitize", None)
+            san = self._counters.sanitize
             if san is not None:
                 san.on_journal_abort(self, record)
             raise
@@ -685,7 +685,7 @@ class Pmfs(FileSystem):
 
     @complexity("n", note="extent split/remap around the migrated block")
     def _apply_migrate(self, record: "JournalRecord") -> None:
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             san.on_journal_apply(self, record)
         old = record.migrate_from
@@ -785,7 +785,7 @@ class Pmfs(FileSystem):
         under journal corruption.  After recovery, :func:`fsck` holds.
         """
         self._crash_countdown = None
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             # Power was lost: volatile shadow state (translations, open
             # journal epochs) is gone before any replay runs.
@@ -852,7 +852,7 @@ class Pmfs(FileSystem):
                 claimed.update(range(extent.pfn, extent.pfn + extent.count))
         region = self.allocator._region
         bitmap = self.allocator._bitmap
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         scrubbed = 0
         for index in range(bitmap.size):
             if bitmap.test(index) and region.first_pfn + index not in claimed:

@@ -395,12 +395,12 @@ class FileHandle:
         elif end > self.inode.size:
             self.inode.size = end
         self._charge_copy(offset, len(data), write=True)
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             # The data store is about to become visible: any journal
             # fence this write depends on must already have passed.
             san.on_data_visible(self.inode)
-        chaos = getattr(self._counters, "chaos", None)
+        chaos = self._counters.chaos
         if chaos is not None and chaos.hit("fs.write.torn") == "torn":
             # Torn write: a prefix of the payload lands, then power fails.
             self._store(offset, data[: len(data) // 2])
@@ -432,7 +432,7 @@ class FileHandle:
         fs = self.inode.fs
         first_page = offset // PAGE_SIZE
         last_page = (offset + length - 1) // PAGE_SIZE
-        ras = getattr(self._counters, "ras", None)
+        ras = self._counters.ras
         for page in range(first_page, last_page + 1):
             pfn = fs.charge_block_lookup(self.inode, page)
             if ras is not None:

@@ -187,11 +187,11 @@ class Cpu:
     @allocfree(note="sanitizer/RAS worlds are cold; the reference is shape-free")
     def _finish_access(self, paddr: int, write: bool) -> int:
         """Post-translation tail: hooks, then the data reference itself."""
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             # alloc: allow(cold-call) -- sanitized runs only
             san.on_frame_access(paddr)
-        ras = getattr(self._counters, "ras", None)
+        ras = self._counters.ras
         if ras is not None:
             # Media check: retries transient errors on the simulated
             # clock; consuming poison raises the machine-check trap.
@@ -240,7 +240,7 @@ class Cpu:
                 if write and not entry.writable:
                     return None
                 self._counters.bump("rtlb_hit")
-                san = getattr(self._counters, "sanitize", None)
+                san = self._counters.sanitize
                 if san is not None:
                     san.check_rtlb_hit(space, vaddr, entry, write)
                 return entry.translate(vaddr)
@@ -264,7 +264,7 @@ class Cpu:
                 # retry after the OS upgrades the PTE re-walks.
                 self._tlb.invalidate(vaddr, asid=space.asid)
                 return None
-            san = getattr(self._counters, "sanitize", None)
+            san = self._counters.sanitize
             if san is not None:
                 san.check_tlb_hit(space, vaddr, entry, write)
             return entry.paddr + vaddr % entry.page_size
@@ -287,7 +287,7 @@ class Cpu:
     def _broadcast_shootdown(self, attempts: int = 4) -> None:
         if self.remote_cpus <= 0:
             return
-        chaos = getattr(self._counters, "chaos", None)
+        chaos = self._counters.chaos
         # o1: allow(o1-size-loop, o1-charge-in-loop) -- broadcast retries capped at `attempts`
         for _attempt in range(attempts):
             if chaos is not None and chaos.hit("cpu.shootdown") == "error":

@@ -96,29 +96,14 @@ class Kernel:
         self.config = config or MachineConfig()
         self.clock = SimClock()
         #: Counters + latency histograms: the one counter object every
-        #: component of this machine bumps.
+        #: component of this machine bumps, and the one home of every
+        #: armed subsystem (``counters.chaos``, ``.sanitize``, ``.ras``,
+        #: ``.qos``; see the ``arm_*`` methods).
         self.counters = MetricsRegistry()
         #: Trace recorder (disabled until ``measure(trace=True)`` or an
         #: explicit ``kernel.tracer.enable()``).
         self.tracer = Tracer(self.clock, metrics=self.counters)
         self.counters.tracer = self.tracer
-        #: Armed fault plan (see :meth:`arm_chaos`); ``None`` = no chaos.
-        self.chaos = None
-        self.counters.chaos = None
-        #: Armed sanitizer suite (see :meth:`arm_sanitizers`); ``None`` = off.
-        self.sanitizers = None
-        self.counters.sanitize = None
-        #: Armed RAS engine (see :meth:`arm_ras`); ``None`` = perfect media.
-        self.ras = None
-        self.counters.ras = None
-        #: Armed wall-clock profiler (see :meth:`arm_profiler`); ``None``
-        #: = no wall-time attribution.
-        self.profiler = None
-        self.counters.profiler = None
-        #: Armed QoS memory controller (see :meth:`arm_qos`); ``None`` =
-        #: no per-tenant accounting.
-        self.qos = None
-        self.counters.qos = None
         self.costs = costs or CostModel()
 
         cfg = self.config
@@ -264,12 +249,13 @@ class Kernel:
         self.processes[process.pid] = process
         self.tracer.process_names[process.pid] = name
         if cgroup is not None:
-            if self.qos is None:
+            qos = self.counters.qos
+            if qos is None:
                 raise ConfigurationError(
                     "spawn(cgroup=...) needs an armed QoS controller; "
                     "call kernel.arm_qos() first"
                 )
-            self.qos.attach(process, cgroup)
+            qos.attach(process, cgroup)
         return process
 
     def syscalls(self, process: Process) -> Syscalls:
@@ -302,11 +288,12 @@ class Kernel:
 
     def _fork_begin(self, parent: Process):
         child = self.spawn(f"{parent.name}-child")
-        if self.qos is not None:
+        qos = self.counters.qos
+        if qos is not None:
             # Children inherit the parent's cgroup, like clone(2).
-            parent_cg = self.qos.cgroup_of(parent.pid)
+            parent_cg = qos.cgroup_of(parent.pid)
             if parent_cg is not None:
-                self.qos.attach(child, parent_cg)
+                qos.attach(child, parent_cg)
         self.counters.bump("fork_call")
         tracer = self.tracer
         traced = tracer.enabled
@@ -506,7 +493,7 @@ class Kernel:
     # ------------------------------------------------------------------
     @allocfree(note="asid compare; the PCID switch fires only on process change")
     def _ensure_current(self, process: Process) -> None:
-        qos = getattr(self.counters, "qos", None)
+        qos = self.counters.qos
         if qos is not None:
             # Demand allocations taken on this access path bill the
             # running process's cgroup.
@@ -524,7 +511,8 @@ class Kernel:
         self._ensure_current(process)
         if self.tracer.enabled:
             self.tracer.current_pid = process.pid
-        if self.ras is None:
+        ras = self.counters.ras
+        if ras is None:
             return self.cpu.access(process.space, vaddr, write=write)
         try:
             return self.cpu.access(process.space, vaddr, write=write)
@@ -532,7 +520,7 @@ class Kernel:
             # Machine check.  Graceful degradation: file-backed data is
             # migrated off the failing media and the access retried;
             # anonymous/private memory SIGBUS-kills only this process.
-            if not self.ras.handle_poison(process, vaddr, write, exc):
+            if not ras.handle_poison(process, vaddr, write, exc):
                 raise
             self.counters.bump("ras_recovered_access")
             return self.cpu.access(process.space, vaddr, write=write)
@@ -595,17 +583,14 @@ class Kernel:
     def arm_chaos(self, plan) -> None:
         """Arm a :class:`~repro.chaos.plan.FaultPlan` on this machine.
 
-        Instrumented hot paths reach the plan through
-        ``counters.chaos`` — the same back-reference pattern the tracer
-        uses — so an unarmed machine pays one ``getattr`` per site.
+        The plan lives in one slot, ``counters.chaos``; instrumented hot
+        paths read that attribute and an unarmed machine finds ``None``.
         """
         plan.bind(self.counters)
-        self.chaos = plan
         self.counters.chaos = plan
 
     def disarm_chaos(self) -> None:
         """Detach the armed fault plan (it keeps its hit history)."""
-        self.chaos = None
         self.counters.chaos = None
 
     # ------------------------------------------------------------------
@@ -614,23 +599,20 @@ class Kernel:
     def arm_sanitizers(self, suite=None):
         """Arm a :class:`~repro.sanitize.SanitizerSuite` on this machine.
 
-        Same back-reference pattern as :meth:`arm_chaos`: instrumented
-        hot paths reach the suite through ``counters.sanitize``, so an
-        unarmed machine pays one ``getattr`` per site and the armed
-        hooks never touch the simulated clock.
+        The suite lives in one slot, ``counters.sanitize``, which
+        instrumented hot paths read as a plain attribute; the armed hooks
+        never touch the simulated clock.  Returns the armed suite.
         """
         if suite is None:
             from repro.sanitize import SanitizerSuite
 
             suite = SanitizerSuite()
         suite.bind(self.counters)
-        self.sanitizers = suite
         self.counters.sanitize = suite
         return suite
 
     def disarm_sanitizers(self) -> None:
         """Detach the armed suite (it keeps its collected violations)."""
-        self.sanitizers = None
         self.counters.sanitize = None
 
     # ------------------------------------------------------------------
@@ -639,25 +621,23 @@ class Kernel:
     def arm_ras(self, engine=None, model=None):
         """Arm a :class:`~repro.ras.RasEngine` on this machine.
 
-        Same back-reference pattern as :meth:`arm_chaos`: the CPU access
-        path and the VFS copy loop reach the engine through
-        ``counters.ras``, so an unarmed machine pays one ``getattr`` per
-        site, never charges the clock, and produces bit-identical
+        The engine lives in one slot, ``counters.ras``, which the access
+        path and the VFS copy loop read; an unarmed machine finds
+        ``None``, never charges the clock, and produces bit-identical
         figures.  Pass ``model`` (a
         :class:`~repro.ras.MediaFaultModel`) to control the seeded fault
-        population, or a pre-built ``engine`` to reuse one.
+        population, or a pre-built ``engine`` to reuse one.  Returns the
+        armed engine.
         """
         if engine is None:
             from repro.ras import RasEngine
 
             engine = RasEngine(self, model=model)
-        self.ras = engine
         self.counters.ras = engine
         return engine
 
     def disarm_ras(self) -> None:
         """Detach the armed RAS engine (it keeps its model state)."""
-        self.ras = None
         self.counters.ras = None
 
     # ------------------------------------------------------------------
@@ -666,22 +646,19 @@ class Kernel:
     def arm_profiler(self, profiler=None):
         """Arm a :class:`~repro.perf.profiler.WallProfiler` here.
 
-        Same back-reference pattern as :meth:`arm_chaos`: the tracer
-        reaches the profiler through one attribute check inside
-        ``begin``/``end``, and those only run while tracing is enabled —
-        an unarmed machine's hot paths are untouched and its golden
-        figures bit-identical.  Arming enables the tracer (spans carry
-        the wall-clock samples); the profiler itself reads
-        ``time.perf_counter_ns`` and **never** touches the simulated
-        clock, so even an armed machine's simulated results are
-        unchanged.
+        The profiler lives in one slot, ``kernel.tracer.profiler``: the
+        tracer checks it inside ``begin``/``end``, and those only run
+        while tracing is enabled — an unarmed machine's hot paths are
+        untouched and its golden figures bit-identical.  Arming enables
+        the tracer (spans carry the wall-clock samples); the profiler
+        itself reads ``time.perf_counter_ns`` and **never** touches the
+        simulated clock, so even an armed machine's simulated results
+        are unchanged.  Returns the armed profiler.
         """
         if profiler is None:
             from repro.perf import WallProfiler
 
             profiler = WallProfiler()
-        self.profiler = profiler
-        self.counters.profiler = profiler
         self.tracer.profiler = profiler
         self.tracer.enable()
         return profiler
@@ -692,8 +669,6 @@ class Kernel:
         Tracing stays in whatever state it is in — disarming only stops
         the wall-clock sampling.
         """
-        self.profiler = None
-        self.counters.profiler = None
         self.tracer.profiler = None
 
     # ------------------------------------------------------------------
@@ -702,14 +677,13 @@ class Kernel:
     def arm_qos(self, controller=None, config=None):
         """Arm the per-tenant memory controller (``repro.qos``) here.
 
-        Same back-reference pattern as :meth:`arm_chaos`: the allocator
-        charge sites reach the controller through ``counters.qos``, so
-        an unarmed machine pays one ``getattr`` per site and its golden
-        figures stay bit-identical.  An armed controller with no limits
-        configured (the default root cgroup) accounts usage without ever
-        touching the simulated clock; watermarked cgroups add reclaim
-        backpressure, throttling and the OOM killer — all charged where
-        the pressure happens.
+        The controller lives in one slot, ``counters.qos``, which the
+        allocator charge sites read; an unarmed machine finds ``None``
+        and its golden figures stay bit-identical.  An armed controller
+        with no limits configured (the default root cgroup) accounts
+        usage without ever touching the simulated clock; watermarked
+        cgroups add reclaim backpressure, throttling and the OOM killer
+        — all charged where the pressure happens.
 
         Returns the armed :class:`~repro.qos.controller.QosController`.
         """
@@ -717,13 +691,11 @@ class Kernel:
             from repro.qos.controller import QosController
 
             controller = QosController(self, config=config)
-        self.qos = controller
         self.counters.qos = controller
         return controller
 
     def disarm_qos(self) -> None:
         """Detach the QoS controller (its accounting stops updating)."""
-        self.qos = None
         self.counters.qos = None
 
     # ------------------------------------------------------------------
@@ -736,7 +708,7 @@ class Kernel:
         Processes die, DRAM-backed tmpfs loses everything, caches and
         TLBs empty; PMFS replays its journal.
         """
-        san = getattr(self.counters, "sanitize", None)
+        san = self.counters.sanitize
         if san is not None:
             # Volatile shadow state (translations, open journal epochs)
             # dies with the power, *before* teardown frees any frames.

@@ -40,7 +40,7 @@ class Syscalls:
     # ------------------------------------------------------------------
     def _enter(self, name: str) -> None:
         self._kernel.clock.advance(self._kernel.costs.syscall_entry_ns)
-        qos = getattr(self._kernel.counters, "qos", None)
+        qos = self._kernel.counters.qos
         if qos is not None:
             # Kernel work done on this call bills the caller's cgroup.
             qos.enter_pid(self._process.pid)

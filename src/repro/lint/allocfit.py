@@ -33,9 +33,12 @@ from __future__ import annotations
 import gc
 import tracemalloc
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.decorators import iter_alloc_declarations
+
+if TYPE_CHECKING:  # pragma: no cover - the simulator imports repro.lint
+    from repro.kernel.kernel import Kernel
 
 #: Net steady-state growth below this is noise (one pointer per call
 #: would already be 8 bytes; a retained int is ~28).
@@ -174,12 +177,27 @@ def run_alloc_op(op: AllocOp) -> AllocFitResult:
 # Op preparers: mirror the wall-clock bench preps, sized for heap
 # steady state rather than timer granularity.
 # ---------------------------------------------------------------------------
-def _prep_access_tlb_hit() -> Callable[[], object]:
+def _untraced_machine() -> Kernel:
+    """A bench machine with no profiler and the tracer off.
+
+    The certificates describe the untraced access path.  A caller that
+    arms a profiler on every Kernel (the ``REPRO_PROFILE`` suite) also
+    enables the tracer, which sends ``Cpu.access`` down its traced
+    path — declared a cold call, so outside what the ops measure.
+    """
     from repro.perf.bench import _machine
+
+    kernel = _machine()
+    kernel.disarm_profiler()
+    kernel.tracer.disable()
+    return kernel
+
+
+def _prep_access_tlb_hit() -> Callable[[], object]:
     from repro.units import PAGE_SIZE
     from repro.vm.vma import MapFlags
 
-    kernel = _machine()
+    kernel = _untraced_machine()
     process = kernel.spawn("a")
     va = kernel.syscalls(process).mmap(
         PAGE_SIZE, flags=MapFlags.PRIVATE | MapFlags.POPULATE
@@ -188,11 +206,10 @@ def _prep_access_tlb_hit() -> Callable[[], object]:
 
 
 def _prep_access_tlb_miss_walk() -> Callable[[], object]:
-    from repro.perf.bench import _machine
     from repro.units import PAGE_SIZE
     from repro.vm.vma import MapFlags
 
-    kernel = _machine()
+    kernel = _untraced_machine()
     process = kernel.spawn("a")
     npages = 4096  # beyond TLB reach: sequential cycle = all misses
     size = npages * PAGE_SIZE

@@ -29,7 +29,8 @@ class BuddyAllocator:
     """Buddy allocator managing the frames of a single region.
 
     Orders run from 0 (one 4 KiB frame) to ``max_order`` inclusive
-    (Linux's default ``MAX_ORDER - 1`` is 10, i.e. 4 MiB blocks).
+    (Linux's default ``MAX_ORDER - 1`` is 10, i.e. 4 MiB blocks).  An
+    allocator built without a clock, costs or counters keeps its own.
     """
 
     def __init__(
@@ -44,9 +45,9 @@ class BuddyAllocator:
             raise ValueError(f"max_order must be >= 0, got {max_order}")
         self._region = region
         self._max_order = max_order
-        self._clock = clock
-        self._costs = costs
-        self._counters = counters
+        self._clock: SimClock = clock or SimClock()
+        self._costs: CostModel = costs or CostModel()
+        self._counters: MetricsRegistry = counters or MetricsRegistry()
         self._free_lists: List[Set[int]] = [set() for _ in range(max_order + 1)]
         #: pfn -> order for blocks handed out (needed to free by pfn alone).
         self._allocated: Dict[int, int] = {}
@@ -95,10 +96,8 @@ class BuddyAllocator:
         return self._region.name or f"{self._region.start:#x}"
 
     def _charge(self, ns: int, event: str) -> None:
-        if self._clock is not None:
-            self._clock.advance(ns)
-        if self._counters is not None:
-            self._counters.bump(event)
+        self._clock.advance(ns)
+        self._counters.bump(event)
 
     @staticmethod
     @o1(note="bit_length, no search")
@@ -118,7 +117,7 @@ class BuddyAllocator:
             raise ValueError(
                 f"order {order} outside supported range 0..{self._max_order}"
             )
-        chaos = getattr(self._counters, "chaos", None)
+        chaos = self._counters.chaos
         if chaos is not None and chaos.hit("buddy.alloc") == "error":
             raise OutOfMemoryError(
                 f"chaos: injected exhaustion in region {self._describe()}"
@@ -134,20 +133,20 @@ class BuddyAllocator:
                 f"({self._free_frames} frames free but fragmented)"
             )
         costs = self._costs
-        self._charge(costs.frame_alloc_ns if costs else 0, "buddy_alloc")
+        self._charge(costs.frame_alloc_ns, "buddy_alloc")
         pfn = self._free_lists[source].pop()
         # Split down to the requested order, freeing the upper halves.
         # o1: allow(flow-bounded) -- at most max_order splits, the declared log factor
         while source > order:
             source -= 1
             self._free_lists[source].add(pfn + (1 << source))
-            self._charge(costs.buddy_split_ns if costs else 0, "buddy_split")
+            self._charge(costs.buddy_split_ns, "buddy_split")
         self._allocated[pfn] = order
         self._free_frames -= 1 << order
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             san.on_frame_alloc(self, pfn, order)
-        qos = getattr(self._counters, "qos", None)
+        qos = self._counters.qos
         if qos is not None:
             qos.on_frames_alloc(pfn, 1 << order)
         return pfn
@@ -168,10 +167,10 @@ class BuddyAllocator:
     @o1(note="frees charge once; the merge chain charges 0 ns")
     def free(self, pfn: int) -> None:
         """Free a previously allocated block, coalescing with buddies."""
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             san.on_frame_free(self, pfn)
-        self._free_block(pfn, self._costs.frame_free_ns if self._costs else 0)
+        self._free_block(pfn, self._costs.frame_free_ns)
 
     @o1(note="one charged update for the whole batch; per-block work charges 0 ns")
     def free_many(self, pfns: Sequence[int]) -> None:
@@ -187,8 +186,8 @@ class BuddyAllocator:
         """
         if not pfns:
             return
-        san = getattr(self._counters, "sanitize", None)
-        charge = self._costs.frame_free_ns if self._costs else 0
+        san = self._counters.sanitize
+        charge = self._costs.frame_free_ns
         # o1: allow(o1-size-loop) -- batch charges one frame_free_ns; rest 0 ns
         for pfn in pfns:
             if san is not None:
@@ -204,7 +203,7 @@ class BuddyAllocator:
         order = self._allocated.pop(pfn, None)
         if order is None:
             raise ValueError(f"pfn {pfn} was not allocated by this allocator")
-        qos = getattr(self._counters, "qos", None)
+        qos = self._counters.qos
         if qos is not None:
             qos.on_frames_free(pfn)
         self._charge(charge_ns, "buddy_free")
@@ -262,7 +261,7 @@ class BuddyAllocator:
             self._retired.add(pfn)
             self._free_frames -= 1
             self._charge(0, "buddy_retire")
-            san = getattr(self._counters, "sanitize", None)
+            san = self._counters.sanitize
             if san is not None:
                 san.on_frame_retired(self, pfn)
             return True

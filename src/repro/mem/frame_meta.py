@@ -99,7 +99,8 @@ class FrameTable:
     ``frame_meta_update_ns``, because on real hardware the array is
     physically resident and touching an entry is a cache line reference
     plus read-modify-write.  The charging is what makes per-page kernel
-    work visibly linear in the benchmarks.
+    work visibly linear in the benchmarks.  A table built without a
+    clock, costs or counters keeps its own.
     """
 
     def __init__(
@@ -108,16 +109,14 @@ class FrameTable:
         costs: Optional[CostModel] = None,
         counters: Optional[MetricsRegistry] = None,
     ) -> None:
-        self._clock = clock
-        self._costs = costs
-        self._counters = counters
+        self._clock: SimClock = clock or SimClock()
+        self._costs: CostModel = costs or CostModel()
+        self._counters: MetricsRegistry = counters or MetricsRegistry()
         self._frames: Dict[int, FrameMeta] = {}
 
     def _charge(self) -> None:
-        if self._clock is not None and self._costs is not None:
-            self._clock.advance(self._costs.frame_meta_update_ns)
-        if self._counters is not None:
-            self._counters.bump("frame_meta_touch")
+        self._clock.advance(self._costs.frame_meta_update_ns)
+        self._counters.bump("frame_meta_touch")
 
     def touch(self, pfn: int) -> FrameMeta:
         """Metadata for frame ``pfn``, charging one metadata update."""

@@ -43,6 +43,8 @@ class _Slab:
 class SlabCache:
     """Cache of fixed-size objects carved from buddy pages.
 
+    A cache built without a clock, costs or counters keeps its own.
+
     >>> # doctest setup elided; see tests/test_mem_slab.py
     """
 
@@ -68,9 +70,9 @@ class SlabCache:
         self._buddy = buddy
         self._slab_order = slab_order
         self._slots_per_slab = slab_bytes // object_size
-        self._clock = clock
-        self._costs = costs
-        self._counters = counters
+        self._clock: SimClock = clock or SimClock()
+        self._costs: CostModel = costs or CostModel()
+        self._counters: MetricsRegistry = counters or MetricsRegistry()
         self._slabs: Dict[int, _Slab] = {}  # base_pfn -> slab
         self._partial: List[int] = []  # base_pfns with free slots
         #: address -> base_pfn, for O(1) free.
@@ -94,10 +96,8 @@ class SlabCache:
     def _charge(self, event: str) -> None:
         # Slab fast path is a couple of pointer operations: price it as a
         # fraction of the buddy fast path.
-        if self._clock is not None and self._costs is not None:
-            self._clock.advance(self._costs.frame_alloc_ns // 4)
-        if self._counters is not None:
-            self._counters.bump(event)
+        self._clock.advance(self._costs.frame_alloc_ns // 4)
+        self._counters.bump(event)
 
     @o1(note="LIFO slot pop; growth is amortized over a whole slab")
     def alloc(self) -> int:
@@ -139,11 +139,11 @@ class SlabCache:
         up to ``attempts`` times before giving up — the injected-fault
         hardening the chaos explorer exercises.
         """
-        chaos = getattr(self._counters, "chaos", None)
+        chaos = self._counters.chaos
         last_error: Optional[OutOfMemoryError] = None
         # o1: allow(flow-bounded) -- retry cap is a small constant, not operand-sized
         for attempt in range(attempts):
-            if attempt and self._counters is not None:
+            if attempt:
                 self._counters.bump("slab_grow_retry")
             try:
                 if chaos is not None and chaos.hit("slab.grow") == "error":
@@ -160,7 +160,7 @@ class SlabCache:
             ) from last_error
         self._slabs[base_pfn] = _Slab(base_pfn, self._slab_order, self._slots_per_slab)
         self._partial.append(base_pfn)
-        qos = getattr(self._counters, "qos", None)
+        qos = self._counters.qos
         if qos is not None:
             # Kernel-memory attribution (cgroup v2 kmem): the buddy
             # charge above billed the frames; this tags them as slab.
@@ -171,7 +171,7 @@ class SlabCache:
         del self._slabs[base_pfn]
         self._partial.remove(base_pfn)
         self._buddy.free(base_pfn)
-        qos = getattr(self._counters, "qos", None)
+        qos = self._counters.qos
         if qos is not None:
             qos.on_slab_reap(1 << self._slab_order)
 

@@ -36,6 +36,9 @@ class ZeroPool:
     target_size:
         Frames the pool tries to keep ready; sizing it is the
         space-for-time knob studied in the zero-pool ablation bench.
+    clock, costs, counters:
+        The machine's; a pool built without them keeps its own, so
+        standalone use charges no one else's clock or registry.
     """
 
     def __init__(
@@ -50,9 +53,9 @@ class ZeroPool:
             raise ValueError(f"target_size must be >= 0, got {target_size}")
         self._buddy = buddy
         self._target_size = target_size
-        self._clock = clock
-        self._costs = costs
-        self._counters = counters
+        self._clock: SimClock = clock or SimClock()
+        self._costs: CostModel = costs or CostModel()
+        self._counters: MetricsRegistry = counters or MetricsRegistry()
         self._pool: Deque[int] = deque()
         #: Simulated ns of zeroing done off the critical path.
         self._background_ns = 0
@@ -71,26 +74,23 @@ class ZeroPool:
         to allocate-and-zero in the foreground (the linear baseline),
         which the ledger records separately.
         """
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if self._pool:
             pfn = self._pool.popleft()
-            if self._counters is not None:
-                self._counters.bump("zeropool_hit")
+            self._counters.bump("zeropool_hit")
             if san is not None:
                 # The fast path skips zeroing: the frame must be clean.
                 san.on_zeropool_take(pfn)
-            qos = getattr(self._counters, "qos", None)
+            qos = self._counters.qos
             if qos is not None:
                 # The charge moves from the pool (root) to the taker.
                 qos.on_frame_claimed(pfn)
             return pfn
-        if self._counters is not None:
-            self._counters.bump("zeropool_miss")
+        self._counters.bump("zeropool_miss")
         # o1: allow(flow-bounded) -- pool-miss fallback; the stocked fast path never gets here
         pfn = self._buddy.alloc(0)
         zero_ns = self._zero_cost()
-        if self._clock is not None:
-            self._clock.advance(zero_ns)
+        self._clock.advance(zero_ns)
         self._foreground_zero_ns += zero_ns
         if san is not None:
             san.on_frames_zeroed((pfn,))
@@ -99,7 +99,7 @@ class ZeroPool:
     @o1(note="one buddy free")
     def give_back(self, pfn: int) -> None:
         """Return a dirty frame to the buddy (it must be re-zeroed later)."""
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             san.on_frames_tainted((pfn,))
         self._buddy.free(pfn)
@@ -126,22 +126,21 @@ class ZeroPool:
                 break
             self._background_ns += self._zero_cost()
             self._pool.append(pfn)
-            san = getattr(self._counters, "sanitize", None)
+            san = self._counters.sanitize
             if san is not None:
                 san.on_frames_zeroed((pfn,))
-            qos = getattr(self._counters, "qos", None)
+            qos = self._counters.qos
             if qos is not None:
                 # Pooled frames park on the root cgroup: background
                 # zeroing is not billed to whoever triggered the refill.
                 qos.on_frame_pooled(pfn)
             added += 1
-        if added and self._counters is not None:
+        if added:
             self._counters.bump("zeropool_refill_frames", added)
         return added
 
     def _zero_cost(self) -> int:
-        costs = self._costs or CostModel()
-        return costs.zero_page_ns(PAGE_SIZE)
+        return self._costs.zero_page_ns(PAGE_SIZE)
 
     # ------------------------------------------------------------------
     # Ledger

@@ -2,7 +2,10 @@
 
 :class:`MetricsRegistry` is the simulator's one counter class: every
 component takes one as ``counters`` (``kernel.counters`` is the
-machine's) and adds
+machine's).  It also holds the machine's hook slots — ``tracer``,
+``chaos``, ``sanitize``, ``ras`` and ``qos`` — each ``None`` until the
+kernel arms that subsystem, so a hot path reads ``counters.<slot>`` as a
+plain attribute.  It adds
 
 * **named counters** — ``bump()`` is one dict increment with no run-time
   name check; the source audit in ``tests/test_obs_names.py`` holds every
@@ -123,15 +126,17 @@ class MetricsRegistry:
     (1, 1)
     """
 
-    # No __slots__: the kernel sets its hook back-references (tracer, chaos,
-    # sanitize, ras, profiler, qos) per instance; ``None`` means hook off.
-    tracer = None
-    chaos = None
-    profiler = None
-
     def __init__(self) -> None:
         self._counts: Dict[str, int] = {}
         self._histograms: Dict[str, LatencyHistogram] = {}
+        # Hook slots: the one place an armed subsystem lives (the kernel's
+        # ``arm_*`` methods write them); hot paths read ``counters.<slot>``
+        # and ``None`` means that subsystem is off.
+        self.tracer = None
+        self.chaos = None
+        self.sanitize = None
+        self.ras = None
+        self.qos = None
 
     # -- counter surface -------------------------------------------------
     @allocfree(note="one dict increment on an existing key")

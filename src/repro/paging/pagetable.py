@@ -114,6 +114,9 @@ class PageTable:
     ----------
     levels:
         4 (48-bit VA) or 5 (57-bit VA).
+    clock, costs, counters:
+        The machine's; a table built without them keeps its own, so
+        standalone use charges no one else's clock or registry.
     frame_source:
         Optional callable returning a PFN for each new node, so node
         frames come from the simulated buddy allocator.  Without it,
@@ -137,9 +140,9 @@ class PageTable:
             raise ConfigurationError(f"levels must be 4 or 5, got {levels}")
         self._levels = levels
         self.shifts: Tuple[int, ...] = _SHIFTS[levels]
-        self._clock = clock
-        self._costs = costs
-        self._counters = counters
+        self._clock: SimClock = clock or SimClock()
+        self._costs: CostModel = costs or CostModel()
+        self._counters: MetricsRegistry = counters or MetricsRegistry()
         self._frame_source = frame_source
         self._frame_sink = frame_sink
         self._node_count = 0
@@ -199,18 +202,14 @@ class PageTable:
     def _new_node(self, depth: int) -> PageTableNode:
         pfn = self._frame_source() if self._frame_source is not None else None
         paddr = pfn * PAGE_SIZE if pfn is not None else None
-        if self._clock is not None and self._costs is not None:
-            self._clock.advance(self._costs.pt_node_alloc_ns)
-        if self._counters is not None:
-            self._counters.bump("pt_node_alloc")
+        self._clock.advance(self._costs.pt_node_alloc_ns)
+        self._counters.bump("pt_node_alloc")
         self._node_count += 1
         return PageTableNode(depth=depth, paddr=paddr)
 
     def _charge_pte_write(self) -> None:
-        if self._clock is not None and self._costs is not None:
-            self._clock.advance(self._costs.pte_write_ns)
-        if self._counters is not None:
-            self._counters.bump("pte_write")
+        self._clock.advance(self._costs.pte_write_ns)
+        self._counters.bump("pte_write")
 
     # ------------------------------------------------------------------
     # Mapping
@@ -245,7 +244,7 @@ class PageTable:
         pte = Pte(pfn=pfn, page_size=page_size, writable=writable, user=user)
         node.entries[index] = pte
         self._charge_pte_write()
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             san.on_pte_map(pte)
         return pte
@@ -295,15 +294,14 @@ class PageTable:
         clone = self._new_node(depth=node.depth)
         clone.entries = dict(node.entries)
         clone.wp_slots = set(node.wp_slots)
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         # o1: allow(o1-size-loop) -- one page-table node holds at most 512 entries
         for entry in clone.entries.values():
             if isinstance(entry, PageTableNode):
                 entry.refs += 1
             elif san is not None:
                 san.on_pte_map(entry)
-        if self._counters is not None:
-            self._counters.bump("pt_node_clone")
+        self._counters.bump("pt_node_clone")
         return clone
 
     @o1(note="one leaf clear after a fixed-depth descent")
@@ -330,7 +328,7 @@ class PageTable:
             raise MappingError(f"vaddr {vaddr:#x} is not mapped")
         del node.entries[index]
         self._charge_pte_write()
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             san.on_pte_unmap(entry)
         return entry
@@ -489,7 +487,7 @@ class PageTable:
         entry.refs -= 1
         self._charge_pte_write()
         if entry.refs <= 0:
-            san = getattr(self._counters, "sanitize", None)
+            san = self._counters.sanitize
             if san is not None:
                 san.on_subtree_dead(entry)
         return entry
@@ -569,7 +567,7 @@ class PageTable:
     def _clear_node(
         self, node: PageTableNode, dead_pfns: Optional[List[int]] = None
     ) -> int:
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         removed = 0
         for index, entry in list(node.entries.items()):
             if isinstance(entry, Pte):

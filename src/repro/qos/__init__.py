@@ -1,9 +1,9 @@
 """Per-tenant memory QoS: cgroup-style limits, reclaim backpressure, OOM.
 
 The fifth armable subsystem (after chaos, sanitize, ras, profiler):
-``kernel.arm_qos()`` wires a :class:`~repro.qos.controller.QosController`
-into ``counters.qos``; unarmed machines pay one ``getattr`` per charge
-site and stay bit-identical to the baseline.
+``kernel.arm_qos()`` stores a :class:`~repro.qos.controller.QosController`
+in the registry's one ``counters.qos`` slot; unarmed machines pay one
+attribute read per charge site and stay bit-identical to the baseline.
 
 >>> from repro.kernel.kernel import Kernel
 >>> kernel = Kernel.default()

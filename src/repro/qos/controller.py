@@ -1,10 +1,10 @@
 """The QoS memory controller: charging, backpressure, and the OOM path.
 
-Armed on a machine with ``kernel.arm_qos()`` and reached from the hot
-allocation paths through ``counters.qos`` — the same back-reference
-pattern the chaos engine, sanitizers, RAS engine and profiler use, so an
-unarmed machine pays exactly one ``getattr`` per site and the golden
-figures stay bit-identical.
+Armed on a machine with ``kernel.arm_qos()``, which stores the controller
+in the registry's one ``counters.qos`` slot (the chaos engine, sanitizers
+and RAS engine have theirs), and reached from the hot allocation paths
+by reading that attribute, so an unarmed machine pays exactly one
+attribute read per site and the golden figures stay bit-identical.
 
 Charge sites (all O(1) per event):
 
@@ -319,7 +319,7 @@ class QosController:
         resident pages, however much memory other tenants hold — the
         ``qos.reclaim_batch.neighbours`` fitter operation pins that.
         """
-        chaos = getattr(self._counters, "chaos", None)
+        chaos = self._counters.chaos
         if chaos is not None and chaos.hit("qos.reclaim") == "error":
             # Injected transient failure: skip this pass; the throttle
             # (or the next breach) provides the backpressure instead.
@@ -377,7 +377,7 @@ class QosController:
         it is doomed and dies at its next syscall/access entry), or
         ``"none"`` (no live candidates left).
         """
-        chaos = getattr(self._counters, "chaos", None)
+        chaos = self._counters.chaos
         if chaos is not None:
             chaos.hit("qos.oom_kill")
         processes = self._kernel.processes

@@ -1,8 +1,9 @@
 """RAS: reliability, availability, serviceability for the simulated machine.
 
-Armed via ``kernel.arm_ras()`` under the same back-reference pattern as
-the chaos engine and the sanitizers: unarmed machines pay one
-``getattr`` per hook site and produce bit-identical figures.
+Armed via ``kernel.arm_ras()``, which stores the engine in the registry's
+one ``counters.ras`` slot, as the chaos engine and the sanitizers have
+theirs: unarmed machines pay one attribute read per hook site and
+produce bit-identical figures.
 
 * :class:`MediaFaultModel` — seeded, deterministic NVM fault population
   (transient, sticky-poison, dead frames).

@@ -1,9 +1,10 @@
 """RAS policy engine: traps, graceful degradation, retirement, migration.
 
-The engine is armed on a machine with ``kernel.arm_ras()`` and reached
-from the hot paths through ``counters.ras`` — the same back-reference
-pattern the chaos engine and sanitizers use, so an unarmed machine pays
-one ``getattr`` per site and golden figures stay bit-identical.
+The engine is armed on a machine with ``kernel.arm_ras()``, lives in the
+registry's one ``counters.ras`` slot (as the chaos engine and sanitizers
+live in theirs), and is reached from the hot paths by reading that
+attribute, so an unarmed machine pays one attribute read per site and
+golden figures stay bit-identical.
 
 Policy, in one paragraph: a load that consumes poison raises a
 machine-check-style :class:`~repro.errors.MemoryPoisonError` from the
@@ -258,7 +259,7 @@ class RasEngine:
     )
     def retire_frame(self, pfn: int) -> bool:
         """Retire one frame; False when it must wait (busy DRAM frame)."""
-        chaos = getattr(self._counters, "chaos", None)
+        chaos = self._counters.chaos
         if chaos is not None:
             chaos.hit("ras.retire.frame")
         if self._in_dram(pfn):
@@ -298,7 +299,7 @@ class RasEngine:
         pmfs = self._kernel.pmfs
         if pmfs is None:
             return  # no durable home; retirement lasts until power-off
-        chaos = getattr(self._counters, "chaos", None)
+        chaos = self._counters.chaos
         if chaos is not None:
             chaos.hit("ras.badblock.persist")
         inode = self.dram_badblock_inode()
@@ -328,14 +329,14 @@ class RasEngine:
             return False
         badblocks = self.badblock_inode()
         if pmfs.allocator.block_is_free(pfn):
-            chaos = getattr(self._counters, "chaos", None)
+            chaos = self._counters.chaos
             if chaos is not None:
                 chaos.hit("ras.badblock.persist")
             try:
                 pmfs.adopt_badblock(badblocks, pfn)
             except NoSpaceError:
                 return False
-            san = getattr(self._counters, "sanitize", None)
+            san = self._counters.sanitize
             if san is not None:
                 san.on_nvm_retired(pmfs.allocator, pfn, 1)
             return True
@@ -346,7 +347,7 @@ class RasEngine:
             return True  # already quarantined on the badblock list
         new_pfn = pmfs.migrate_block(owner, pfn, badblocks)
         self._invalidate_translations(owner, pfn, 1)
-        san = getattr(self._counters, "sanitize", None)
+        san = self._counters.sanitize
         if san is not None:
             san.on_nvm_retired(pmfs.allocator, pfn, 1)
         self._counters.bump("ras_extent_migrated")

@@ -52,7 +52,7 @@ class PatrolScrubber:
         total = sum(count for _first, count in spans)
         if total == 0:
             return 0
-        chaos = getattr(self._engine._counters, "chaos", None)
+        chaos = self._engine._counters.chaos
         if chaos is not None:
             chaos.hit("ras.scrub.batch")
         probed = min(self.batch_frames, total)

@@ -2,14 +2,15 @@
 
 ``SanitizerSuite`` is the single object the machine sees.  Arming
 mirrors the chaos engine: ``kernel.arm_sanitizers(suite)`` binds the
-suite to the kernel's counters registry, and every instrumented hot
-path guards its hook behind one attribute probe::
+suite to the kernel's counters registry and stores it in that
+registry's one ``sanitize`` slot, which every instrumented hot path
+reads as a plain attribute::
 
-    san = getattr(self._counters, "sanitize", None)
+    san = self._counters.sanitize
     if san is not None:
         san.on_frame_free(self, pfn)
 
-Unarmed cost is that single ``getattr`` — no simulated-clock charge,
+Unarmed cost is that one attribute read — no simulated-clock charge,
 no counter bump — so every ``@o1`` declaration holds with sanitizers
 compiled out of the picture.  Armed, the hooks maintain pure-Python
 shadow state and never touch the simulated clock either: a fully
@@ -29,6 +30,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.decorators import o1
+from repro.obs.metrics import MetricsRegistry
 from repro.sanitize.framesan import FrameSan
 from repro.sanitize.persistsan import PersistSan
 from repro.sanitize.transsan import TransSan
@@ -58,7 +60,8 @@ class SanitizerSuite:
         self.halt = halt
         self.violations: List[SanitizerViolation] = []
         self.checks: Dict[str, int] = {}
-        self._counters: Optional[Any] = None
+        #: Its own registry until :meth:`bind` hands it the kernel's.
+        self._counters = MetricsRegistry()
         self._trans: Optional[TransSan] = (
             TransSan(self._make_report("trans")) if "trans" in self.detectors else None
         )
@@ -72,7 +75,7 @@ class SanitizerSuite:
     # ------------------------------------------------------------------
     # Arming / violation sink
     # ------------------------------------------------------------------
-    def bind(self, counters: Any) -> None:
+    def bind(self, counters: MetricsRegistry) -> None:
         """Attach to a kernel's counters registry (called by arm_sanitizers)."""
         self._counters = counters
 
@@ -89,16 +92,14 @@ class SanitizerSuite:
             detector=detector, kind=kind, message=message, details=details
         )
         self.violations.append(violation)
-        counters = self._counters
-        if counters is not None:
-            counters.bump("sanitize_violation")
-            tracer = getattr(counters, "tracer", None)
-            if tracer is not None and tracer.enabled:
-                tracer.instant(
-                    "sanitize_violation",
-                    "kernel",
-                    args={"detector": detector, "kind": kind, "message": message},
-                )
+        self._counters.bump("sanitize_violation")
+        tracer = self._counters.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.instant(
+                "sanitize_violation",
+                "kernel",
+                args={"detector": detector, "kind": kind, "message": message},
+            )
         if self.halt:
             raise SanitizerError(violation.format())
 

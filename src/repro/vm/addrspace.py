@@ -594,7 +594,7 @@ class AddressSpace:
         window_span = self._pt.span_at(self._pt.bottom_depth - 1)
         window_va = page_va - page_va % window_span
         node = self._pt.privatize_window(page_va)
-        chaos = getattr(self._counters, "chaos", None)
+        chaos = self._counters.chaos
         if chaos is not None:
             # Torn point: node privatized (refcounts consistent) but the
             # write-protect bit and leaf downgrades are still pending.

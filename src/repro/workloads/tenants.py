@@ -222,7 +222,7 @@ def run_tenants(
         kernel = Kernel(
             MachineConfig(dram_bytes=dram_bytes, swap_pages=4 * frames)
         )
-    qos = kernel.qos
+    qos = kernel.counters.qos
     if qos is None:
         qos = kernel.arm_qos()
     dram_frames = kernel.dram_buddy.region.frame_count

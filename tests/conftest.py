@@ -24,6 +24,9 @@ from repro.kernel import Kernel, MachineConfig
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.physical import MemoryRegion, PhysicalMemory
 from repro.obs.metrics import MetricsRegistry
+from repro.perf import WallProfiler
+from repro.ras import MediaFaultModel
+from repro.sanitize import SanitizerSuite
 from repro.units import GIB, MIB
 
 _COMMON = dict(
@@ -37,67 +40,50 @@ settings.register_profile(
 settings.register_profile("heavy", max_examples=1000, **_COMMON)
 settings.load_profile("dev")
 
-if os.environ.get("REPRO_SANITIZE"):
-    # Sanitizer-armed tier-1: every Kernel built anywhere in the suite
-    # gets the full shadow-state sanitizer suite in halt mode, so any
-    # translation/frame/persist incoherence fails the test that caused
-    # it.  Opt-in via the environment so the plain run measures the
-    # unarmed (single getattr) hot paths.
-    from repro.sanitize import SanitizerSuite
+#: Armed tier-1 modes: environment variable -> the arming call that every
+#: Kernel built anywhere in the suite gets while it is set.  When several
+#: are set they arm in table order.  Each armed subsystem lives in one
+#: slot (``counters.sanitize``/``.ras``/``.qos``, ``tracer.profiler``);
+#: the plain run, with none set, measures the unarmed hot paths.
+#:
+#: * ``REPRO_SANITIZE`` — the full shadow-state sanitizer suite in halt
+#:   mode, so any translation/frame/persist incoherence fails the test
+#:   that caused it.
+#: * ``REPRO_RAS`` — the RAS engine with a *clean* fault model (no sampled
+#:   faults): the armed media-check, degradation and file-IO hooks run
+#:   without injected faults perturbing clocks or killing processes.
+#:   Fault behaviour itself is covered by the test_ras_* modules.
+#: * ``REPRO_QOS`` — the memory controller with only the limitless root
+#:   cgroup: the armed charge/uncharge hooks run and no watermark can
+#:   ever breach.
+#: * ``REPRO_PROFILE`` — a WallProfiler, which also enables tracing so
+#:   spans carry wall-time samples.
+#:
+#: None of them touches the simulated clock, so every simulated figure —
+#: the goldens included — must come out bit-identical to the plain run;
+#: these modes exist to prove exactly that.
+_ARMED_MODES = (
+    ("REPRO_SANITIZE", lambda kernel: kernel.arm_sanitizers(SanitizerSuite())),
+    (
+        "REPRO_RAS",
+        lambda kernel: kernel.arm_ras(
+            model=MediaFaultModel(seed=0, faults_per_bind=0)
+        ),
+    ),
+    ("REPRO_QOS", lambda kernel: kernel.arm_qos()),
+    ("REPRO_PROFILE", lambda kernel: kernel.arm_profiler(WallProfiler())),
+)
+_ARMING = [arm for variable, arm in _ARMED_MODES if os.environ.get(variable)]
 
-    _orig_kernel_init = Kernel.__init__
-
-    def _armed_kernel_init(self, *args, **kwargs):  # type: ignore[no-untyped-def]
-        _orig_kernel_init(self, *args, **kwargs)
-        self.arm_sanitizers(SanitizerSuite())
-
-    Kernel.__init__ = _armed_kernel_init  # type: ignore[method-assign]
-
-if os.environ.get("REPRO_RAS"):
-    # RAS-armed tier-1: every Kernel gets the RAS engine with a *clean*
-    # fault model (no sampled faults), so the whole suite runs through
-    # the armed media-check, degradation and file-IO hooks without any
-    # injected faults perturbing clocks or killing processes.  Fault
-    # behaviour itself is covered by the dedicated test_ras_* modules.
-    from repro.ras import MediaFaultModel
-
+if _ARMING:
     _plain_kernel_init = Kernel.__init__
 
-    def _ras_kernel_init(self, *args, **kwargs):  # type: ignore[no-untyped-def]
+    def _armed_kernel_init(self, *args, **kwargs):  # type: ignore[no-untyped-def]
         _plain_kernel_init(self, *args, **kwargs)
-        self.arm_ras(model=MediaFaultModel(seed=0, faults_per_bind=0))
+        for arm in _ARMING:
+            arm(self)
 
-    Kernel.__init__ = _ras_kernel_init  # type: ignore[method-assign]
-
-if os.environ.get("REPRO_QOS"):
-    # QoS-armed tier-1: every Kernel gets the memory controller with only
-    # the limitless root cgroup, so the whole suite runs through the armed
-    # charge/uncharge hooks while no watermark can ever breach.  The
-    # pressure paths are breach-only, so every simulated figure must come
-    # out bit-identical to the plain run; this mode exists to prove that.
-    _unqos_kernel_init = Kernel.__init__
-
-    def _qos_kernel_init(self, *args, **kwargs):  # type: ignore[no-untyped-def]
-        _unqos_kernel_init(self, *args, **kwargs)
-        self.arm_qos()
-
-    Kernel.__init__ = _qos_kernel_init  # type: ignore[method-assign]
-
-if os.environ.get("REPRO_PROFILE"):
-    # Profiler-armed tier-1: every Kernel gets a WallProfiler (which also
-    # enables tracing, so spans carry wall-time samples).  The profiler
-    # never touches the simulated clock, so every simulated figure —
-    # including the goldens — must come out bit-identical to the plain
-    # run; this mode exists to prove exactly that.
-    from repro.perf import WallProfiler
-
-    _bare_kernel_init = Kernel.__init__
-
-    def _profiled_kernel_init(self, *args, **kwargs):  # type: ignore[no-untyped-def]
-        _bare_kernel_init(self, *args, **kwargs)
-        self.arm_profiler(WallProfiler())
-
-    Kernel.__init__ = _profiled_kernel_init  # type: ignore[method-assign]
+    Kernel.__init__ = _armed_kernel_init  # type: ignore[method-assign]
 
 
 @pytest.fixture

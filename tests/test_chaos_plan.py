@@ -163,7 +163,6 @@ class TestObsIntegration:
         assert kernel.counters.get("chaos_fault_injected") == 1
         kernel.disarm_chaos()
         assert kernel.counters.chaos is None
-        assert kernel.chaos is None
 
     def test_injection_emits_trace_event(self, kernel):
         kernel.tracer.enable()

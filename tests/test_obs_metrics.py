@@ -102,10 +102,18 @@ class TestMetricsRegistry:
         assert reg.get("made_up_counter") == 3
         assert reg.snapshot() == {"made_up_counter": 3}
 
+    def test_bare_registry_reads_none_from_every_hook_slot(self):
+        # The registry is the one home of every armed subsystem: each
+        # instance carries all five slots, unarmed, and no profiler slot
+        # (the profiler lives on the tracer).
+        reg = MetricsRegistry()
+        slots = {name: value for name, value in vars(reg).items() if not name.startswith("_")}
+        assert slots == dict.fromkeys(("tracer", "chaos", "sanitize", "ras", "qos"))
+        assert not hasattr(reg, "profiler")
+
     def test_tracer_attribute_settable_per_instance(self):
-        # The registry declares tracer=None at class level and has no
-        # __slots__, so components reach a per-kernel tracer through
-        # their existing counters reference.
+        # Components reach a per-kernel tracer through their existing
+        # counters reference.
         reg = MetricsRegistry()
         assert reg.tracer is None
         sentinel = object()

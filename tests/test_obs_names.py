@@ -1,7 +1,11 @@
-"""Counter-name audit: every bump() literal in src/ must be canonical."""
+"""Source audits over src/: every bump() literal must be canonical, and
+every armed subsystem is read from its registry slot as a plain attribute."""
 
+import ast
 import pathlib
 import re
+
+import pytest
 
 from repro.obs.names import (
     CANONICAL_COUNTERS,
@@ -60,6 +64,72 @@ class TestBumpSiteAudit:
             for match in BUMP_FSTRING_RE.finditer(path.read_text()):
                 dynamic.append((path.relative_to(SRC), match.group(1)))
         assert all(template == "sys_{name}" for _p, template in dynamic), dynamic
+
+
+#: The registry's hook slots (``MetricsRegistry.__init__``), plus the
+#: deleted ``profiler`` slot, whose one home is now ``tracer.profiler``.
+HOOK_SLOTS = frozenset({"tracer", "chaos", "sanitize", "ras", "qos", "profiler"})
+
+
+def _is_registry(node):
+    """``counters``, ``self._counters``, ``self._kernel.counters``, ..."""
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+    return name in ("counters", "_counters")
+
+
+def iter_hook_accesses():
+    """(path, line, kind) for every hook-slot access over a registry.
+
+    ``kind`` is ``"getattr"`` for a ``getattr(<registry>, "<slot>", ...)``
+    probe and ``"attr"`` for a plain ``<registry>.<slot>`` read or write.
+    Parsed, not grepped, so docstring examples do not count.
+    """
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr"
+                and len(node.args) >= 2
+                and _is_registry(node.args[0])
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value in HOOK_SLOTS
+            ):
+                yield path.relative_to(SRC), node.lineno, "getattr"
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in HOOK_SLOTS
+                and _is_registry(node.value)
+            ):
+                yield path.relative_to(SRC), node.lineno, "attr"
+
+
+@pytest.fixture(scope="module")
+def hook_accesses():
+    return list(iter_hook_accesses())
+
+
+class TestHookSlotAudit:
+    def test_no_getattr_probe_of_a_hook_slot(self, hook_accesses):
+        # Every registry has every slot, so a probe with a default only
+        # hides a typo; read the slot as a plain attribute.
+        offenders = [
+            f"{path}:{line}" for path, line, kind in hook_accesses if kind == "getattr"
+        ]
+        assert not offenders, (
+            "getattr() probes of a registry hook slot; read "
+            "<registry>.<slot> instead:\n" + "\n".join(offenders)
+        )
+
+    def test_audit_actually_sees_the_slot_reads(self, hook_accesses):
+        reads = [(p, line) for p, line, kind in hook_accesses if kind == "attr"]
+        # sanity: the scan recognises the receivers the hot paths use
+        assert len(reads) >= 70
+        assert {str(p) for p, _line in reads} >= {
+            "repro/hw/cpu.py",
+            "repro/mem/buddy.py",
+            "repro/kernel/kernel.py",
+        }
 
 
 class TestConvention:

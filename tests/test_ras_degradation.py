@@ -32,7 +32,7 @@ class TestAnonymousPoison:
         paddr = kernel.access(victim, va, write=True)
         pfn = paddr // PAGE_SIZE
 
-        kernel.ras.model.inject(pfn, FaultKind.DEAD)
+        kernel.counters.ras.model.inject(pfn, FaultKind.DEAD)
         with pytest.raises(MemoryPoisonError):
             kernel.access(victim, va)
 
@@ -41,7 +41,7 @@ class TestAnonymousPoison:
         assert bystander.pid in kernel.processes
         assert kernel.counters.get("ras_sigbus_kill") == 1
         # The exit freed the frame, so quarantine retired it on the spot.
-        assert pfn in kernel.ras.model.retired
+        assert pfn in kernel.counters.ras.model.retired
         assert pfn in kernel.dram_buddy.retired_frames
 
     def test_poison_read_on_anon_is_fatal_too(self, ras_kernel):
@@ -52,7 +52,7 @@ class TestAnonymousPoison:
             PAGE_SIZE, flags=MapFlags.PRIVATE | MapFlags.POPULATE
         )
         pfn = kernel.access(process, va, write=True) // PAGE_SIZE
-        kernel.ras.model.inject(pfn, FaultKind.POISON)
+        kernel.counters.ras.model.inject(pfn, FaultKind.POISON)
         with pytest.raises(MemoryPoisonError):
             kernel.access(process, va)
         assert process.pid not in kernel.processes
@@ -65,11 +65,11 @@ class TestAnonymousPoison:
             PAGE_SIZE, flags=MapFlags.PRIVATE | MapFlags.POPULATE
         )
         pfn = kernel.access(process, va, write=True) // PAGE_SIZE
-        kernel.ras.model.inject(pfn, FaultKind.POISON)
+        kernel.counters.ras.model.inject(pfn, FaultKind.POISON)
         # The overwrite clears the line, as hardware does; nobody dies.
         kernel.access(process, va, write=True)
         assert kernel.counters.get("ras_poison_cleared") == 1
-        assert kernel.ras.model.probe(pfn) is None
+        assert kernel.counters.ras.model.probe(pfn) is None
         assert process.pid in kernel.processes
 
 
@@ -82,7 +82,7 @@ class TestFileIo:
         fd = sys_calls.open(fs, "/eio", create=True, size=2 * PAGE_SIZE)
         pfn = fs.charge_block_lookup(fs.lookup("/eio"), 0)
 
-        kernel.ras.model.inject(pfn, FaultKind.DEAD)
+        kernel.counters.ras.model.inject(pfn, FaultKind.DEAD)
         with pytest.raises(MediaError):
             sys_calls.pread(fd, 0, 64)
 
@@ -99,7 +99,7 @@ class TestFileIo:
         fd = sys_calls.open(fs, "/flaky", create=True, size=PAGE_SIZE)
         pfn = fs.charge_block_lookup(fs.lookup("/flaky"), 0)
 
-        kernel.ras.model.inject(pfn, FaultKind.TRANSIENT, fail_count=2)
+        kernel.counters.ras.model.inject(pfn, FaultKind.TRANSIENT, fail_count=2)
         before = kernel.clock.now
         data = sys_calls.pread(fd, 0, 64)
         assert len(data) == 64
@@ -118,7 +118,7 @@ class TestFileIo:
         pfn = fs.charge_block_lookup(fs.lookup("/worn"), 0)
 
         # Fails more times than the retry budget allows.
-        kernel.ras.model.inject(pfn, FaultKind.TRANSIENT, fail_count=99)
+        kernel.counters.ras.model.inject(pfn, FaultKind.TRANSIENT, fail_count=99)
         with pytest.raises(MediaError):
             sys_calls.pread(fd, 0, 64)
         assert kernel.counters.get("ras_read_eio") == 1
@@ -139,7 +139,7 @@ class TestMigration:
         old_paddr = kernel.access(process, va, write=True)
         old_pfn = old_paddr // PAGE_SIZE
 
-        kernel.ras.model.inject(old_pfn, FaultKind.DEAD)
+        kernel.counters.ras.model.inject(old_pfn, FaultKind.DEAD)
         new_paddr = kernel.access(process, va)
 
         # The file system migrated the extent off the dead media and the
@@ -149,7 +149,7 @@ class TestMigration:
         assert kernel.counters.get("ras_extent_migrated") == 1
         assert kernel.counters.get("ras_recovered_access") == 1
         assert kernel.counters.get("ras_sigbus_kill") == 0
-        assert old_pfn in kernel.ras.badblock_pfns()
+        assert old_pfn in kernel.counters.ras.badblock_pfns()
         assert fs.fsck() == []
 
     def test_private_cow_copy_is_not_migrated(self, ras_kernel):
@@ -167,7 +167,7 @@ class TestMigration:
             process.space.find_vma(va).private_copies.values()
         )
 
-        kernel.ras.model.inject(pfn, FaultKind.DEAD)
+        kernel.counters.ras.model.inject(pfn, FaultKind.DEAD)
         with pytest.raises(MemoryPoisonError):
             kernel.access(process, va)
         # No durable home for a private copy: SIGBUS, no migration.

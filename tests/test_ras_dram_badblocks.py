@@ -31,18 +31,18 @@ class TestPersistence:
     def test_retirement_appends_a_record(self, ras_kernel):
         kernel = ras_kernel
         pfn = _free_dram_pfn(kernel)
-        kernel.ras.model.inject(pfn, FaultKind.DEAD)
-        assert kernel.ras.retire_frame(pfn)
+        kernel.counters.ras.model.inject(pfn, FaultKind.DEAD)
+        assert kernel.counters.ras.retire_frame(pfn)
         assert kernel.pmfs.exists(DRAM_BADBLOCK_PATH)
-        assert pfn in kernel.ras.dram_badblock_pfns()
+        assert pfn in kernel.counters.ras.dram_badblock_pfns()
         assert kernel.counters.get("ras_badblock_persisted") == 1
-        assert kernel.ras.audit() == []
+        assert kernel.counters.ras.audit() == []
 
     def test_records_survive_reboot_and_readopt(self, ras_kernel):
         kernel = ras_kernel
         pfn = _free_dram_pfn(kernel)
-        kernel.ras.model.inject(pfn, FaultKind.DEAD)
-        assert kernel.ras.retire_frame(pfn)
+        kernel.counters.ras.model.inject(pfn, FaultKind.DEAD)
+        assert kernel.counters.ras.retire_frame(pfn)
 
         engine = _reboot(kernel)
         assert pfn in engine.dram_badblock_pfns()
@@ -59,9 +59,9 @@ class TestPersistence:
         kernel = Kernel(MachineConfig(dram_bytes=64 * MIB, nvm_bytes=0))
         kernel.arm_ras(model=MediaFaultModel(seed=0, faults_per_bind=0))
         pfn = _free_dram_pfn(kernel)
-        assert kernel.ras.retire_frame(pfn)
-        assert kernel.ras.dram_badblock_pfns() == frozenset()
-        assert kernel.ras.audit() == []  # no durable home, no obligation
+        assert kernel.counters.ras.retire_frame(pfn)
+        assert kernel.counters.ras.dram_badblock_pfns() == frozenset()
+        assert kernel.counters.ras.audit() == []  # no durable home, no obligation
 
 
 class TestCrashWindows:
@@ -71,11 +71,11 @@ class TestCrashWindows:
         """The window between buddy retirement and the record append."""
         kernel = ras_kernel
         pfn = _free_dram_pfn(kernel)
-        kernel.ras.model.inject(pfn, FaultKind.DEAD)
+        kernel.counters.ras.model.inject(pfn, FaultKind.DEAD)
         kernel.arm_chaos(FaultPlan.crash_at_site("ras.badblock.persist"))
 
         with pytest.raises(SimulatedCrashError):
-            kernel.ras.retire_frame(pfn)
+            kernel.counters.ras.retire_frame(pfn)
 
         engine = _reboot(kernel)
         # The power cut landed before the append: no record, so a real
@@ -92,15 +92,15 @@ class TestCrashWindows:
         """A torn append leaves an all-zero chunk the loader must skip."""
         kernel = ras_kernel
         first = _free_dram_pfn(kernel)
-        kernel.ras.model.inject(first, FaultKind.DEAD)
-        assert kernel.ras.retire_frame(first)
+        kernel.counters.ras.model.inject(first, FaultKind.DEAD)
+        assert kernel.counters.ras.retire_frame(first)
 
         second = kernel.dram_buddy.alloc(0)
         kernel.dram_buddy.free(second)
-        kernel.ras.model.inject(second, FaultKind.DEAD)
+        kernel.counters.ras.model.inject(second, FaultKind.DEAD)
         kernel.arm_chaos(FaultPlan.fault_at_site("fs.write.torn", "torn"))
         with pytest.raises(SimulatedCrashError):
-            kernel.ras.retire_frame(second)
+            kernel.counters.ras.retire_frame(second)
 
         engine = _reboot(kernel)
         # Only the half-written high bytes of (pfn+1) landed — zeros,

@@ -66,10 +66,10 @@ class TestNvmRetirement:
     def test_free_block_adopted_onto_badblock_list(self, ras_kernel):
         kernel = ras_kernel
         pfn = _free_nvm_pfn(kernel)
-        kernel.ras.model.inject(pfn, FaultKind.DEAD)
-        assert kernel.ras.retire_frame(pfn)
-        assert pfn in kernel.ras.badblock_pfns()
-        assert pfn in kernel.ras.model.retired
+        kernel.counters.ras.model.inject(pfn, FaultKind.DEAD)
+        assert kernel.counters.ras.retire_frame(pfn)
+        assert pfn in kernel.counters.ras.badblock_pfns()
+        assert pfn in kernel.counters.ras.model.retired
         assert not kernel.pmfs.allocator.block_is_free(pfn)
         assert kernel.pmfs.fsck() == []
 
@@ -83,24 +83,24 @@ class TestNvmRetirement:
         sys_calls.pwrite(fd, 0, payload)
         old_pfn = fs.charge_block_lookup(fs.lookup("/data"), 0)
 
-        kernel.ras.model.inject(old_pfn, FaultKind.DEAD)
-        assert kernel.ras.retire_frame(old_pfn)
+        kernel.counters.ras.model.inject(old_pfn, FaultKind.DEAD)
+        assert kernel.counters.ras.retire_frame(old_pfn)
 
         new_pfn = fs.charge_block_lookup(fs.lookup("/data"), 0)
         assert new_pfn != old_pfn
         assert sys_calls.pread(fd, 0, len(payload)) == payload
-        assert old_pfn in kernel.ras.badblock_pfns()
+        assert old_pfn in kernel.counters.ras.badblock_pfns()
         assert kernel.counters.get("ras_extent_migrated") == 1
         assert fs.fsck() == []
 
     def test_badblock_list_survives_plain_crash(self, ras_kernel):
         kernel = ras_kernel
         pfn = _free_nvm_pfn(kernel)
-        kernel.ras.model.inject(pfn, FaultKind.DEAD)
-        assert kernel.ras.retire_frame(pfn)
+        kernel.counters.ras.model.inject(pfn, FaultKind.DEAD)
+        assert kernel.counters.ras.retire_frame(pfn)
         kernel.crash()
         assert kernel.pmfs.exists(BADBLOCK_PATH)
-        assert pfn in kernel.ras.badblock_pfns()
+        assert pfn in kernel.counters.ras.badblock_pfns()
         assert kernel.pmfs.fsck() == []
 
     def test_audit_flags_unretired_dead_and_unpersisted_retirement(
@@ -108,19 +108,19 @@ class TestNvmRetirement:
     ):
         kernel = ras_kernel
         pfn = _free_nvm_pfn(kernel)
-        kernel.ras.model.inject(pfn, FaultKind.DEAD)
+        kernel.counters.ras.model.inject(pfn, FaultKind.DEAD)
         assert any(
             "still in service" in problem
-            for problem in kernel.ras.audit()
+            for problem in kernel.counters.ras.audit()
         )
         # Retiring only in the model (no PMFS adoption) is the other
         # half of the invariant: retired NVM frames must be persisted.
-        kernel.ras.model.retire(pfn)
+        kernel.counters.ras.model.retire(pfn)
         assert any(
             "missing from the persisted badblock list" in problem
-            for problem in kernel.ras.audit()
+            for problem in kernel.counters.ras.audit()
         )
-        assert kernel.ras.retire_frame(pfn) or True  # repair for symmetry
+        assert kernel.counters.ras.retire_frame(pfn) or True  # repair for symmetry
 
 
 class TestCrashDuringRetirement:
@@ -128,36 +128,36 @@ class TestCrashDuringRetirement:
         kernel = ras_kernel
         fs = kernel.pmfs
         pfn = _free_nvm_pfn(kernel)
-        kernel.ras.model.inject(pfn, FaultKind.DEAD)
+        kernel.counters.ras.model.inject(pfn, FaultKind.DEAD)
         free_before = fs.allocator.free_blocks
 
         fs.schedule_crash(0)  # first journaled write of the adoption
         with pytest.raises(SimulatedCrashError):
-            kernel.ras.retire_frame(pfn)
+            kernel.counters.ras.retire_frame(pfn)
         kernel.crash()
 
         # Undo: the half-adopted block is not leaked and the fault is
         # still live, so the retry completes the retirement.
         assert fs.fsck() == []
         assert fs.allocator.free_blocks == free_before
-        assert kernel.ras.model.probe(pfn) is not None
-        assert kernel.ras.retire_frame(pfn)
-        assert pfn in kernel.ras.badblock_pfns()
+        assert kernel.counters.ras.model.probe(pfn) is not None
+        assert kernel.counters.ras.retire_frame(pfn)
+        assert pfn in kernel.counters.ras.badblock_pfns()
         assert fs.fsck() == []
 
     def test_crash_after_commit_replays_adoption(self, ras_kernel):
         kernel = ras_kernel
         fs = kernel.pmfs
         pfn = _free_nvm_pfn(kernel)
-        kernel.ras.model.inject(pfn, FaultKind.DEAD)
+        kernel.counters.ras.model.inject(pfn, FaultKind.DEAD)
 
         fs.schedule_crash(2)  # committed but not applied: redo window
         with pytest.raises(SimulatedCrashError):
-            kernel.ras.retire_frame(pfn)
+            kernel.counters.ras.retire_frame(pfn)
         kernel.crash()
 
         # Redo: recovery finishes the adoption from the journal.
-        assert pfn in kernel.ras.badblock_pfns()
+        assert pfn in kernel.counters.ras.badblock_pfns()
         assert not fs.allocator.block_is_free(pfn)
         assert fs.fsck() == []
 
@@ -170,19 +170,19 @@ class TestCrashDuringRetirement:
         sys_calls = kernel.syscalls(process)
         sys_calls.open(fs, "/victim", create=True, size=2 * PAGE_SIZE)
         old_pfn = fs.charge_block_lookup(fs.lookup("/victim"), 0)
-        kernel.ras.model.inject(old_pfn, FaultKind.DEAD)
+        kernel.counters.ras.model.inject(old_pfn, FaultKind.DEAD)
         # Create the badblock file first so the scheduled crash lands in
         # the migration transaction itself, not the list's creation.
-        kernel.ras.badblock_inode()
+        kernel.counters.ras.badblock_inode()
 
         fs.schedule_crash(0)
         with pytest.raises(SimulatedCrashError):
-            kernel.ras.retire_frame(old_pfn)
+            kernel.counters.ras.retire_frame(old_pfn)
         kernel.crash()
 
         # Whatever window the crash hit, the file system is coherent
         # and the retirement can be completed afterwards.
         assert fs.fsck() == []
-        assert kernel.ras.retire_frame(old_pfn)
-        assert old_pfn in kernel.ras.badblock_pfns()
+        assert kernel.counters.ras.retire_frame(old_pfn)
+        assert old_pfn in kernel.counters.ras.badblock_pfns()
         assert fs.fsck() == []

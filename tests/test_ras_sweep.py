@@ -22,12 +22,12 @@ def ras_kernel(kernel):
 
 class TestPatrolScrubber:
     def test_batch_is_bounded(self, ras_kernel):
-        scrubber = ras_kernel.ras.scrubber
+        scrubber = ras_kernel.counters.ras.scrubber
         assert scrubber.scrub_batch() == scrubber.batch_frames
         assert scrubber.cursor == scrubber.batch_frames
 
     def test_cursor_wraps(self, ras_kernel):
-        scrubber = ras_kernel.ras.scrubber
+        scrubber = ras_kernel.counters.ras.scrubber
         total = scrubber.total_frames
         batches = -(-total // scrubber.batch_frames)
         for _ in range(batches):
@@ -43,38 +43,38 @@ class TestPatrolScrubber:
             if kernel.pmfs.allocator.block_is_free(pfn)
         )
         poisoned = kernel.dram_region.first_pfn
-        kernel.ras.model.inject(dead, FaultKind.DEAD)
-        kernel.ras.model.inject(poisoned, FaultKind.POISON)
+        kernel.counters.ras.model.inject(dead, FaultKind.DEAD)
+        kernel.counters.ras.model.inject(poisoned, FaultKind.POISON)
 
-        probed = kernel.ras.scrubber.scrub_full()
+        probed = kernel.counters.ras.scrubber.scrub_full()
 
-        assert probed == kernel.ras.scrubber.total_frames
-        assert kernel.ras.model.faults() == ()
-        assert dead in kernel.ras.badblock_pfns()
+        assert probed == kernel.counters.ras.scrubber.total_frames
+        assert kernel.counters.ras.model.faults() == ()
+        assert dead in kernel.counters.ras.badblock_pfns()
         assert kernel.counters.get("ras_poison_cleared") == 1
         assert kernel.counters.get("ras_frame_retired") == 1
-        assert kernel.ras.audit() == []
+        assert kernel.counters.ras.audit() == []
 
     def test_transient_faults_are_tolerated_not_retired(self, ras_kernel):
         kernel = ras_kernel
         pfn = kernel.dram_region.first_pfn + 1
-        kernel.ras.model.inject(pfn, FaultKind.TRANSIENT, fail_count=2)
-        kernel.ras.scrubber.scrub_batch()
+        kernel.counters.ras.model.inject(pfn, FaultKind.TRANSIENT, fail_count=2)
+        kernel.counters.ras.scrubber.scrub_batch()
         # Still active: the demand path's bounded retry owns transients.
-        assert kernel.ras.model.probe(pfn) is not None
+        assert kernel.counters.ras.model.probe(pfn) is not None
         assert kernel.counters.get("ras_frame_retired") == 0
 
     def test_busy_dram_frame_skipped_and_counted(self, ras_kernel):
         kernel = ras_kernel
         pfn = kernel.dram_buddy.alloc(0)
-        kernel.ras.model.inject(pfn, FaultKind.DEAD)
-        kernel.ras.scrub_frame(pfn)
+        kernel.counters.ras.model.inject(pfn, FaultKind.DEAD)
+        kernel.counters.ras.scrub_frame(pfn)
         assert kernel.counters.get("ras_scrub_busy") == 1
-        assert pfn not in kernel.ras.model.retired
+        assert pfn not in kernel.counters.ras.model.retired
         # Once the frame frees, the next patrol visit retires it.
         kernel.dram_buddy.free(pfn)
-        kernel.ras.scrub_frame(pfn)
-        assert pfn in kernel.ras.model.retired
+        kernel.counters.ras.scrub_frame(pfn)
+        assert pfn in kernel.counters.ras.model.retired
 
 
 class TestSeededSweep:
