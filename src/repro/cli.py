@@ -385,40 +385,37 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.lint.astcheck import lint_tree
-    from repro.lint.baseline import apply_baseline, load_baseline
     from repro.lint.report import build_report, render_text, write_json
 
+    if args.dot is not None and not args.interproc:
+        print("lint: --dot needs --interproc, the pass that builds the "
+              "call graph", file=sys.stderr)
+        return 2
+    if args.op and not args.fit:
+        print("lint: --op selects operations for --fit; add --fit",
+              file=sys.stderr)
+        return 2
+    if args.op:
+        from repro.lint.ops import operations_by_name
 
-    from repro.lint.baseline import DEFAULT_BASELINE
-
+        try:
+            operations_by_name(args.op)
+        except KeyError as exc:
+            print(f"lint: {exc.args[0]}", file=sys.stderr)
+            return 2
     root = Path(args.root) if args.root else Path(__file__).parent
     if not root.is_dir():
         print(f"lint root {root} is not a directory", file=sys.stderr)
         return 2
     result = lint_tree(root)
-    baseline_path = Path(args.baseline) if args.baseline else DEFAULT_BASELINE
-    baseline = load_baseline(baseline_path) if baseline_path.exists() else []
-    outcome = apply_baseline(result.violations, baseline)
+    failed = bool(result.violations)
 
     flow = None
-    flow_outcome = None
     if args.interproc:
-        from repro.lint.flow import (
-            ALLOWABLE_RULES,
-            DEFAULT_FLOW_BASELINE,
-            run_flow,
-        )
+        from repro.lint.flow import run_flow
 
         flow = run_flow(root, intra_used=result.used_allows)
-        flow_baseline_path = (
-            Path(args.flow_baseline)
-            if args.flow_baseline
-            else DEFAULT_FLOW_BASELINE
-        )
-        flow_baseline = load_baseline(
-            flow_baseline_path, known_rules=ALLOWABLE_RULES
-        )
-        flow_outcome = apply_baseline(flow.findings, flow_baseline)
+        failed = failed or bool(flow.findings) or bool(flow.stale_suppressions)
         if args.dot is not None:
             dot_path = Path(args.dot)
             dot_path.parent.mkdir(parents=True, exist_ok=True)
@@ -426,31 +423,21 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(f"wrote call graph to {args.dot}")
 
     alloc = None
-    alloc_outcome = None
     allocfit_results = None
     if args.alloc:
-        from repro.lint.alloc import (
-            DEFAULT_ALLOC_BASELINE,
-            load_alloc_baseline,
-            run_alloc,
-        )
+        from repro.lint.alloc import run_alloc
         from repro.lint.allocfit import run_allocfit
 
         alloc = run_alloc(
             root, graph=flow.graph if flow is not None else None
         )
-        alloc_baseline_path = (
-            Path(args.alloc_baseline)
-            if args.alloc_baseline
-            else DEFAULT_ALLOC_BASELINE
-        )
-        alloc_baseline = (
-            load_alloc_baseline(alloc_baseline_path)
-            if alloc_baseline_path.exists()
-            else []
-        )
-        alloc_outcome = apply_baseline(alloc.findings, alloc_baseline)
         allocfit_results = run_allocfit()
+        failed = (
+            failed
+            or bool(alloc.findings)
+            or bool(alloc.stale_suppressions)
+            or any(not r.ok for r in allocfit_results)
+        )
 
     fits = None
     sizes = None
@@ -459,44 +446,19 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
         sizes = HEAVY_SIZES if args.sizes == "heavy" else LIGHT_SIZES
         fits = fit_all(sizes, names=args.op or None)
+        failed = failed or any(not f.ok for f in fits)
 
     print(render_text(
-        result, outcome, fits,
-        flow=flow, flow_outcome=flow_outcome,
-        alloc=alloc, alloc_outcome=alloc_outcome,
+        result, fits, flow=flow, alloc=alloc,
         allocfit_results=allocfit_results,
     ))
     if args.json is not None:
         report = build_report(
-            result, outcome, fits, sizes=sizes,
-            flow=flow, flow_outcome=flow_outcome,
-            alloc=alloc, alloc_outcome=alloc_outcome,
+            result, fits, sizes=sizes, flow=flow, alloc=alloc,
             allocfit_results=allocfit_results,
         )
         write_json(Path(args.json), report)
         print(f"wrote machine-readable report to {args.json}")
-
-    failed = bool(outcome.new) or bool(outcome.stale)
-    if flow_outcome is not None:
-        assert flow is not None
-        failed = (
-            failed
-            or bool(flow_outcome.new)
-            or bool(flow_outcome.stale)
-            or bool(flow.stale_suppressions)
-        )
-    if alloc_outcome is not None:
-        assert alloc is not None
-        failed = (
-            failed
-            or bool(alloc_outcome.new)
-            or bool(alloc_outcome.stale)
-            or bool(alloc.stale_suppressions)
-        )
-    if allocfit_results is not None:
-        failed = failed or any(not r.ok for r in allocfit_results)
-    if fits is not None:
-        failed = failed or any(not f.ok for f in fits)
     return 1 if failed else 0
 
 
@@ -508,10 +470,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         build_document,
         compare_to_baseline,
         env_fingerprint,
+        ops_by_name,
         results_table,
         run_suite,
     )
 
+    try:
+        ops_by_name(args.op)
+    except KeyError as exc:
+        print(f"bench: {exc.args[0]}", file=sys.stderr)
+        return 2
     mode = "quick" if args.quick else "full"
     print(f"bench: tier-1 wall-clock microbenchmarks ({mode} mode)")
     results = run_suite(
@@ -709,11 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="package directory to lint (default: the installed repro package)",
     )
     lint.add_argument(
-        "--baseline", default=None,
-        help="baseline file of accepted violations "
-             "(default: the checked-in repro/lint/o1_baseline.json)",
-    )
-    lint.add_argument(
         "--fit", action="store_true",
         help="also run registered operations and fit cost vs size",
     )
@@ -723,7 +686,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--op", action="append", metavar="NAME",
-        help="fit only this operation (repeatable)",
+        help="with --fit, fit only this operation (repeatable; an "
+             "unknown name exits 2)",
     )
     lint.add_argument(
         "--json", metavar="PATH", default=None,
@@ -736,11 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
              "must-call protocols, stale-suppression detection",
     )
     lint.add_argument(
-        "--flow-baseline", default=None,
-        help="baseline file for --interproc findings "
-             "(default: the checked-in repro/lint/flow_baseline.json)",
-    )
-    lint.add_argument(
         "--dot", metavar="PATH", default=None,
         help="with --interproc, write the call graph in Graphviz DOT "
              "format here",
@@ -750,12 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run AllocSan: allocation-shape analysis certifying "
              "@allocfree/@allocbound declarations over the hot-path "
              "closure, plus the tracemalloc empirical cross-check",
-    )
-    lint.add_argument(
-        "--alloc-baseline", default=None,
-        help="baseline file for --alloc findings "
-             "(default: the checked-in repro/lint/alloc_baseline.json; "
-             "hot-closure findings can never be baselined)",
     )
     lint.set_defaults(func=_cmd_lint)
     bench = sub.add_parser(
@@ -772,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--op", action="append", metavar="NAME",
-        help="run only this op (repeatable)",
+        help="run only this op (repeatable; an unknown name exits 2)",
     )
     bench.add_argument(
         "--json", metavar="PATH", default=None,

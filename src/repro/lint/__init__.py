@@ -2,7 +2,11 @@
 
 The paper's thesis is that every memory-management operation should cost
 constant time regardless of operand size.  This package turns that claim
-into a machine-checked invariant, in four prongs:
+into a machine-checked invariant, in four prongs.  Every finding any
+prong reports fails the gate; a justified inline allow comment
+(``# o1: allow(rule) -- reason`` or ``# alloc: allow(rule) -- reason``)
+is the only escape, and an allow that suppresses nothing is itself a
+finding.
 
 * :mod:`repro.lint.decorators` — the :func:`o1` / :func:`complexity`
   decorators hot paths use to *declare* their simulated-cost class, and
@@ -14,8 +18,7 @@ into a machine-checked invariant, in four prongs:
   source of every declared function and flags size-dependent loops,
   charge-inside-loop patterns and recursion that contradict the declared
   class.  Known-O(n)-by-design paths carry inline ``# o1: allow(...)``
-  suppressions or live in the checked-in baseline
-  (``src/repro/lint/o1_baseline.json``).
+  suppressions.
 * :mod:`repro.lint.flow` (with :mod:`repro.lint.callgraph`,
   :mod:`repro.lint.summaries`, :mod:`repro.lint.protocols`,
   :mod:`repro.lint.controls`) — an interprocedural analysis that builds a
@@ -25,9 +28,8 @@ into a machine-checked invariant, in four prongs:
   hot-path entry to be declared or constant-shaped, and checks two
   must-call protocols across call boundaries (page-table mutation must
   reach a TLB invalidation before the syscall returns; journal commit
-  must precede apply).  Its baseline
-  (``src/repro/lint/flow_baseline.json``) is empty by policy, and stale
-  ``# o1: allow`` suppressions are themselves findings.
+  must precede apply).  Stale ``# o1: allow`` suppressions are
+  themselves findings.
 * :mod:`repro.lint.alloc` + :mod:`repro.lint.allocfit` — AllocSan: an
   AST allocation-shape classifier (displays, comprehensions, f-strings,
   closures, star-args, materializing builtins) whose per-function shapes
@@ -38,8 +40,7 @@ into a machine-checked invariant, in four prongs:
   allocation-free.  ``allocfit`` then re-runs the certified hot ops
   under ``tracemalloc`` / ``gc.get_count()`` deltas, so a static
   certificate that lies about steady-state allocation fails the gate.
-  Baseline: ``src/repro/lint/alloc_baseline.json`` (hot-closure findings
-  can never be baselined).
+  Stale ``# alloc: allow`` suppressions are findings too.
 * :mod:`repro.lint.fit` + :mod:`repro.lint.ops` — an empirical complexity
   fitter that runs registered operations at geometrically spaced operand
   sizes on the simulated clock and fits cost-vs-size to

@@ -25,8 +25,7 @@ Judgments:
 ``alloc-undeclared-hot``
     a function reachable from one of the four hot access entries
     (``Kernel.access``, ``Kernel.access_range``, ``Cpu.access``,
-    ``Tlb.lookup``) is neither declared nor allocation-free.  These
-    findings can never be baselined.
+    ``Tlb.lookup``) is neither declared nor allocation-free.
 ``alloc-control-missing``
     the planted mislabeled control was not flagged — the pass itself
     is broken.
@@ -38,15 +37,19 @@ empirical cross-check (:mod:`repro.lint.allocfit`) covers the gap: it
 re-runs the certified ops under ``tracemalloc`` and fails on net
 steady-state growth, so a static certificate cannot quietly lie.
 
-Suppression syntax is ``# alloc: allow`` plus the parenthesized rule —
-a separate namespace from ``# o1: allow`` so one pass's suppressions
-never mask the other's.  Shape-kind names double as rules,
+Every finding fails the gate; a justified inline ``# alloc: allow``
+comment plus the parenthesized rule is the only escape — a separate
+namespace from ``# o1: allow`` so one pass's suppressions never mask
+the other's.  Shape-kind names double as rules,
 ``cold-call`` marks a call site off the steady
 state (fault recovery, TLB refill, traced mode) and excludes it from
 both the caller's summary and the hot-closure walk, and stale alloc
 suppressions are findings like stale o1 ones.  Shapes inside
 ``raise`` statements and ``except`` handler bodies are excused
 automatically: error paths are terminal, not steady state.
+
+Findings, stale suppressions, the planted-control split and the
+hot-closure walk are :mod:`repro.lint.flow`'s, shared with that pass.
 """
 
 from __future__ import annotations
@@ -62,13 +65,19 @@ from repro.lint.astcheck import (
     AllowMap,
     _is_constant_bounded,
 )
-from repro.lint.baseline import BaselineEntry, load_baseline
 from repro.lint.callgraph import (
     CallGraph,
     CallSite,
     FunctionNode,
     build_callgraph,
     resolve_class_name,
+)
+from repro.lint.flow import (
+    EntryClosure,
+    Finding,
+    StaleSuppression,
+    split_controls,
+    stale_suppressions,
 )
 from repro.lint.summaries import Hop, Witness, _BOUND_RULES, strongly_connected
 
@@ -78,33 +87,6 @@ RULE_ALLOC_CONTROL_MISSING = "alloc-control-missing"
 #: Suppression-only: marks a call site cold (fault / refill / traced
 #: path) — excluded from the caller's summary and the hot-closure walk.
 RULE_COLD_CALL = "cold-call"
-
-#: Shape kinds; each doubles as an ``# alloc: allow`` rule name.
-SHAPE_KINDS = (
-    "list-display",
-    "dict-display",
-    "set-display",
-    "tuple-display",
-    "comprehension",
-    "genexp",
-    "closure",
-    "fstring",
-    "str-concat",
-    "slice",
-    "star-args",
-    "boxing-call",
-    "ctor",
-)
-
-ALLOC_RULES = (RULE_ALLOC_EXCEEDS, RULE_ALLOC_HOT, RULE_ALLOC_CONTROL_MISSING)
-
-#: Every rule an ``# alloc: allow`` comment may legitimately name.
-ALLOC_ALLOWABLE_RULES = (*SHAPE_KINDS, RULE_COLD_CALL, *ALLOC_RULES)
-
-#: Ships empty for the hot closure by construction: only
-#: ``alloc-exceeds-declared`` may be ratcheted here, never
-#: ``alloc-undeclared-hot``.
-DEFAULT_ALLOC_BASELINE = Path(__file__).with_name("alloc_baseline.json")
 
 #: Planted controls the pass must flag on every run (function, rule).
 ALLOC_CONTROLS: Tuple[Tuple[str, str], ...] = (
@@ -788,57 +770,13 @@ class AllocTable:
 # ---------------------------------------------------------------------------
 # Findings
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class AllocFinding:
-    """One AllocSan finding, addressable by (function, rule)."""
-
-    path: str
-    line: int
-    module: str
-    qualname: str
-    rule: str
-    message: str
-    chain: Tuple[Hop, ...] = ()
-
-    @property
-    def function(self) -> str:
-        """Dotted name used by baseline entries."""
-        return f"{self.module}.{self.qualname}"
-
-    def format(self) -> str:
-        head = (
-            f"{self.path}:{self.line}: [{self.rule}] "
-            f"{self.function}: {self.message}"
-        )
-        if not self.chain:
-            return head
-        steps = "\n".join(f"      {hop.format()}" for hop in self.chain)
-        return f"{head}\n{steps}"
-
-
-@dataclass(frozen=True)
-class AllocStaleSuppression:
-    """An ``# alloc: allow`` comment that suppressed nothing."""
-
-    path: str
-    line: int
-    rules: Tuple[str, ...]
-
-    def format(self) -> str:
-        listed = ", ".join(self.rules)
-        return (
-            f"{self.path}:{self.line}: stale suppression "
-            f"# alloc: allow({listed})"
-        )
-
-
 @dataclass
 class AllocResult:
     """Everything ``lint --alloc`` reports."""
 
-    findings: List[AllocFinding]
-    controls_verified: List[AllocFinding]
-    stale_suppressions: List[AllocStaleSuppression]
+    findings: List[Finding]
+    controls_verified: List[Finding]
+    stale_suppressions: List[StaleSuppression]
     entries: List[str]
     hot_reachable: int
     declared_allocfree: int
@@ -860,9 +798,9 @@ def hot_entry_points(graph: CallGraph) -> List[str]:
     return entries
 
 
-def _declared_findings(table: AllocTable) -> List[AllocFinding]:
+def _declared_findings(table: AllocTable) -> List[Finding]:
     graph = table.graph
-    findings: List[AllocFinding] = []
+    findings: List[Finding] = []
     for fid in sorted(table.declared):
         func = graph.functions[fid]
         bound = table.declared[fid]
@@ -874,19 +812,14 @@ def _declared_findings(table: AllocTable) -> List[AllocFinding]:
         if allowed.allow((func.lineno,), RULE_ALLOC_EXCEEDS):
             continue
         chain = tuple(table.witness_chain(fid))
-        line = chain[0].line if chain else func.lineno
         decorator = "@allocfree" if bound == 0 else f"@allocbound({bound})"
         findings.append(
-            AllocFinding(
-                path=func.path,
-                line=line,
-                module=func.module,
-                qualname=func.qualname,
-                rule=RULE_ALLOC_EXCEEDS,
-                message=(
-                    f"declared {decorator} but the call graph reaches "
-                    f"{summary.klass.label}"
-                ),
+            Finding.on(
+                func,
+                RULE_ALLOC_EXCEEDS,
+                f"declared {decorator} but the call graph reaches "
+                f"{summary.klass.label}",
+                line=chain[0].line if chain else None,
                 chain=chain,
             )
         )
@@ -895,25 +828,13 @@ def _declared_findings(table: AllocTable) -> List[AllocFinding]:
 
 def _hot_findings(
     table: AllocTable, entries: Sequence[str]
-) -> Tuple[List[AllocFinding], int]:
+) -> Tuple[List[Finding], int]:
     graph = table.graph
-    parent: Dict[str, Tuple[Optional[str], int]] = {}
-    order: List[str] = []
-    for entry in entries:
-        if entry in parent:
-            continue
-        parent[entry] = (None, graph.functions[entry].lineno)
-        queue = [entry]
-        while queue:
-            current = queue.pop(0)
-            order.append(current)
-            for target, line in table.hot_edges.get(current, ()):
-                if target in parent:
-                    continue
-                parent[target] = (current, line)
-                queue.append(target)
-    findings: List[AllocFinding] = []
-    for fid in order:
+    closure = EntryClosure(
+        graph, entries, lambda fid: table.hot_edges.get(fid, ())
+    )
+    findings: List[Finding] = []
+    for fid in closure.order:
         if fid in table.declared:
             continue
         summary = table.summaries[fid]
@@ -923,111 +844,18 @@ def _hot_findings(
         allowed = table.allow_map_for(func)
         if allowed.allow((func.lineno,), RULE_ALLOC_HOT):
             continue
-        hops: List[Hop] = []
-        cursor: Optional[str] = fid
-        while cursor is not None:
-            origin, line = parent[cursor]
-            hops.append(
-                Hop(
-                    fid=cursor,
-                    path=graph.functions[cursor].path,
-                    line=line,
-                    note="" if origin is None else "called from here",
-                )
-            )
-            cursor = origin
-        hops.reverse()
-        if summary.witness is not None:
-            hops.append(
-                Hop(
-                    fid=fid,
-                    path=func.path,
-                    line=summary.witness.line,
-                    note=summary.witness.detail,
-                )
-            )
+        chain = closure.chain(fid, summary.witness)
         findings.append(
-            AllocFinding(
-                path=func.path,
-                line=func.lineno,
-                module=func.module,
-                qualname=func.qualname,
-                rule=RULE_ALLOC_HOT,
-                message=(
-                    f"reachable from hot access entry {hops[0].fid} with "
-                    f"{summary.klass.label} but no @allocfree/@allocbound "
-                    "declaration"
-                ),
-                chain=tuple(hops[:12]),
+            Finding.on(
+                func,
+                RULE_ALLOC_HOT,
+                f"reachable from hot access entry {chain[0].fid} with "
+                f"{summary.klass.label} but no @allocfree/@allocbound "
+                "declaration",
+                chain=chain,
             )
         )
-    return findings, len(order)
-
-
-def _split_controls(
-    findings: List[AllocFinding],
-) -> Tuple[List[AllocFinding], List[AllocFinding]]:
-    control_keys = set(ALLOC_CONTROLS)
-    real: List[AllocFinding] = []
-    verified: List[AllocFinding] = []
-    for finding in findings:
-        if (finding.function, finding.rule) in control_keys:
-            verified.append(finding)
-        else:
-            real.append(finding)
-    fired = {(f.function, f.rule) for f in verified}
-    for function, rule in ALLOC_CONTROLS:
-        if (function, rule) in fired:
-            continue
-        module, _, qualname = function.rpartition(".")
-        real.append(
-            AllocFinding(
-                path="<alloc>",
-                line=0,
-                module=module,
-                qualname=qualname,
-                rule=RULE_ALLOC_CONTROL_MISSING,
-                message=(
-                    f"planted control was not flagged for {rule}; AllocSan "
-                    "is not detecting what it is built to detect"
-                ),
-            )
-        )
-    return real, verified
-
-
-def _stale_suppressions(
-    allow_maps: Dict[str, AllowMap]
-) -> List[AllocStaleSuppression]:
-    stale: List[AllocStaleSuppression] = []
-    for path in sorted(allow_maps):
-        allow_map = allow_maps[path]
-        for line in sorted(allow_map.comment_lines):
-            if line in allow_map.used:
-                continue
-            stale.append(
-                AllocStaleSuppression(
-                    path=path,
-                    line=line,
-                    rules=tuple(sorted(allow_map.comment_lines[line])),
-                )
-            )
-    return stale
-
-
-# ---------------------------------------------------------------------------
-# Baseline
-# ---------------------------------------------------------------------------
-def load_alloc_baseline(path: Path) -> List[BaselineEntry]:
-    """Load an alloc baseline; hot-closure findings can never ratchet."""
-    entries = load_baseline(path, known_rules=ALLOC_RULES)
-    for entry in entries:
-        if entry.rule != RULE_ALLOC_EXCEEDS:
-            raise ValueError(
-                f"{path}: {entry.rule} findings cannot be baselined — the "
-                "hot-closure gate ships empty and stays empty"
-            )
-    return entries
+    return findings, len(closure.order)
 
 
 # ---------------------------------------------------------------------------
@@ -1057,9 +885,11 @@ def run_alloc(
     declared_free = sum(1 for b in table.declared.values() if b == 0)
     hot_findings, hot_reachable = _hot_findings(table, entries)
     findings = _declared_findings(table) + hot_findings
-    findings, verified = _split_controls(findings)
+    findings, verified = split_controls(
+        findings, ALLOC_CONTROLS, RULE_ALLOC_CONTROL_MISSING, "alloc"
+    )
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.function))
-    stale = _stale_suppressions(allow_maps)
+    stale = stale_suppressions(allow_maps, "alloc")
     return AllocResult(
         findings=findings,
         controls_verified=verified,

@@ -25,11 +25,10 @@ declared class:
 ========================  ==================================================
 
 Loops the AST can prove constant-bounded (``range(4)``, iteration over a
-literal tuple) never flag.  Everything else is a heuristic with two escape
-hatches: an inline ``# o1: allow(rule) -- reason`` comment on the flagged
-line, the line above it, or the ``def`` line, and the checked-in baseline
-file
-(:mod:`repro.lint.baseline`) for known-O(n)-by-design legacy paths.
+literal tuple) never flag.  Everything else is a heuristic, and every
+finding fails the gate.  The one escape hatch is an inline
+``# o1: allow(rule) -- reason`` comment on the flagged line, the line
+above it, or the ``def`` line, for paths that are O(n) by design.
 """
 
 from __future__ import annotations
@@ -119,7 +118,7 @@ _SCOPE_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 @dataclass(frozen=True)
 class Violation:
-    """One conformance finding, addressable by (function, rule)."""
+    """One conformance finding: a rule broken inside one function."""
 
     path: str
     line: int
@@ -131,7 +130,7 @@ class Violation:
 
     @property
     def function(self) -> str:
-        """Dotted name used by baseline entries."""
+        """Fully qualified dotted name (``module.qualname``)."""
         return f"{self.module}.{self.qualname}"
 
     def format(self) -> str:

@@ -99,7 +99,7 @@ class FunctionNode:
 
     @property
     def function(self) -> str:
-        """Dotted name as baseline files spell it (module.qualname)."""
+        """Fully qualified dotted name (``module.qualname``)."""
         return self.fid
 
 

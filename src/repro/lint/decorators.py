@@ -106,7 +106,7 @@ class Declaration:
 
     @property
     def function(self) -> str:
-        """Fully qualified dotted name, as the baseline file spells it."""
+        """Fully qualified dotted name (``module.qualname``)."""
         return f"{self.module}.{self.qualname}"
 
 
@@ -197,7 +197,7 @@ class AllocDeclaration:
 
     @property
     def function(self) -> str:
-        """Fully qualified dotted name, as the baseline file spells it."""
+        """Fully qualified dotted name (``module.qualname``)."""
         return f"{self.module}.{self.qualname}"
 
     @property

@@ -22,21 +22,27 @@ Orchestrates the whole-package pass behind ``repro-o1 lint
     a planted control (:mod:`repro.lint.controls`) was *not* flagged —
     the pass itself is broken.
 
-Findings ratchet through ``flow_baseline.json`` (same format and
-stale-entry semantics as the intra baseline; ships empty).  The pass
-also owns stale-suppression detection: every ``# o1: allow`` comment
-that neither the intra pass nor this one consumed is reported, with
-unused-``noqa`` semantics.
+Every finding fails the gate; a justified inline ``# o1: allow(rule)
+-- reason`` comment is the only escape.  The pass also owns
+stale-suppression detection: every ``# o1: allow`` comment that neither
+the intra pass nor this one consumed is reported, with unused-``noqa``
+semantics.
+
+AllocSan (:mod:`repro.lint.alloc`) judges a different lattice over the
+same graph and reuses this module's verdict plumbing: :class:`Finding`,
+:class:`StaleSuppression`, :func:`split_controls`,
+:func:`stale_suppressions` and the :class:`EntryClosure` walk.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.astcheck import ALL_RULES
-from repro.lint.callgraph import CallGraph, build_callgraph
+from repro.lint.astcheck import AllowMap
+from repro.lint.callgraph import CallGraph, FunctionNode, build_callgraph
 from repro.lint.protocols import (
     RULE_FLOW_PERSIST,
     RULE_STALE_TRANSLATION,
@@ -45,32 +51,16 @@ from repro.lint.protocols import (
     persist_roots,
 )
 from repro.lint.summaries import (
-    RULE_BOUNDED,
     RULE_COST_EXCEEDS,
     RULE_UNDECLARED,
     Cost,
     Hop,
     SummaryTable,
+    Witness,
     declared_cost,
 )
 
 RULE_CONTROL_MISSING = "flow-control-missing"
-
-#: Reportable flow rules (RULE_BOUNDED is suppression-only).
-FLOW_RULES = (
-    RULE_COST_EXCEEDS,
-    RULE_UNDECLARED,
-    RULE_STALE_TRANSLATION,
-    RULE_FLOW_PERSIST,
-    RULE_CONTROL_MISSING,
-)
-
-#: Every rule an ``# o1: allow`` comment may legitimately name.
-ALLOWABLE_RULES = (*ALL_RULES, *FLOW_RULES, RULE_BOUNDED)
-
-#: Default ratcheting baseline for flow findings; ships empty and the
-#: CI gate keeps it that way — new violations get fixed, not baselined.
-DEFAULT_FLOW_BASELINE = Path(__file__).with_name("flow_baseline.json")
 
 #: Planted controls the pass must flag on every run (function, rule).
 CONTROLS: Tuple[Tuple[str, str], ...] = (
@@ -86,8 +76,8 @@ _KERNEL_ENTRY_NAMES = frozenset(
 
 
 @dataclass(frozen=True)
-class FlowFinding:
-    """One interprocedural finding, addressable by (function, rule)."""
+class Finding:
+    """One interprocedural finding (flow or AllocSan) on one function."""
 
     path: str
     line: int
@@ -97,9 +87,29 @@ class FlowFinding:
     message: str
     chain: Tuple[Hop, ...] = ()
 
+    @classmethod
+    def on(
+        cls,
+        func: FunctionNode,
+        rule: str,
+        message: str,
+        line: Optional[int] = None,
+        chain: Tuple[Hop, ...] = (),
+    ) -> "Finding":
+        """A finding on ``func``, reported at ``line`` (default: its def)."""
+        return cls(
+            path=func.path,
+            line=func.lineno if line is None else line,
+            module=func.module,
+            qualname=func.qualname,
+            rule=rule,
+            message=message,
+            chain=chain,
+        )
+
     @property
     def function(self) -> str:
-        """Dotted name used by baseline entries."""
+        """Fully qualified dotted name (``module.qualname``)."""
         return f"{self.module}.{self.qualname}"
 
     def format(self) -> str:
@@ -112,23 +122,32 @@ class FlowFinding:
 
 @dataclass(frozen=True)
 class StaleSuppression:
-    """An ``# o1: allow`` comment that suppressed nothing in either pass."""
+    """An allow comment that suppressed nothing.
+
+    ``marker`` names its namespace: ``o1`` for ``# o1: allow`` (unused
+    by both the intra and the flow pass), ``alloc`` for ``# alloc:
+    allow`` (unused by AllocSan).
+    """
 
     path: str
     line: int
     rules: Tuple[str, ...]
+    marker: str
 
     def format(self) -> str:
         listed = ", ".join(self.rules)
-        return f"{self.path}:{self.line}: stale suppression # o1: allow({listed})"
+        return (
+            f"{self.path}:{self.line}: stale suppression "
+            f"# {self.marker}: allow({listed})"
+        )
 
 
 @dataclass
 class FlowResult:
     """Everything ``lint --interproc`` reports."""
 
-    findings: List[FlowFinding]
-    controls_verified: List[FlowFinding]
+    findings: List[Finding]
+    controls_verified: List[Finding]
     stale_suppressions: List[StaleSuppression]
     entries: List[str]
     files: int
@@ -162,11 +181,141 @@ def entry_points(graph: CallGraph) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
+# Verdict plumbing shared with AllocSan
+# ---------------------------------------------------------------------------
+class EntryClosure:
+    """Breadth-first closure of hot-path entries over a call graph.
+
+    ``order`` lists every function reachable from ``entries`` in visit
+    order; each one remembers the call that first reached it, so
+    :meth:`chain` can show how an entry gets there.  ``successors``
+    yields ``(callee, call line)`` pairs; the flow pass follows every
+    resolved call, AllocSan only its non-cold ones.
+    """
+
+    def __init__(
+        self,
+        graph: CallGraph,
+        entries: Sequence[str],
+        successors: Callable[[str], Iterable[Tuple[str, int]]],
+    ) -> None:
+        self.graph = graph
+        self.order: List[str] = []
+        self._parent: Dict[str, Tuple[Optional[str], int]] = {}
+        for entry in entries:
+            if entry in self._parent:
+                continue
+            self._parent[entry] = (None, graph.functions[entry].lineno)
+            queue = deque([entry])
+            while queue:
+                current = queue.popleft()
+                self.order.append(current)
+                for target, line in successors(current):
+                    if target in self._parent or target not in graph.functions:
+                        continue
+                    self._parent[target] = (current, line)
+                    queue.append(target)
+
+    def chain(
+        self, fid: str, witness: Optional[Witness], limit: int = 12
+    ) -> Tuple[Hop, ...]:
+        """Entry-to-``fid`` call chain, then ``witness`` inside ``fid``."""
+        hops: List[Hop] = []
+        cursor: Optional[str] = fid
+        while cursor is not None:
+            origin, line = self._parent[cursor]
+            hops.append(
+                Hop(
+                    fid=cursor,
+                    path=self.graph.functions[cursor].path,
+                    line=line,
+                    note="" if origin is None else "called from here",
+                )
+            )
+            cursor = origin
+        hops.reverse()
+        if witness is not None:
+            func = self.graph.functions[fid]
+            hops.append(
+                Hop(fid=fid, path=func.path, line=witness.line, note=witness.detail)
+            )
+        return tuple(hops[:limit])
+
+
+def split_controls(
+    findings: List[Finding],
+    controls: Sequence[Tuple[str, str]],
+    missing_rule: str,
+    where: str,
+) -> Tuple[List[Finding], List[Finding]]:
+    """Separate the planted ``controls`` from real findings.
+
+    Returns ``(real, verified)``.  A control that did not fire becomes a
+    ``missing_rule`` finding at path ``<where>``: the pass is broken.
+    """
+    control_keys = set(controls)
+    real: List[Finding] = []
+    verified: List[Finding] = []
+    for finding in findings:
+        if (finding.function, finding.rule) in control_keys:
+            verified.append(finding)
+        else:
+            real.append(finding)
+    fired = {(f.function, f.rule) for f in verified}
+    for function, rule in controls:
+        if (function, rule) in fired:
+            continue
+        module, _, qualname = function.rpartition(".")
+        real.append(
+            Finding(
+                path=f"<{where}>",
+                line=0,
+                module=module,
+                qualname=qualname,
+                rule=missing_rule,
+                message=(
+                    f"planted control was not flagged for {rule}; the "
+                    f"{where} pass is not detecting what it is built to detect"
+                ),
+            )
+        )
+    return real, verified
+
+
+def stale_suppressions(
+    allow_maps: Dict[str, AllowMap],
+    marker: str,
+    also_used: Optional[Dict[str, Set[int]]] = None,
+) -> List[StaleSuppression]:
+    """Every ``# <marker>: allow`` comment no lookup consumed.
+
+    ``also_used`` adds the lines another pass consumed (path -> lines).
+    """
+    extra = also_used or {}
+    stale: List[StaleSuppression] = []
+    for path in sorted(allow_maps):
+        allow_map = allow_maps[path]
+        used = allow_map.used | extra.get(path, set())
+        for line in sorted(allow_map.comment_lines):
+            if line in used:
+                continue
+            stale.append(
+                StaleSuppression(
+                    path=path,
+                    line=line,
+                    rules=tuple(sorted(allow_map.comment_lines[line])),
+                    marker=marker,
+                )
+            )
+    return stale
+
+
+# ---------------------------------------------------------------------------
 # Checks
 # ---------------------------------------------------------------------------
-def _cost_findings(table: SummaryTable) -> List[FlowFinding]:
+def _cost_findings(table: SummaryTable) -> List[Finding]:
     graph = table.graph
-    findings: List[FlowFinding] = []
+    findings: List[Finding] = []
     for fid in sorted(graph.functions):
         func = graph.functions[fid]
         if func.declared is None:
@@ -178,18 +327,13 @@ def _cost_findings(table: SummaryTable) -> List[FlowFinding]:
         if allowed.allow((func.lineno,), RULE_COST_EXCEEDS):
             continue
         chain = tuple(table.witness_chain(fid))
-        line = chain[0].line if chain else func.lineno
         findings.append(
-            FlowFinding(
-                path=func.path,
-                line=line,
-                module=func.module,
-                qualname=func.qualname,
-                rule=RULE_COST_EXCEEDS,
-                message=(
-                    f"declared {func.declared} but the call graph reaches "
-                    f"{summary.cost.label} work"
-                ),
+            Finding.on(
+                func,
+                RULE_COST_EXCEEDS,
+                f"declared {func.declared} but the call graph reaches "
+                f"{summary.cost.label} work",
+                line=chain[0].line if chain else None,
                 chain=chain,
             )
         )
@@ -198,26 +342,19 @@ def _cost_findings(table: SummaryTable) -> List[FlowFinding]:
 
 def _coverage_findings(
     table: SummaryTable, entries: Sequence[str]
-) -> List[FlowFinding]:
+) -> List[Finding]:
     graph = table.graph
-    parent: Dict[str, Tuple[Optional[str], int]] = {}
-    order: List[str] = []
-    for entry in entries:
-        if entry in parent:
-            continue
-        parent[entry] = (None, graph.functions[entry].lineno)
-        queue = [entry]
-        while queue:
-            current = queue.pop(0)
-            order.append(current)
-            for site in graph.calls.get(current, ()):
-                for target in site.targets:
-                    if target in parent or target not in graph.functions:
-                        continue
-                    parent[target] = (current, site.line)
-                    queue.append(target)
-    findings: List[FlowFinding] = []
-    for fid in order:
+    closure = EntryClosure(
+        graph,
+        entries,
+        lambda fid: (
+            (target, site.line)
+            for site in graph.calls.get(fid, ())
+            for target in site.targets
+        ),
+    )
+    findings: List[Finding] = []
+    for fid in closure.order:
         func = graph.functions[fid]
         if func.declared is not None:
             continue
@@ -227,39 +364,15 @@ def _coverage_findings(
         allowed = graph.allow_maps[func.path]
         if allowed.allow((func.lineno,), RULE_UNDECLARED):
             continue
-        hops: List[Hop] = []
-        cursor: Optional[str] = fid
-        while cursor is not None:
-            origin, line = parent[cursor]
-            hops.append(
-                Hop(
-                    fid=cursor,
-                    path=graph.functions[cursor].path,
-                    line=line,
-                    note="" if origin is None else "called from here",
-                )
-            )
-            cursor = origin
-        hops.reverse()
-        witness = summary.witness
-        if witness is not None:
-            hops.append(
-                Hop(fid=fid, path=func.path, line=witness.line, note=witness.detail)
-            )
-        entry_fid = hops[0].fid
+        chain = closure.chain(fid, summary.witness)
         findings.append(
-            FlowFinding(
-                path=func.path,
-                line=func.lineno,
-                module=func.module,
-                qualname=func.qualname,
-                rule=RULE_UNDECLARED,
-                message=(
-                    f"reachable from hot-path entry {entry_fid} with "
-                    f"{summary.cost.label} shape but no @o1/@complexity "
-                    "declaration"
-                ),
-                chain=tuple(hops[:12]),
+            Finding.on(
+                func,
+                RULE_UNDECLARED,
+                f"reachable from hot-path entry {chain[0].fid} with "
+                f"{summary.cost.label} shape but no @o1/@complexity "
+                "declaration",
+                chain=chain,
             )
         )
     return findings
@@ -267,8 +380,8 @@ def _coverage_findings(
 
 def _protocol_findings(
     graph: CallGraph, protocols: ProtocolResult, entries: Sequence[str]
-) -> List[FlowFinding]:
-    findings: List[FlowFinding] = []
+) -> List[Finding]:
+    findings: List[Finding] = []
     for entry in entries:
         effect = protocols.tlb.get(entry)
         if effect is None or not effect.gen:
@@ -277,18 +390,13 @@ def _protocol_findings(
         allowed = graph.allow_maps[func.path]
         if allowed.allow((func.lineno,), RULE_STALE_TRANSLATION):
             continue
-        line = effect.chain[0].line if effect.chain else func.lineno
         findings.append(
-            FlowFinding(
-                path=func.path,
-                line=line,
-                module=func.module,
-                qualname=func.qualname,
-                rule=RULE_STALE_TRANSLATION,
-                message=(
-                    "page-table mutation can reach the syscall return with "
-                    "no TLB/rTLB/premap invalidation on any later path"
-                ),
+            Finding.on(
+                func,
+                RULE_STALE_TRANSLATION,
+                "page-table mutation can reach the syscall return with "
+                "no TLB/rTLB/premap invalidation on any later path",
+                line=effect.chain[0].line if effect.chain else None,
                 chain=effect.chain,
             )
         )
@@ -308,80 +416,18 @@ def _protocol_findings(
             if key in seen:
                 continue
             seen.add(key)
-            line = chain[0].line if chain else func.lineno
             findings.append(
-                FlowFinding(
-                    path=func.path,
-                    line=line,
-                    module=func.module,
-                    qualname=func.qualname,
-                    rule=RULE_FLOW_PERSIST,
-                    message=(
-                        "journaled mutation can apply with no "
-                        "_journal_commit() anywhere on the path from this "
-                        "protocol root"
-                    ),
+                Finding.on(
+                    func,
+                    RULE_FLOW_PERSIST,
+                    "journaled mutation can apply with no "
+                    "_journal_commit() anywhere on the path from this "
+                    "protocol root",
+                    line=chain[0].line if chain else None,
                     chain=chain,
                 )
             )
     return findings
-
-
-# ---------------------------------------------------------------------------
-# Controls and stale suppressions
-# ---------------------------------------------------------------------------
-def _split_controls(
-    findings: List[FlowFinding],
-) -> Tuple[List[FlowFinding], List[FlowFinding]]:
-    control_keys = set(CONTROLS)
-    real: List[FlowFinding] = []
-    verified: List[FlowFinding] = []
-    for finding in findings:
-        if (finding.function, finding.rule) in control_keys:
-            verified.append(finding)
-        else:
-            real.append(finding)
-    fired = {(f.function, f.rule) for f in verified}
-    for function, rule in CONTROLS:
-        if (function, rule) in fired:
-            continue
-        module, _, qualname = function.rpartition(".")
-        real.append(
-            FlowFinding(
-                path="<flow>",
-                line=0,
-                module=module,
-                qualname=qualname,
-                rule=RULE_CONTROL_MISSING,
-                message=(
-                    f"planted control was not flagged for {rule}; the "
-                    "flow pass is not detecting what it is built to detect"
-                ),
-            )
-        )
-    return real, verified
-
-
-def _stale_suppressions(
-    graph: CallGraph, intra_used: Optional[Dict[str, Set[int]]]
-) -> List[StaleSuppression]:
-    stale: List[StaleSuppression] = []
-    for path in sorted(graph.allow_maps):
-        allow_map = graph.allow_maps[path]
-        used = set(allow_map.used)
-        if intra_used is not None:
-            used |= intra_used.get(path, set())
-        for line in sorted(allow_map.comment_lines):
-            if line in used:
-                continue
-            stale.append(
-                StaleSuppression(
-                    path=path,
-                    line=line,
-                    rules=tuple(sorted(allow_map.comment_lines[line])),
-                )
-            )
-    return stale
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +448,11 @@ def run_flow(
         + _coverage_findings(table, entries)
         + _protocol_findings(graph, protocols, entries)
     )
-    findings, verified = _split_controls(findings)
+    findings, verified = split_controls(
+        findings, CONTROLS, RULE_CONTROL_MISSING, "flow"
+    )
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.function))
-    stale = _stale_suppressions(graph, intra_used)
+    stale = stale_suppressions(graph.allow_maps, "o1", also_used=intra_used)
     return FlowResult(
         findings=findings,
         controls_verified=verified,

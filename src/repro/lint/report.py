@@ -10,70 +10,77 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
-from repro.lint.astcheck import LintResult, Violation
-from repro.lint.baseline import BaselineOutcome
+from repro.lint.astcheck import LintResult
 from repro.lint.ops import OperationFit
 
 if TYPE_CHECKING:
-    from repro.lint.alloc import AllocFinding, AllocResult
+    from repro.lint.alloc import AllocResult
     from repro.lint.allocfit import AllocFitResult
-    from repro.lint.flow import FlowFinding, FlowResult
+    from repro.lint.flow import FlowResult
 
 #: v2 added the ``flow`` section (``lint --interproc``); v3 added the
-#: ``alloc`` section (``lint --alloc``: AllocSan + empirical cross-check).
-REPORT_VERSION = 3
+#: ``alloc`` section (``lint --alloc``: AllocSan + empirical cross-check);
+#: v4 dropped the ``baseline_suppressed`` / ``stale_baseline_entries``
+#: keys: every finding fails the gate.
+REPORT_VERSION = 4
 
 
-def _flow_finding_dict(finding: "FlowFinding") -> Dict[str, object]:
+def _verdict_dict(result: Union["FlowResult", "AllocResult"]) -> Dict[str, object]:
+    """The keys the ``flow`` and ``alloc`` sections share."""
     return {
-        "function": finding.function,
-        "rule": finding.rule,
-        "path": finding.path,
-        "line": finding.line,
-        "message": finding.message,
-        "chain": [
+        "findings": [
             {
-                "function": hop.fid,
-                "path": hop.path,
-                "line": hop.line,
-                "note": hop.note,
+                "function": f.function,
+                "rule": f.rule,
+                "path": f.path,
+                "line": f.line,
+                "message": f.message,
+                "chain": [
+                    {
+                        "function": hop.fid,
+                        "path": hop.path,
+                        "line": hop.line,
+                        "note": hop.note,
+                    }
+                    for hop in f.chain
+                ],
             }
-            for hop in finding.chain
+            for f in result.findings
+        ],
+        "controls_verified": [
+            {"function": f.function, "rule": f.rule}
+            for f in result.controls_verified
+        ],
+        "stale_suppressions": [
+            {"path": s.path, "line": s.line, "rules": list(s.rules)}
+            for s in result.stale_suppressions
         ],
     }
 
 
-def _alloc_finding_dict(finding: "AllocFinding") -> Dict[str, object]:
-    return {
-        "function": finding.function,
-        "rule": finding.rule,
-        "path": finding.path,
-        "line": finding.line,
-        "message": finding.message,
-        "chain": [
-            {
-                "function": hop.fid,
-                "path": hop.path,
-                "line": hop.line,
-                "note": hop.note,
-            }
-            for hop in finding.chain
-        ],
-    }
+def _verdict_lines(
+    result: Union["FlowResult", "AllocResult"], controls: int
+) -> List[str]:
+    """Summary line plus one line per finding and stale suppression."""
+    lines = [
+        f"  {len(result.findings)} finding(s), "
+        f"{len(result.controls_verified)}/{controls} controls verified, "
+        f"{len(result.stale_suppressions)} stale suppression(s)"
+    ]
+    lines.extend(f"  FINDING {f.format()}" for f in result.findings)
+    lines.extend(f"  STALE {s.format()}" for s in result.stale_suppressions)
+    return lines
 
 
 def build_report(
     lint: LintResult,
-    outcome: BaselineOutcome[Violation],
     fits: Optional[Sequence[OperationFit]] = None,
     *,
     sizes: Optional[Sequence[int]] = None,
     flow: Optional["FlowResult"] = None,
-    flow_outcome: Optional["BaselineOutcome[FlowFinding]"] = None,
     alloc: Optional["AllocResult"] = None,
-    alloc_outcome: Optional["BaselineOutcome[AllocFinding]"] = None,
     allocfit_results: Optional[Sequence["AllocFitResult"]] = None,
 ) -> Dict[str, object]:
     """Assemble the machine-readable conformance report."""
@@ -84,15 +91,6 @@ def build_report(
             "files_checked": lint.files_checked,
             "functions_checked": lint.functions_checked,
             "inline_suppressed": lint.inline_suppressed,
-            "baseline_suppressed": [
-                {
-                    "function": v.function,
-                    "rule": v.rule,
-                    "path": str(v.path),
-                    "line": v.line,
-                }
-                for v in outcome.suppressed
-            ],
             "violations": [
                 {
                     "function": v.function,
@@ -102,20 +100,11 @@ def build_report(
                     "line": v.line,
                     "message": v.message,
                 }
-                for v in outcome.new
-            ],
-            "stale_baseline_entries": [
-                {"function": e.function, "rule": e.rule, "reason": e.reason}
-                for e in outcome.stale
+                for v in lint.violations
             ],
         },
     }
     if flow is not None:
-        flow_new = flow_outcome.new if flow_outcome is not None else flow.findings
-        flow_suppressed = (
-            flow_outcome.suppressed if flow_outcome is not None else []
-        )
-        flow_stale = flow_outcome.stale if flow_outcome is not None else []
         report["flow"] = {
             "entries": list(flow.entries),
             "files": flow.files,
@@ -124,35 +113,9 @@ def build_report(
                 "total": flow.sites_total,
                 "resolved": flow.sites_resolved,
             },
-            "findings": [_flow_finding_dict(f) for f in flow_new],
-            "baseline_suppressed": [
-                _flow_finding_dict(f) for f in flow_suppressed
-            ],
-            "stale_baseline_entries": [
-                {"function": e.function, "rule": e.rule, "reason": e.reason}
-                for e in flow_stale
-            ],
-            "controls_verified": [
-                {"function": f.function, "rule": f.rule}
-                for f in flow.controls_verified
-            ],
-            "stale_suppressions": [
-                {
-                    "path": s.path,
-                    "line": s.line,
-                    "rules": list(s.rules),
-                }
-                for s in flow.stale_suppressions
-            ],
+            **_verdict_dict(flow),
         }
     if alloc is not None:
-        alloc_new = (
-            alloc_outcome.new if alloc_outcome is not None else alloc.findings
-        )
-        alloc_suppressed = (
-            alloc_outcome.suppressed if alloc_outcome is not None else []
-        )
-        alloc_stale = alloc_outcome.stale if alloc_outcome is not None else []
         alloc_section: Dict[str, object] = {
             "entries": list(alloc.entries),
             "files": alloc.files,
@@ -160,26 +123,7 @@ def build_report(
             "hot_reachable": alloc.hot_reachable,
             "declared_allocfree": alloc.declared_allocfree,
             "declared_allocbound": alloc.declared_allocbound,
-            "findings": [_alloc_finding_dict(f) for f in alloc_new],
-            "baseline_suppressed": [
-                _alloc_finding_dict(f) for f in alloc_suppressed
-            ],
-            "stale_baseline_entries": [
-                {"function": e.function, "rule": e.rule, "reason": e.reason}
-                for e in alloc_stale
-            ],
-            "controls_verified": [
-                {"function": f.function, "rule": f.rule}
-                for f in alloc.controls_verified
-            ],
-            "stale_suppressions": [
-                {
-                    "path": s.path,
-                    "line": s.line,
-                    "rules": list(s.rules),
-                }
-                for s in alloc.stale_suppressions
-            ],
+            **_verdict_dict(alloc),
         }
         if allocfit_results is not None:
             alloc_section["allocfit"] = [
@@ -229,13 +173,10 @@ def write_json(path: Path, report: Dict[str, object]) -> None:
 
 def render_text(
     lint: LintResult,
-    outcome: BaselineOutcome[Violation],
     fits: Optional[Sequence[OperationFit]] = None,
     *,
     flow: Optional["FlowResult"] = None,
-    flow_outcome: Optional["BaselineOutcome[FlowFinding]"] = None,
     alloc: Optional["AllocResult"] = None,
-    alloc_outcome: Optional["BaselineOutcome[AllocFinding]"] = None,
     allocfit_results: Optional[Sequence["AllocFitResult"]] = None,
 ) -> str:
     """Human-readable conformance summary."""
@@ -245,60 +186,24 @@ def render_text(
         f"{lint.files_checked} files"
     )
     lines.append(
-        f"  {len(outcome.new)} violation(s), "
-        f"{len(outcome.suppressed)} baseline-suppressed, "
-        f"{lint.inline_suppressed} inline-suppressed, "
-        f"{len(outcome.stale)} stale baseline entr"
-        f"{'y' if len(outcome.stale) == 1 else 'ies'}"
+        f"  {len(lint.violations)} violation(s), "
+        f"{lint.inline_suppressed} inline-suppressed"
     )
-    for violation in outcome.new:
+    for violation in lint.violations:
         lines.append(f"  VIOLATION {violation.format()}")
-    for entry in outcome.stale:
-        lines.append(
-            f"  STALE baseline entry {entry.function} [{entry.rule}] — "
-            "finding no longer occurs; remove it"
-        )
     if flow is not None:
         from repro.lint.flow import CONTROLS
 
-        flow_new = flow_outcome.new if flow_outcome is not None else flow.findings
-        flow_suppressed = (
-            flow_outcome.suppressed if flow_outcome is not None else []
-        )
-        flow_stale = flow_outcome.stale if flow_outcome is not None else []
         lines.append("")
         lines.append(
             f"o1 flow: {flow.functions} functions across {flow.files} files, "
             f"{flow.sites_resolved}/{flow.sites_total} call sites resolved, "
             f"{len(flow.entries)} hot-path entries"
         )
-        lines.append(
-            f"  {len(flow_new)} finding(s), "
-            f"{len(flow_suppressed)} baseline-suppressed, "
-            f"{len(flow_stale)} stale baseline entr"
-            f"{'y' if len(flow_stale) == 1 else 'ies'}, "
-            f"{len(flow.controls_verified)}/{len(CONTROLS)} controls verified, "
-            f"{len(flow.stale_suppressions)} stale suppression(s)"
-        )
-        for finding in flow_new:
-            lines.append(f"  FINDING {finding.format()}")
-        for entry in flow_stale:
-            lines.append(
-                f"  STALE flow baseline entry {entry.function} "
-                f"[{entry.rule}] — finding no longer occurs; remove it"
-            )
-        for suppression in flow.stale_suppressions:
-            lines.append(f"  STALE {suppression.format()}")
+        lines.extend(_verdict_lines(flow, len(CONTROLS)))
     if alloc is not None:
         from repro.lint.alloc import ALLOC_CONTROLS
 
-        alloc_new = (
-            alloc_outcome.new if alloc_outcome is not None else alloc.findings
-        )
-        alloc_suppressed = (
-            alloc_outcome.suppressed if alloc_outcome is not None else []
-        )
-        alloc_stale = alloc_outcome.stale if alloc_outcome is not None else []
         lines.append("")
         lines.append(
             f"o1 alloc: {alloc.hot_reachable} functions in the hot closure "
@@ -306,24 +211,7 @@ def render_text(
             f"{alloc.declared_allocfree} @allocfree + "
             f"{alloc.declared_allocbound} @allocbound declared"
         )
-        lines.append(
-            f"  {len(alloc_new)} finding(s), "
-            f"{len(alloc_suppressed)} baseline-suppressed, "
-            f"{len(alloc_stale)} stale baseline entr"
-            f"{'y' if len(alloc_stale) == 1 else 'ies'}, "
-            f"{len(alloc.controls_verified)}/{len(ALLOC_CONTROLS)} "
-            f"controls verified, "
-            f"{len(alloc.stale_suppressions)} stale suppression(s)"
-        )
-        for finding in alloc_new:
-            lines.append(f"  FINDING {finding.format()}")
-        for entry in alloc_stale:
-            lines.append(
-                f"  STALE alloc baseline entry {entry.function} "
-                f"[{entry.rule}] — finding no longer occurs; remove it"
-            )
-        for suppression in alloc.stale_suppressions:
-            lines.append(f"  STALE {suppression.format()}")
+        lines.extend(_verdict_lines(alloc, len(ALLOC_CONTROLS)))
         if allocfit_results is not None:
             lines.append(
                 f"  allocfit: {len(allocfit_results)} op(s) cross-checked"

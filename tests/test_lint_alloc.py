@@ -2,8 +2,8 @@
 
 Covers the shape classifier, the lattice scaling, interprocedural
 propagation over the call graph, cold-call mechanics, the hot-closure
-gate, the never-ratchetable baseline rule, the ``alloc`` section of
-``lint_report.json`` (schema v3) — and the mutants the pass exists to
+gate, the planted-control check, the ``alloc`` section of
+``lint_report.json`` (schema v4) — and the mutants the pass exists to
 catch, pinned against the real tree.
 """
 
@@ -16,19 +16,15 @@ from pathlib import Path
 import pytest
 
 from repro.lint.alloc import (
-    ALLOC_ALLOWABLE_RULES,
     ALLOC_CONTROLS,
-    DEFAULT_ALLOC_BASELINE,
     RULE_ALLOC_CONTROL_MISSING,
     RULE_ALLOC_EXCEEDS,
     RULE_ALLOC_HOT,
     AllocClass,
     _scale,
-    load_alloc_baseline,
     run_alloc,
 )
 from repro.lint.astcheck import lint_tree
-from repro.lint.baseline import apply_baseline, load_baseline
 from repro.lint.report import REPORT_VERSION, build_report, render_text
 
 REPRO_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -359,96 +355,7 @@ class TestHotClosure:
 
 
 # ---------------------------------------------------------------------------
-# Baseline: ratchet for exceeds, never for the hot closure
-# ---------------------------------------------------------------------------
-class TestAllocBaseline:
-    def _exceeding_pkg(self, tmp_path):
-        return make_pkg(tmp_path, {"mod.py": """
-            from repro.lint import allocfree
-
-            @allocfree
-            def hot(x):
-                return [x]
-        """})
-
-    def test_exceeds_round_trip(self, tmp_path):
-        result = alloc(self._exceeding_pkg(tmp_path))
-        (finding,) = real_findings(result)
-        baseline_path = tmp_path / "alloc_baseline.json"
-        baseline_path.write_text(json.dumps({
-            "version": 1,
-            "entries": [{
-                "function": finding.function,
-                "rule": finding.rule,
-                "reason": "pinned for the round-trip test",
-            }],
-        }))
-        entries = load_alloc_baseline(baseline_path)
-        outcome = apply_baseline(result.findings, entries)
-        assert outcome.suppressed == [finding]
-        assert outcome.stale == []
-
-    def test_hot_rule_rejected(self, tmp_path):
-        baseline_path = tmp_path / "alloc_baseline.json"
-        baseline_path.write_text(json.dumps({
-            "version": 1,
-            "entries": [{
-                "function": "repro.hw.tlb.Tlb._probe",
-                "rule": RULE_ALLOC_HOT,
-                "reason": "trying to ratchet the unratchetable",
-            }],
-        }))
-        with pytest.raises(ValueError, match="cannot be baselined"):
-            load_alloc_baseline(baseline_path)
-
-    def test_control_missing_rule_rejected(self, tmp_path):
-        baseline_path = tmp_path / "alloc_baseline.json"
-        baseline_path.write_text(json.dumps({
-            "version": 1,
-            "entries": [{
-                "function": "repro.lint.controls.control_allocfree_hidden_comprehension",
-                "rule": RULE_ALLOC_CONTROL_MISSING,
-                "reason": "burying a broken pass",
-            }],
-        }))
-        with pytest.raises(ValueError, match="cannot be baselined"):
-            load_alloc_baseline(baseline_path)
-
-    def test_unknown_rule_rejected(self, tmp_path):
-        baseline_path = tmp_path / "alloc_baseline.json"
-        baseline_path.write_text(json.dumps({
-            "version": 1,
-            "entries": [{
-                "function": "pkg.mod.f",
-                "rule": "alloc-not-a-rule",
-                "reason": "typo",
-            }],
-        }))
-        with pytest.raises(ValueError, match="unknown rule"):
-            load_baseline(baseline_path, known_rules=ALLOC_ALLOWABLE_RULES)
-
-    def test_stale_entry_detected(self, tmp_path):
-        result = alloc(self._exceeding_pkg(tmp_path))
-        baseline_path = tmp_path / "alloc_baseline.json"
-        baseline_path.write_text(json.dumps({
-            "version": 1,
-            "entries": [{
-                "function": "pkg.mod.gone",
-                "rule": RULE_ALLOC_EXCEEDS,
-                "reason": "the function this pinned was deleted",
-            }],
-        }))
-        entries = load_alloc_baseline(baseline_path)
-        outcome = apply_baseline(result.findings, entries)
-        assert [e.function for e in outcome.stale] == ["pkg.mod.gone"]
-
-    def test_shipped_baseline_is_empty(self):
-        document = json.loads(DEFAULT_ALLOC_BASELINE.read_text())
-        assert document["entries"] == []
-
-
-# ---------------------------------------------------------------------------
-# Report: schema v3
+# Report: schema v4
 # ---------------------------------------------------------------------------
 class TestAllocReport:
     def _fixture(self, tmp_path):
@@ -466,17 +373,12 @@ class TestAllocReport:
 
     def test_alloc_section_schema(self, tmp_path):
         intra, result = self._fixture(tmp_path)
-        outcome = apply_baseline(intra.violations, [])
-        alloc_outcome = apply_baseline(result.findings, [])
-        report = build_report(
-            intra, outcome, alloc=result, alloc_outcome=alloc_outcome
-        )
-        assert report["version"] == REPORT_VERSION == 3
+        report = build_report(intra, alloc=result)
+        assert report["version"] == REPORT_VERSION == 4
         section = report["alloc"]
         assert set(section) == {
             "entries", "files", "functions", "hot_reachable",
             "declared_allocfree", "declared_allocbound", "findings",
-            "baseline_suppressed", "stale_baseline_entries",
             "controls_verified", "stale_suppressions",
         }
         (finding,) = [
@@ -491,15 +393,12 @@ class TestAllocReport:
         from repro.lint.allocfit import AllocFitResult
 
         intra, result = self._fixture(tmp_path)
-        outcome = apply_baseline(intra.violations, [])
         fit = AllocFitResult(
             name="access.tlb_hit", calls=4096, net_bytes=164,
             per_call_bytes=0.04, gc_delta=(3, 0, 0), expect_growth=False,
             grew=False, uncertified=(), ok=True, note="",
         )
-        report = build_report(
-            intra, outcome, alloc=result, allocfit_results=[fit]
-        )
+        report = build_report(intra, alloc=result, allocfit_results=[fit])
         (row,) = report["alloc"]["allocfit"]
         assert row["name"] == "access.tlb_hit"
         assert row["ok"] is True
@@ -508,14 +407,20 @@ class TestAllocReport:
 
     def test_render_text_shows_alloc_section(self, tmp_path):
         intra, result = self._fixture(tmp_path)
-        outcome = apply_baseline(intra.violations, [])
-        alloc_outcome = apply_baseline(result.findings, [])
-        text = render_text(
-            intra, outcome, alloc=result, alloc_outcome=alloc_outcome
-        )
+        text = render_text(intra, alloc=result)
         assert "o1 alloc:" in text
         assert "FINDING" in text
         assert "pkg.mod.helper" in text  # the witness hop, not just the root
+
+    def test_render_text_spells_dead_allow_in_alloc_namespace(self, tmp_path):
+        pkg = make_pkg(tmp_path, {"mod.py": """
+            def fine(x):
+                return x  # alloc: allow(list-display) -- obsolete
+        """})
+        text = render_text(lint_tree(pkg), alloc=alloc(pkg))
+        assert "1 stale suppression(s)" in text
+        assert "stale suppression # alloc: allow(list-display)" in text
+        assert "# o1: allow" not in text
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +444,22 @@ class TestRealTree:
             assert finding.chain, (
                 f"control {finding.function} must carry its witness chain"
             )
+
+    def test_missing_control_reported_once_each(self, tmp_path):
+        """A tree without the planted control must say so, once per
+        control, at the pseudo-path ``<alloc>``."""
+        pkg = make_pkg(tmp_path, {"mod.py": """
+            def fine(x):
+                return x
+        """})
+        missing = [
+            f for f in alloc(pkg).findings
+            if f.rule == RULE_ALLOC_CONTROL_MISSING
+        ]
+        assert sorted(f.function for f in missing) == sorted(
+            function for function, _ in ALLOC_CONTROLS
+        )
+        assert {f.path for f in missing} == {"<alloc>"}
 
     def test_entries_are_the_four_hot_access_points(self, real_alloc):
         assert set(real_alloc.entries) == {

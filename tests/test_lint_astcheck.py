@@ -1,13 +1,9 @@
 """AST cost-shape linter on synthetic sources."""
 
-import json
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.lint.astcheck import lint_source, lint_tree, module_name_for
-from repro.lint.baseline import apply_baseline, load_baseline
 
 
 def lint(source: str):
@@ -235,73 +231,6 @@ class TestTreeAndBaseline:
         assert result.files_checked == 2
         assert result.functions_checked == 2
         assert [v.function for v in result.violations] == ["pkg.bad.b"]
-
-    def test_baseline_suppresses_known_violation(self, tmp_path):
-        result = lint(
-            """
-            from repro.lint import o1
-
-            @o1
-            def f(pages):
-                for page in pages:
-                    touch(page)
-            """
-        )
-        baseline_path = tmp_path / "baseline.json"
-        baseline_path.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "entries": [
-                        {
-                            "function": "synthetic.f",
-                            "rule": "o1-size-loop",
-                            "reason": "legacy path, tracked in ROADMAP",
-                        }
-                    ],
-                }
-            )
-        )
-        outcome = apply_baseline(
-            result.violations, load_baseline(baseline_path)
-        )
-        assert outcome.new == []
-        assert len(outcome.suppressed) == 1
-        assert outcome.stale == []
-
-    def test_stale_baseline_entry_reported(self, tmp_path):
-        baseline_path = tmp_path / "baseline.json"
-        baseline_path.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "entries": [
-                        {
-                            "function": "synthetic.gone",
-                            "rule": "o1-size-loop",
-                            "reason": "was fixed",
-                        }
-                    ],
-                }
-            )
-        )
-        outcome = apply_baseline([], load_baseline(baseline_path))
-        assert [e.function for e in outcome.stale] == ["synthetic.gone"]
-
-    def test_baseline_requires_reason(self, tmp_path):
-        baseline_path = tmp_path / "baseline.json"
-        baseline_path.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "entries": [
-                        {"function": "synthetic.f", "rule": "o1-size-loop"}
-                    ],
-                }
-            )
-        )
-        with pytest.raises(ValueError, match="needs a reason"):
-            load_baseline(baseline_path)
 
     def test_violation_format_mentions_rule_and_site(self):
         result = lint(

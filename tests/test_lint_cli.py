@@ -1,8 +1,12 @@
 """repro-o1 lint subcommand."""
 
 import json
+import shutil
+from pathlib import Path
 
 from repro.cli import main
+
+REPRO_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 class TestLintCommand:
@@ -16,7 +20,7 @@ class TestLintCommand:
         path = tmp_path / "lint_report.json"
         assert main(["lint", "--json", str(path)]) == 0
         report = json.loads(path.read_text())
-        assert report["version"] == 3
+        assert report["version"] == 4
         assert report["lint"]["violations"] == []
         assert report["lint"]["functions_checked"] >= 50
         assert report.get("fit") is None
@@ -50,16 +54,29 @@ class TestLintCommand:
             "from repro.lint import o1\n\n@o1\ndef b(pages):\n"
             "    for p in pages:\n        x(p)\n"
         )
-        empty_baseline = tmp_path / "baseline.json"
-        empty_baseline.write_text('{"version": 1, "entries": []}')
-        assert main(
-            ["lint", "--root", str(pkg), "--baseline", str(empty_baseline)]
-        ) == 1
+        assert main(["lint", "--root", str(pkg)]) == 1
         out = capsys.readouterr().out
         assert "o1-size-loop" in out
 
     def test_missing_root_exits_two(self, capsys, tmp_path):
         assert main(["lint", "--root", str(tmp_path / "nope")]) == 2
+
+    def test_unknown_op_exits_two(self, capsys):
+        # Exit 1 means a finding; a typo in an op name is a usage error.
+        assert main(["lint", "--fit", "--op", "no.such.op"]) == 2
+        err = capsys.readouterr().err
+        assert "no.such.op" in err
+        assert "rangetrans.map_file" in err  # the known names are listed
+
+    def test_dot_without_interproc_exits_two(self, capsys, tmp_path):
+        dot_path = tmp_path / "callgraph.dot"
+        assert main(["lint", "--dot", str(dot_path)]) == 2
+        assert "--interproc" in capsys.readouterr().err
+        assert not dot_path.exists()
+
+    def test_op_without_fit_exits_two(self, capsys):
+        assert main(["lint", "--op", "rangetrans.map_file"]) == 2
+        assert "--fit" in capsys.readouterr().err
 
     def test_interproc_clean_with_artifacts(self, capsys, tmp_path):
         report_path = tmp_path / "lint_report.json"
@@ -75,7 +92,7 @@ class TestLintCommand:
         assert "0 stale suppression(s)" in out
         assert dot_path.read_text().startswith("digraph")
         report = json.loads(report_path.read_text())
-        assert report["version"] == 3
+        assert report["version"] == 4
         assert report["flow"]["findings"] == []
         assert len(report["flow"]["controls_verified"]) == 2
         assert report["flow"]["stale_suppressions"] == []
@@ -88,7 +105,7 @@ class TestLintCommand:
         assert "1/1 controls verified" in out
         assert "allocfit: 3 op(s) cross-checked" in out
         report = json.loads(report_path.read_text())
-        assert report["version"] == 3
+        assert report["version"] == 4
         section = report["alloc"]
         assert section["findings"] == []
         assert section["stale_suppressions"] == []
@@ -107,14 +124,25 @@ class TestLintCommand:
             "from repro.lint import allocfree\n\n"
             "@allocfree\ndef hot(x):\n    return [x]\n"
         )
-        empty = tmp_path / "baseline.json"
-        empty.write_text('{"version": 1, "entries": []}')
-        assert main(
-            ["lint", "--alloc", "--root", str(pkg),
-             "--baseline", str(empty), "--alloc-baseline", str(empty)]
-        ) == 1
+        assert main(["lint", "--alloc", "--root", str(pkg)]) == 1
         out = capsys.readouterr().out
         assert "alloc-exceeds-declared" in out
+
+    def test_alloc_stale_allow_alone_exits_one(self, capsys, tmp_path):
+        # The planted controls plus one dead `# alloc: allow`: no
+        # finding, every control verified, and still a failing gate.
+        root = tmp_path / "repro"
+        (root / "lint").mkdir(parents=True)
+        shutil.copy(REPRO_ROOT / "lint" / "controls.py", root / "lint")
+        (root / "quiet.py").write_text(
+            "def quiet(x):\n"
+            "    return x  # alloc: allow(list-display) -- dead\n"
+        )
+        assert main(["lint", "--alloc", "--root", str(root)]) == 1
+        out = capsys.readouterr().out
+        assert "0 violation(s)" in out
+        assert "0 finding(s), 1/1 controls verified, 1 stale suppression(s)" in out
+        assert "stale suppression # alloc: allow(list-display)" in out
 
     def test_interproc_dirty_tree_exits_one(self, capsys, tmp_path):
         pkg = tmp_path / "pkg"
@@ -127,11 +155,6 @@ class TestLintCommand:
             "    for p in pages:\n        total += p\n"
             "    return total\n"
         )
-        empty = tmp_path / "baseline.json"
-        empty.write_text('{"version": 1, "entries": []}')
-        assert main(
-            ["lint", "--interproc", "--root", str(pkg),
-             "--baseline", str(empty), "--flow-baseline", str(empty)]
-        ) == 1
+        assert main(["lint", "--interproc", "--root", str(pkg)]) == 1
         out = capsys.readouterr().out
         assert "flow-cost-exceeds-declared" in out

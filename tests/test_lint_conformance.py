@@ -1,10 +1,10 @@
 """THE conformance gate: the shipped tree must satisfy its own checker.
 
 This is the test CI leans on.  It fails when (a) someone adds a
-size-dependent loop to a function declared O(1) without an allow or a
-baselined reason, (b) a baselined path gets fixed but the baseline entry
-lingers, or (c) a declared cost class stops matching what the simulated
-clock actually measures.
+size-dependent loop to a function declared O(1) without a justified
+inline ``# o1: allow``, or (b) a declared cost class stops matching
+what the simulated clock actually measures.  There is no baseline file:
+every finding fails.
 """
 
 from pathlib import Path
@@ -13,7 +13,6 @@ import pytest
 
 import repro
 from repro.lint.astcheck import lint_tree
-from repro.lint.baseline import DEFAULT_BASELINE, apply_baseline, load_baseline
 from repro.lint.decorators import ComplexityClass
 from repro.lint.ops import LIGHT_SIZES, OPERATIONS, fit_all
 
@@ -21,40 +20,20 @@ PACKAGE_ROOT = Path(repro.__file__).parent
 
 
 @pytest.fixture(scope="module")
-def outcome():
-    result = lint_tree(PACKAGE_ROOT)
-    return result, apply_baseline(
-        result.violations, load_baseline(DEFAULT_BASELINE)
-    )
+def result():
+    return lint_tree(PACKAGE_ROOT)
 
 
 class TestAstGate:
-    def test_tree_is_clean_against_baseline(self, outcome):
-        result, applied = outcome
-        formatted = "\n".join(v.format() for v in applied.new)
-        assert applied.new == [], f"new O(1) conformance findings:\n{formatted}"
+    def test_tree_is_clean_against_baseline(self, result):
+        formatted = "\n".join(v.format() for v in result.violations)
+        assert result.violations == [], (
+            f"new O(1) conformance findings:\n{formatted}"
+        )
 
-    def test_no_stale_baseline_entries(self, outcome):
-        _, applied = outcome
-        stale = ", ".join(e.function for e in applied.stale)
-        assert applied.stale == [], f"baseline entries no longer needed: {stale}"
-
-    def test_checker_actually_saw_the_tree(self, outcome):
-        result, _ = outcome
+    def test_checker_actually_saw_the_tree(self, result):
         assert result.files_checked >= 60
         assert result.functions_checked >= 50
-
-    def test_legacy_baseline_is_retired(self, outcome):
-        # grow_region's VMA-overlap scan and CryptoErase.return_frames'
-        # per-frame free loop were the two documented O(n) exceptions.
-        # Both are fixed (bisect tail probe; batched buddy.free_many),
-        # so the baseline must be empty — a new entry means a genuinely
-        # new O(n) path snuck in and needs its own justification.
-        _, applied = outcome
-        assert applied.suppressed == [], (
-            "baseline should be empty; found: "
-            + ", ".join(v.function for v in applied.suppressed)
-        )
 
 
 @pytest.fixture(scope="module")

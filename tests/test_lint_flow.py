@@ -2,12 +2,11 @@
 
 Covers the call-graph builder, the transitive cost summaries, the
 must-call protocol checks, the planted controls, stale-suppression
-detection, the flow section of ``lint_report.json``, the flow baseline
-round-trip — and the two intraprocedural false negatives this pass
-exists to close, pinned as regression tests.
+detection, the flow section of ``lint_report.json`` — and the two
+intraprocedural false negatives this pass exists to close, pinned as
+regression tests.
 """
 
-import json
 import re
 import shutil
 import textwrap
@@ -16,9 +15,8 @@ from pathlib import Path
 import pytest
 
 from repro.lint.astcheck import lint_tree
-from repro.lint.baseline import apply_baseline, load_baseline
 from repro.lint.callgraph import build_callgraph
-from repro.lint.flow import ALLOWABLE_RULES, CONTROLS, run_flow
+from repro.lint.flow import CONTROLS, RULE_CONTROL_MISSING, run_flow
 from repro.lint.protocols import (
     RULE_FLOW_PERSIST,
     RULE_STALE_TRANSLATION,
@@ -27,7 +25,6 @@ from repro.lint.protocols import (
 from repro.lint.report import REPORT_VERSION, build_report, render_text
 from repro.lint.summaries import (
     RULE_COST_EXCEEDS,
-    RULE_UNDECLARED,
     Cost,
     SummaryTable,
 )
@@ -393,6 +390,21 @@ class TestRealTree:
                 f"control {finding.function} must carry its call chain"
             )
 
+    def test_missing_controls_reported_once_each(self, tmp_path):
+        """A tree without the planted controls must say so, once per
+        control, at the pseudo-path ``<flow>``."""
+        pkg = make_pkg(tmp_path, {"mod.py": """
+            def fine():
+                return 1
+        """})
+        missing = [
+            f for f in flow(pkg).findings if f.rule == RULE_CONTROL_MISSING
+        ]
+        assert sorted(f.function for f in missing) == sorted(
+            function for function, _ in CONTROLS
+        )
+        assert {f.path for f in missing} == {"<flow>"}
+
     def test_resolution_ratio_floor(self, real_flow):
         """Pin the call-site resolution ratio so regressions in the
         resolver (attribute typing, module globals, IfExp arms) show up
@@ -489,7 +501,7 @@ class TestStaleSuppressions:
 
 
 # ---------------------------------------------------------------------------
-# Report schema and baseline round-trip
+# Report schema
 # ---------------------------------------------------------------------------
 class TestFlowReport:
     def _fixture_result(self, tmp_path):
@@ -510,16 +522,11 @@ class TestFlowReport:
 
     def test_flow_section_schema(self, tmp_path):
         intra, result = self._fixture_result(tmp_path)
-        outcome = apply_baseline(intra.violations, [])
-        flow_outcome = apply_baseline(result.findings, [])
-        report = build_report(
-            intra, outcome, flow=result, flow_outcome=flow_outcome
-        )
-        assert report["version"] == REPORT_VERSION == 3
+        report = build_report(intra, flow=result)
+        assert report["version"] == REPORT_VERSION == 4
         section = report["flow"]
         assert set(section) == {
             "entries", "files", "functions", "call_sites", "findings",
-            "baseline_suppressed", "stale_baseline_entries",
             "controls_verified", "stale_suppressions",
         }
         assert section["call_sites"]["resolved"] <= section["call_sites"]["total"]
@@ -534,62 +541,16 @@ class TestFlowReport:
 
     def test_render_text_shows_chain(self, tmp_path):
         intra, result = self._fixture_result(tmp_path)
-        outcome = apply_baseline(intra.violations, [])
-        flow_outcome = apply_baseline(result.findings, [])
-        text = render_text(
-            intra, outcome, flow=result, flow_outcome=flow_outcome
-        )
+        text = render_text(intra, flow=result)
         assert "o1 flow:" in text
         assert "FINDING" in text
         assert "pkg.mod.helper" in text  # the witness hop, not just the root
 
-    def test_baseline_round_trip(self, tmp_path):
-        _, result = self._fixture_result(tmp_path)
-        exceed = [
-            f for f in result.findings if f.rule == RULE_COST_EXCEEDS
-        ]
-        baseline_path = tmp_path / "flow_baseline.json"
-        baseline_path.write_text(json.dumps({
-            "version": 1,
-            "entries": [
-                {
-                    "function": f.function,
-                    "rule": f.rule,
-                    "reason": "pinned for the round-trip test",
-                }
-                for f in exceed
-            ],
-        }))
-        entries = load_baseline(baseline_path, known_rules=ALLOWABLE_RULES)
-        outcome = apply_baseline(result.findings, entries)
-        assert outcome.suppressed == exceed
-        assert outcome.stale == []
-        assert all(f.rule != RULE_COST_EXCEEDS for f in outcome.new)
-
-    def test_baseline_stale_entry_detected(self, tmp_path):
-        _, result = self._fixture_result(tmp_path)
-        baseline_path = tmp_path / "flow_baseline.json"
-        baseline_path.write_text(json.dumps({
-            "version": 1,
-            "entries": [{
-                "function": "pkg.mod.gone",
-                "rule": RULE_UNDECLARED,
-                "reason": "the function this pinned was deleted",
-            }],
-        }))
-        entries = load_baseline(baseline_path, known_rules=ALLOWABLE_RULES)
-        outcome = apply_baseline(result.findings, entries)
-        assert [e.function for e in outcome.stale] == ["pkg.mod.gone"]
-
-    def test_baseline_rejects_unknown_rule(self, tmp_path):
-        baseline_path = tmp_path / "flow_baseline.json"
-        baseline_path.write_text(json.dumps({
-            "version": 1,
-            "entries": [{
-                "function": "pkg.mod.f",
-                "rule": "flow-not-a-rule",
-                "reason": "typo",
-            }],
-        }))
-        with pytest.raises(ValueError, match="unknown rule"):
-            load_baseline(baseline_path, known_rules=ALLOWABLE_RULES)
+    def test_render_text_spells_dead_allow_in_o1_namespace(self, tmp_path):
+        pkg = make_pkg(tmp_path, {"mod.py": """
+            def fine():
+                return 1  # o1: allow(o1-size-loop) -- obsolete
+        """})
+        text = render_text(lint_tree(pkg), flow=flow(pkg, with_intra=True))
+        assert "1 stale suppression(s)" in text
+        assert "stale suppression # o1: allow(o1-size-loop)" in text

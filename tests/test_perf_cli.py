@@ -61,6 +61,14 @@ class TestBench:
         assert "REGRESSED" in out
         assert "reproduce with" in out
 
+    def test_unknown_op_exits_two(self, capsys):
+        # Exit 1 means a regression; a typo in an op name is a usage error.
+        assert main(["bench", "--op", "no.such.op", "--quick"]) == 2
+        captured = capsys.readouterr()
+        assert "no.such.op" in captured.err
+        assert "kernel.spawn_exit" in captured.err  # the known names
+        assert "calibration:" not in captured.out  # nothing was run
+
 
 class TestProfile:
     def test_profile_prints_correlation(self, capsys):
