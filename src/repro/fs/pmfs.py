@@ -845,28 +845,44 @@ class Pmfs(FileSystem):
         not trust.  Bits are re-checked individually so scrubbing is safe
         to run (and re-run) against any bitmap state.
         """
-        claimed = set()
-        for tree in self._trees.values():
-            # o1: allow(o1-size-loop, o1-charge-in-loop, o1-nested-size-loop) -- extents across all trees fit the declared n
-            for extent in tree.extents():
-                claimed.update(range(extent.pfn, extent.pfn + extent.count))
         region = self.allocator._region
         bitmap = self.allocator._bitmap
         san = self._counters.sanitize
         scrubbed = 0
-        for index in range(bitmap.size):
-            if bitmap.test(index) and region.first_pfn + index not in claimed:
-                if san is not None:
-                    # Leaked block reclaim, not a free of a live
-                    # allocation: skip the double-free check.
-                    san.on_nvm_free(
-                        self.allocator, region.first_pfn + index, 1, check=False
-                    )
-                bitmap.clear_range(index, 1)
-                scrubbed += 1
+        mismatched = bitmap.mismatches(self._owned_bits())
+        for index in mismatched:
+            if not bitmap.test(index):
+                continue  # owned but free: fsck's problem, not a leak
+            if san is not None:
+                # Leaked block reclaim, not a free of a live
+                # allocation: skip the double-free check.
+                san.on_nvm_free(
+                    self.allocator, region.first_pfn + index, 1, check=False
+                )
+            bitmap.clear_range(index, 1)
+            scrubbed += 1
         if scrubbed:
             self._clock.advance(self._costs.bitmap_run_ns * scrubbed)
             self._counters.bump("recovery_scrub_blocks", scrubbed)
+
+    @complexity("n", note="one pass over the extents, one XOR over the bitmap")
+    def _owned_bits(self) -> int:
+        """Bitset over the allocator's region: bit ``i`` is set iff some
+        file extent claims block ``first_pfn + i``.
+
+        Claims below the region are clipped here; those past its end
+        are ignored by :meth:`Bitmap.mismatches`.
+        """
+        first_pfn = self.allocator._region.first_pfn
+        owned = 0
+        for tree in self._trees.values():
+            # o1: allow(o1-nested-size-loop) -- extents across all trees fit the declared n
+            for extent in tree.extents():
+                lo = max(extent.pfn - first_pfn, 0)
+                hi = extent.pfn + extent.count - first_pfn
+                if hi > lo:
+                    owned |= (1 << (hi - lo)) - 1 << lo
+        return owned
 
     def fsck(self) -> List[str]:
         """Consistency check: every allocated block belongs to exactly
@@ -883,17 +899,15 @@ class Pmfs(FileSystem):
                             f"and ino {ino}"
                         )
                     claimed[pfn] = ino
-        region = self.allocator._region
-        bitmap = self.allocator._bitmap
-        for index in range(bitmap.size):
-            pfn = region.first_pfn + index
-            allocated = bitmap.test(index)
-            if allocated and pfn not in claimed:
-                problems.append(f"block {pfn} allocated but owned by no file")
-            elif not allocated and pfn in claimed:
+        first_pfn = self.allocator._region.first_pfn
+        for index in self.allocator._bitmap.mismatches(self._owned_bits()):
+            pfn = first_pfn + index
+            if pfn in claimed:
                 problems.append(
                     f"block {pfn} owned by ino {claimed[pfn]} but free in bitmap"
                 )
+            else:
+                problems.append(f"block {pfn} allocated but owned by no file")
         return problems
 
     # ------------------------------------------------------------------

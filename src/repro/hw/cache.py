@@ -11,16 +11,23 @@ hard-coded.
 The model is intentionally simple — fully shared, physically indexed,
 no associativity conflicts beyond capacity — because the reproduction
 targets the *shape* of the paper's curves, not cycle accuracy.
+
+A page walk prices its whole path with one :meth:`CacheModel.reference_lines`
+call: the same per-line L1/LLC updates, in the same order, as one
+:meth:`CacheModel.reference` per line, but one clock advance and one
+counter bump per outcome instead of one of each per line.  Both methods
+share the LLC-promotion and miss-fill helpers, so there is one copy of
+the fill logic.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel, MemoryTechnology
-from repro.lint.decorators import allocfree
+from repro.lint.decorators import allocfree, o1
 from repro.obs.metrics import MetricsRegistry
 from repro.units import CACHE_LINE
 
@@ -79,19 +86,51 @@ class CacheModel:
             cost = self._costs.l1_hit_ns
             self._counters.bump("cache_l1_hit")
         elif line in self._llc:
-            self._llc.move_to_end(line)
-            self._install_l1(line)
+            self._promote(line)
             cost = self._costs.llc_hit_ns
             self._counters.bump("cache_llc_hit")
         else:
-            tech = self._tech_of(line)
-            if write:
-                cost = self._costs.write_ns(tech)
-            else:
-                cost = self._costs.read_ns(tech)
-            self._install_llc(line)
-            self._install_l1(line)
+            cost = self._fill(line, write)
             self._counters.bump("cache_miss")
+        self._clock.advance(cost)
+        return cost
+
+    @o1(note="one probe per line; a walk's path is at most 35 lines")
+    @allocfree(note="probes and move-to-ends; tallies live in locals")
+    def reference_lines(self, lines: List[int]) -> int:
+        """Read each line of ``lines`` in order, priced as one batch.
+
+        Makes exactly the L1/LLC updates one :meth:`reference` per line
+        would, in the same order, then advances the clock once by the
+        summed latency and bumps each counter that moved once by its
+        tally.  ``lines`` must already be line-aligned.  Returns the
+        summed latency.
+        """
+        l1 = self._l1
+        llc = self._llc
+        l1_hits = llc_hits = misses = 0
+        miss_cost = 0
+        # o1: allow(o1-size-loop) -- a walk's lines: (levels + 1) * (host levels + 1) - 1 <= 35
+        for line in lines:
+            if line in l1:
+                l1.move_to_end(line)
+                l1_hits += 1
+            elif line in llc:
+                self._promote(line)
+                llc_hits += 1
+            else:
+                miss_cost += self._fill(line, False)
+                misses += 1
+        costs = self._costs
+        counters = self._counters
+        cost = l1_hits * costs.l1_hit_ns + llc_hits * costs.llc_hit_ns + miss_cost
+        # A zero bump would create the key: bump only what moved.
+        if l1_hits:
+            counters.bump("cache_l1_hit", l1_hits)
+        if llc_hits:
+            counters.bump("cache_llc_hit", llc_hits)
+        if misses:
+            counters.bump("cache_miss", misses)
         self._clock.advance(cost)
         return cost
 
@@ -143,6 +182,19 @@ class CacheModel:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _promote(self, line: int) -> None:
+        """LLC hit: refresh ``line`` there and install it in the L1."""
+        self._llc.move_to_end(line)
+        self._install_l1(line)
+
+    def _fill(self, line: int, write: bool) -> int:
+        """Miss: install ``line`` at both levels; returns its media latency."""
+        tech = self._tech_of(line)
+        cost = self._costs.write_ns(tech) if write else self._costs.read_ns(tech)
+        self._install_llc(line)
+        self._install_l1(line)
+        return cost
+
     def _install_l1(self, line: int) -> None:
         self._l1[line] = None
         self._l1.move_to_end(line)

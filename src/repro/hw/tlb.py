@@ -14,25 +14,27 @@ Every set of every array is preallocated at construction and tags are
 packed into a single int key (``vpn << 16 | asid``), so the lookup and
 invalidate paths construct no Python objects per probe — the property
 AllocSan certifies and ``lint --alloc`` cross-checks empirically.
+``invalidate_range`` works per VPN for a range naming no more VPNs than
+an array has sets — one keyed pop each, as a small munmap's invlpg loop
+would — and scans every set only for larger ranges.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from repro.lint import allocbound, allocfree, o1
 from repro.units import HUGE_PAGE_1G, HUGE_PAGE_2M, PAGE_SIZE
 
 
-@dataclass(frozen=True)
-class TlbEntry:
-    """One cached translation.
+class TlbEntry(NamedTuple):
+    """One cached translation (immutable and hashable).
 
     ``vpn``/``pfn`` are in units of the entry's own ``page_size``;
     ``writable`` caches the permission bit so the CPU can detect permission
-    faults without a walk.
+    faults without a walk.  A named tuple, not a dataclass: every walk
+    builds one, and the tuple constructor is the cheaper of the two.
     """
 
     vpn: int
@@ -171,18 +173,19 @@ class Tlb:
         return dropped
 
     @o1(
-        note="probes min(range VPNs, sets) sets per fixed array, each of "
-        "fixed associativity — work bounded by the TLB's capacity"
+        note="min(range VPNs, sets) probes per fixed array, each a keyed "
+        "pop or a scan of fixed associativity — work bounded by the "
+        "TLB's capacity"
     )
     def invalidate_range(self, vaddr: int, length: int, asid: int = 0) -> int:
         """Drop every entry overlapping ``[vaddr, vaddr + length)``.
 
         An entry for page size ``s`` overlaps iff its VPN lies in
         ``[vaddr // s, (end - 1) // s]``, and a VPN lives in exactly one
-        set — so only the sets those VPNs index are probed.  A range
-        naming more VPNs than there are sets degenerates to probing
-        every set, which is still a hardware constant, not a scan of
-        resident entries.
+        set under one packed key — so a range naming no more VPNs than
+        there are sets pops each VPN's key from its set.  A range naming
+        more degenerates to scanning every set, which is still a
+        hardware constant, not a scan of resident entries.
         """
         if length <= 0:
             return 0
@@ -192,15 +195,15 @@ class Tlb:
         for size, nsets, sets in self._probe:
             vpn_lo = vaddr // size
             vpn_hi = (end - 1) // size
-            span = vpn_hi - vpn_lo + 1
-            if span >= nsets:
-                indices: Iterable[int] = range(nsets)
-            else:
-                # o1: allow(o1-size-loop) -- span < sets, a hardware constant
-                indices = {(vpn_lo + i) % nsets for i in range(span)}
-            # o1: allow(o1-size-loop) -- at most nsets indices, a constant
-            for index in indices:
-                entry_set = sets[index]
+            if vpn_hi - vpn_lo < nsets:
+                # o1: allow(o1-size-loop) -- at most nsets VPNs, a hardware constant
+                for vpn in range(vpn_lo, vpn_hi + 1):
+                    entry_set = sets[vpn % nsets]
+                    if entry_set and entry_set.pop((vpn << _ASID_BITS) | asid, None) is not None:
+                        dropped += 1
+                continue
+            # o1: allow(o1-size-loop) -- nsets indices, a constant
+            for entry_set in sets.values():
                 if not entry_set:
                     continue
                 # o1: allow(o1-size-loop) -- ways per set is fixed

@@ -269,6 +269,7 @@ ALLOC_OPS: List[AllocOp] = [
             "repro.hw.tlb.Tlb.lookup",
             "repro.hw.tlb.Tlb.insert",
             "repro.paging.walker.PageWalker.walk",
+            "repro.hw.cache.CacheModel.reference_lines",
         ),
         warmup=8704,  # two full 4096-page cycles + slack: TLB at capacity
         calls=4096,

@@ -9,12 +9,16 @@ O(run/word) memory rather than O(run) — part of what makes file-system
 allocation cheap at scale.
 
 The backing store is a single Python int used as a bitset, which makes the
-word-level operations fast and the structure trivially copyable.
+word-level operations fast and the structure trivially copyable.  The
+searches work by runs on the host too: ``find_clear_run`` and
+``largest_clear_run`` step over a whole set or clear run per iteration,
+and :meth:`Bitmap.mismatches` hands a checker the bits that differ from
+an expected bitset in one XOR, so none of them pays one step per block.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.lint.decorators import complexity
 
@@ -117,35 +121,56 @@ class Bitmap:
     def _scan(self, lo: int, hi: int, length: int) -> Optional[int]:
         """Find a clear run of ``length`` within ``[lo, min(hi, size))``."""
         hi = min(hi, self._size)
+        bits = self._bits
         index = lo
         while index + length <= hi:
-            if self._bits >> index & 1:
-                index += 1
+            window = bits >> index
+            if window & 1:
+                # Skip the whole set run: the lowest clear bit of
+                # ``window`` is the one ``window + 1`` carries into.
+                index += ((window + 1) & ~window).bit_length() - 1
                 continue
             # Found a clear bit: the clear run extends to the next set bit.
-            window = self._bits >> index
             if window == 0:
                 return index  # everything from here up is clear
-            lowest_set = window & -window
-            next_set = lowest_set.bit_length() - 1
+            next_set = (window & -window).bit_length() - 1
             if next_set >= length:
                 return index
             index += next_set + 1
         return None
 
+    @complexity("n", note="one step per clear/set run, worst case one pass")
     def largest_clear_run(self) -> int:
         """Length of the longest run of clear bits (fragmentation metric)."""
         best = 0
-        current = 0
         bits = self._bits
-        for index in range(self._size):
-            if bits >> index & 1:
-                current = 0
-            else:
-                current += 1
-                if current > best:
-                    best = current
+        index = 0
+        while index < self._size:
+            window = bits >> index
+            if window & 1:
+                index += ((window + 1) & ~window).bit_length() - 1
+                continue
+            if window == 0:
+                return max(best, self._size - index)
+            run = (window & -window).bit_length() - 1
+            best = max(best, run)
+            index += run
         return best
+
+    @complexity("n", note="one XOR, then one step per differing bit")
+    def mismatches(self, expected: int) -> List[int]:
+        """Indexes whose bit differs from bitset ``expected``, lowest first.
+
+        Bits of ``expected`` at or beyond :attr:`size` are ignored, so a
+        checker can OR in claims without clipping them to the bitmap.
+        """
+        diff = (self._bits ^ expected) & ((1 << self._size) - 1)
+        found: List[int] = []
+        while diff:
+            lowest = diff & -diff
+            found.append(lowest.bit_length() - 1)
+            diff ^= lowest
+        return found
 
     def __repr__(self) -> str:
         return f"Bitmap(size={self._size}, set={self._set_count})"

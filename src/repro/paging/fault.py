@@ -10,20 +10,24 @@ this simulator when the swap baseline is enabled.
 
 from __future__ import annotations
 
-import enum
+from typing import Tuple
 
 
-class FaultType(enum.Enum):
-    """Classification of a resolved page fault."""
+class FaultType:
+    """Classification of a resolved page fault (int constants).
+
+    Plain ints, not an enum: every resolved fault indexes the per-space
+    tally and :data:`FAULT_COUNTERS` with one, where hashing an enum
+    member and formatting its counter name cost ~0.7 µs per fault.
+    """
 
     #: Translation absent but data already in memory (or fresh anon page).
-    MINOR = "minor"
+    MINOR = 0
     #: Data had to be brought in from the swap device.
-    MAJOR = "major"
+    MAJOR = 1
     #: Write to a read-only mapping resolved by copy-on-write.
-    COW = "cow"
+    COW = 2
 
-    @property
-    def counter_name(self) -> str:
-        """Counter name under which this fault kind is tallied."""
-        return f"fault_{self.value}"
+
+#: Counter name each fault kind is tallied under, indexed by kind.
+FAULT_COUNTERS: Tuple[str, ...] = ("fault_minor", "fault_major", "fault_cow")

@@ -12,11 +12,18 @@ guest-physical address that must be translated by the host's tables, so a
 tables, 35 for two 5-level tables, the number §2 cites for Intel's 5-level
 EPT.  The walker models the host-side references as additional cache
 references against the nested tables' synthetic addresses.
+
+The simulated charge is still one cache reference per level read (and per
+nested reference).  On the host, the walk collects those references' line
+addresses in visit order and prices the whole path with one
+:meth:`~repro.hw.cache.CacheModel.reference_lines` call, bumping its own
+counters once per walk — the same clock, counters and cache state as one
+reference per line, at a fraction of the interpreter's work.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.hw.cache import CacheModel
 from repro.hw.clock import SimClock
@@ -25,6 +32,10 @@ from repro.hw.tlb import TlbEntry
 from repro.lint import allocbound, o1
 from repro.obs.metrics import MetricsRegistry
 from repro.paging.pagetable import INDEX_MASK, PageTable, Pte
+from repro.units import CACHE_LINE
+
+#: Masks a reference's address down to its cache line, as the cache does.
+_LINE_MASK = ~(CACHE_LINE - 1)
 
 
 class PageWalker:
@@ -63,7 +74,7 @@ class PageWalker:
         return (levels + 1) * (host + 1) - 1
 
     @o1(note="4-5 fixed levels, independent of mapping size")
-    @allocbound(2, note="one node-path list and one TlbEntry per walk")
+    @allocbound(3, note="one node-path list, one line list and one TlbEntry per walk")
     def walk(self, table: PageTable, vaddr: int, asid: int = 0) -> Optional[TlbEntry]:
         """Translate ``vaddr``; None if no valid leaf exists.
 
@@ -81,55 +92,54 @@ class PageWalker:
         return self._walk(table, vaddr, asid)
 
     @o1(note="visits the fixed radix levels, nested or not")
-    @allocbound(2, note="one node-path list and one TlbEntry per walk")
+    @allocbound(3, note="one node-path list, one line list and one TlbEntry per walk")
     def _walk(self, table: PageTable, vaddr: int, asid: int) -> Optional[TlbEntry]:
-        self._counters.bump("walk_start")
+        # path_nodes stops at the node whose slot holds the leaf (or
+        # nothing), so every node it returns is read, and only the last
+        # one's slot can hold the Pte.
         nodes = table.path_nodes(vaddr)
         shifts = table.shifts
+        virtualized = self._virtualized
         host_levels = self._nested_levels or table.levels
-        pte: Optional[Pte] = None
+        # Line addresses of the walk's references, in visit order.
+        lines: List[int] = []
         write_protected = False
-        # o1: allow(o1-size-loop, o1-charge-in-loop) -- path_nodes is at most the level count
+        # o1: allow(o1-size-loop) -- path_nodes is at most the level count
         for node in nodes:
             index = (vaddr >> shifts[node.depth]) & INDEX_MASK
             if index in node.wp_slots:
                 write_protected = True
-            if self._virtualized:
+            if virtualized:
                 # The guest-physical address of this node must itself be
                 # translated: one reference per host level against the
                 # nested tables, modeled as distinct synthetic lines so
                 # locality behaves (hot nested nodes cache like real ones).
-                # o1: allow(o1-size-loop, o1-charge-in-loop) -- host level count is a hardware constant
+                host_base = self._ept_base + (node.paddr >> 12 << 6)
+                # o1: allow(o1-size-loop) -- host level count is a hardware constant
                 for host_depth in range(host_levels):
-                    host_line = (
-                        self._ept_base
-                        + (node.paddr >> 12 << 6)
-                        + host_depth * 8
-                    )
-                    self._cache.reference(host_line)
-                    self._counters.bump("nested_walk_ref")
-            self._cache.reference(node.paddr + index * 8)  # 8-byte entries
-            self._counters.bump("walk_ref")
-            entry = node.entries.get(index)
-            if isinstance(entry, Pte):
-                pte = entry
-                break
-            if entry is None:
-                return None
-        if pte is None:
-            return None
-        if self._virtualized:
+                    lines.append((host_base + host_depth * 8) & _LINE_MASK)
+            lines.append((node.paddr + index * 8) & _LINE_MASK)  # 8-byte entries
+        entry = node.entries.get(index)
+        pte = entry if isinstance(entry, Pte) else None
+        if virtualized and pte is not None:
             # The final data address is guest-physical too: one more host
             # walk before the access proper.
-            # o1: allow(o1-size-loop, o1-charge-in-loop) -- host level count is a hardware constant
+            host_base = self._ept_base + (pte.paddr >> 12 << 6)
+            # o1: allow(o1-size-loop) -- host level count is a hardware constant
             for host_depth in range(host_levels):
-                host_line = self._ept_base + (pte.paddr >> 12 << 6) + host_depth * 8
-                self._cache.reference(host_line)
-                self._counters.bump("nested_walk_ref")
+                lines.append((host_base + host_depth * 8) & _LINE_MASK)
+        counters = self._counters
+        counters.bump("walk_start")
+        self._cache.reference_lines(lines)
+        counters.bump("walk_ref", len(nodes))
+        if virtualized:
+            counters.bump("nested_walk_ref", len(lines) - len(nodes))
+        if pte is None:
+            return None
         return TlbEntry(
-            vpn=vaddr // pte.page_size,
-            pfn=pte.pfn,
-            page_size=pte.page_size,
-            writable=pte.writable and not write_protected,
-            asid=asid,
+            vaddr // pte.page_size,
+            pte.pfn,
+            pte.page_size,
+            pte.writable and not write_protected,
+            asid,
         )

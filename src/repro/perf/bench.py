@@ -342,7 +342,12 @@ def _prep_qos_reclaim_batch(round_budget: int) -> Callable[[], object]:
 def _prep_counters_bump() -> Callable[[], object]:
     counters = MetricsRegistry()
     counters.bump("tlb_hit")  # warm: the key exists, as on the hot path
-    return lambda: counters.bump("tlb_hit")
+
+    def step() -> object:
+        counters.bump("tlb_hit")
+        return counters.get("tlb_hit")
+
+    return step
 
 
 def _prep_walker_walk() -> Callable[[], object]:
@@ -364,7 +369,67 @@ def _prep_qos_charge() -> Callable[[], object]:
     first = buddy.alloc(0)
     buddy.alloc(0)  # first's buddy: keeps the freed block unmerged
     buddy.free(first)  # exact-order hit: each cycle reuses this frame
-    return lambda: buddy.free(buddy.alloc(0))
+
+    def cycle() -> object:
+        pfn = buddy.alloc(0)
+        buddy.free(pfn)
+        return pfn
+
+    return cycle
+
+
+def _prep_bitmap_find_clear_run() -> Callable[[], object]:
+    import random
+
+    from repro.mem.bitmap import Bitmap
+
+    # file_churn's free space: 1-63-block files packed into 32,768
+    # blocks, then random ones unlinked down to 2/3 full, so the holes
+    # are file-sized and a next-fit search hops many runs per call.
+    rng = random.Random(0)
+    bitmap = Bitmap(32768)
+    files = []
+    start = 0
+    while start + 63 <= bitmap.size:
+        length = rng.randrange(1, 64)
+        bitmap.set_range(start, length)
+        files.append((start, length))
+        start += length
+    while bitmap.set_count > bitmap.size * 2 // 3:
+        bitmap.clear_range(*files.pop(rng.randrange(len(files))))
+    lengths = [rng.randrange(1, 64) for _ in range(1024)]
+    cursor = [0, 0]  # [next length, next-fit hint]
+
+    def step() -> object:
+        index, hint = cursor
+        length = lengths[index]
+        found = bitmap.find_clear_run(length, hint)
+        cursor[0] = (index + 1) % len(lengths)
+        cursor[1] = found + length
+        return found
+
+    return step
+
+
+def _prep_tlb_invalidate_small_range() -> Callable[[], object]:
+    from repro.hw.tlb import Tlb, TlbEntry
+
+    # Every 4 KiB set full of another space's entries; each call refills
+    # four pages of a 63-page window (file_churn's largest unmap, with
+    # its four touched pages) and drops the window, one VPN at a time.
+    tlb = Tlb()
+    for vpn in range(tlb.capacity(PAGE_SIZE)):
+        tlb.insert(TlbEntry(vpn, vpn, PAGE_SIZE, True, 1))
+    window = 63
+    base_vpn = 1 << 20
+    touched = [TlbEntry(base_vpn + page, page, PAGE_SIZE, True, 2) for page in (0, 9, 31, 62)]
+
+    def step() -> object:
+        for entry in touched:
+            tlb.insert(entry)
+        return tlb.invalidate_range(base_vpn * PAGE_SIZE, window * PAGE_SIZE, asid=2)
+
+    return step
 
 
 #: The tier-1 registry: every hot operation the lint fitter also covers,
@@ -415,6 +480,12 @@ TIER1_OPS: List[BenchOp] = [
             "one counter increment on an existing key"),
     BenchOp("walker.walk", _prep_walker_walk, 512,
             "warm 4-level walk of a resident 4 KiB page, no fault"),
+    BenchOp("bitmap.find_clear_run", _prep_bitmap_find_clear_run, 256,
+            "next-fit search for a 1-63-block run on a 32,768-block "
+            "bitmap held 2/3 full with file-sized holes"),
+    BenchOp("tlb.invalidate_range.small", _prep_tlb_invalidate_small_range, 256,
+            "4 TLB refills + one 63-page range invalidation on a full TLB "
+            "(per-VPN drops)"),
 ]
 
 

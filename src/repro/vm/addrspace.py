@@ -21,8 +21,7 @@ all.
 from __future__ import annotations
 
 import bisect
-from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import MappingError, OutOfMemoryError, ProtectionError
 from repro.hw.clock import SimClock
@@ -32,7 +31,7 @@ from repro.hw.tlb import TlbEntry
 from repro.lint import complexity, o1
 from repro.mem.frame_meta import FrameTable, PageFlags
 from repro.obs.metrics import MetricsRegistry
-from repro.paging.fault import FaultType
+from repro.paging.fault import FAULT_COUNTERS, FaultType
 from repro.paging.hugepages import SUPPORTED_PAGE_SIZES, choose_page_runs
 from repro.paging.pagetable import PageTable, Pte
 from repro.paging.walker import PageWalker
@@ -76,8 +75,8 @@ class AddressSpace:
         self.munmap_policy = "page"
         #: Optional LRU registry for the reclaim baseline.
         self.lru = None
-        # o1: allow(o1-size-loop) -- FaultType is a fixed enum, not operand data
-        self.fault_stats: Dict[FaultType, int] = {kind: 0 for kind in FaultType}
+        #: Resolved faults per kind, indexed by a :class:`FaultType` int.
+        self.fault_stats: List[int] = [0] * len(FAULT_COUNTERS)
 
     # ------------------------------------------------------------------
     # TranslationContext protocol
@@ -606,7 +605,7 @@ class AddressSpace:
                 leaf_va = window_va + index * PAGE_SIZE
                 leaf_vma = self.find_vma(leaf_va)
                 if leaf_vma is not None and leaf_vma.needs_cow():
-                    node.entries[index] = replace(entry, writable=False)
+                    node.entries[index] = entry._replace(writable=False)
         self._pt.window_write_protect(window_va, protect=False)
         self._counters.bump("cow_break")
 
@@ -637,7 +636,7 @@ class AddressSpace:
             self.lru.page_mapped(pfn, self, page_va)
         kind = FaultType.MAJOR if major else FaultType.MINOR
         self.fault_stats[kind] += 1
-        self._counters.bump(kind.counter_name)
+        self._counters.bump(FAULT_COUNTERS[kind])
 
     def _cow_fault(self, vma: Vma, page_va: int) -> None:
         if not vma.is_private():
@@ -653,7 +652,7 @@ class AddressSpace:
         if self._frame_table is not None:
             self._frame_table.get_ref(new_pfn)
         self.fault_stats[FaultType.COW] += 1
-        self._counters.bump(FaultType.COW.counter_name)
+        self._counters.bump(FAULT_COUNTERS[FaultType.COW])
 
     def _make_private_copy(self, vma: Vma, page_index: int, src_pfn: int) -> int:
         """Allocate and fill a private copy of a backing page."""
@@ -749,4 +748,4 @@ class AddressSpace:
 
     def fault_stats_total(self) -> int:
         """Total faults of all kinds this space has taken."""
-        return sum(self.fault_stats.values())
+        return sum(self.fault_stats)

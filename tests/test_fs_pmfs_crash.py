@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulatedCrashError
+from repro.fs.extent import Extent
+from repro.fs.pmfs import BlockAllocator, Pmfs
+from repro.hw.clock import SimClock
+from repro.hw.costmodel import CostModel, MemoryTechnology
 from repro.kernel import Kernel, MachineConfig
+from repro.mem.physical import MemoryRegion
+from repro.obs.metrics import MetricsRegistry
 from repro.units import GIB, KIB, MIB, PAGE_SIZE
 
 
@@ -30,6 +36,82 @@ class TestFsck:
         fs.allocator.alloc_extent(1)
         problems = fs.fsck()
         assert any("owned by no file" in p for p in problems)
+
+
+def _per_block_fsck(fs):
+    """The per-block fsck the bitmap XOR replaced: tests every block."""
+    problems = []
+    claimed = {}
+    for ino, tree in fs._trees.items():
+        for extent in tree.extents():
+            for pfn in range(extent.pfn, extent.pfn + extent.count):
+                if pfn in claimed:
+                    problems.append(
+                        f"block {pfn} claimed by ino {claimed[pfn]} and ino {ino}"
+                    )
+                claimed[pfn] = ino
+    region = fs.allocator._region
+    bitmap = fs.allocator._bitmap
+    for index in range(bitmap.size):
+        pfn = region.first_pfn + index
+        allocated = bitmap.test(index)
+        if allocated and pfn not in claimed:
+            problems.append(f"block {pfn} allocated but owned by no file")
+        elif not allocated and pfn in claimed:
+            problems.append(f"block {pfn} owned by ino {claimed[pfn]} but free in bitmap")
+    return problems
+
+
+def _corrupted_fs(files, flips, forged):
+    """A 256-block PMFS (from pfn 256) holding ``files``, with bitmap bits
+    ``flips`` flipped and extents ``forged`` appended to its trees."""
+    clock, costs, counters = SimClock(), CostModel(), MetricsRegistry()
+    region = MemoryRegion(start=1 * MIB, size=1 * MIB, tech=MemoryTechnology.NVM, name="nv")
+    allocator = BlockAllocator(region, clock, costs, counters)
+    fs = Pmfs("pmfs-small", allocator, clock, costs, counters)
+    bitmap = allocator._bitmap
+    for number, pages in enumerate(files):
+        fs.create(f"/f{number}", size=pages * PAGE_SIZE)
+    for index in flips:
+        if bitmap.test(index):
+            bitmap.clear_range(index, 1)
+        else:
+            bitmap.set_range(index, 1)
+    trees = list(fs._trees.values())
+    for number, (offset, count) in enumerate(forged):
+        if trees:
+            tree = trees[number % len(trees)]
+            logical = tree.block_count + 1000 * (number + 1)
+            tree.insert(Extent(logical=logical, pfn=region.first_pfn + offset, count=count))
+    return fs
+
+
+_CORRUPTIONS = dict(
+    files=st.lists(st.integers(1, 24), max_size=8),
+    flips=st.lists(st.integers(0, 255), max_size=10),
+    #: (offset from the region's first block, count): may straddle
+    #: either end of the region or overlap a live file.
+    forged=st.lists(st.tuples(st.integers(-6, 262), st.integers(1, 8)), max_size=4),
+)
+
+
+class TestFsckMatchesPerBlockReference:
+    @given(**_CORRUPTIONS)
+    def test_same_problems_in_same_order(self, files, flips, forged):
+        fs = _corrupted_fs(files, flips, forged)
+        assert fs.fsck() == _per_block_fsck(fs)
+
+    @given(**_CORRUPTIONS)
+    def test_scrub_frees_exactly_the_unowned_blocks(self, files, flips, forged):
+        fs = _corrupted_fs(files, flips, forged)
+        bitmap = fs.allocator._bitmap
+        reference = _per_block_fsck(fs)
+        leaked = [problem for problem in reference if "owned by no file" in problem]
+        set_before = bitmap.set_count
+        fs._scrub()
+        assert fs._counters.get("recovery_scrub_blocks") == len(leaked)
+        assert bitmap.set_count == set_before - len(leaked)
+        assert fs.fsck() == [problem for problem in reference if problem not in leaked]
 
 
 class TestInjectedCrashes:
@@ -118,10 +200,6 @@ class TestTickSemantics:
     @staticmethod
     def _fragmented_fs(clock, costs, counters):
         """A 4-block PMFS whose only free blocks are non-contiguous."""
-        from repro.fs.pmfs import BlockAllocator, Pmfs
-        from repro.hw.costmodel import MemoryTechnology
-        from repro.mem.physical import MemoryRegion
-
         region = MemoryRegion(
             start=0, size=4 * PAGE_SIZE, tech=MemoryTechnology.NVM, name="nv"
         )

@@ -131,8 +131,8 @@ class TestInvalidation:
 
         Oracle: brute-force overlap filter over every inserted entry —
         the semantics the set-batched implementation must preserve.
-        Lengths up to 4096 pages exercise both the sparse-VPN probe and
-        the span >= nsets degenerate case (128 sets for 4 KiB pages).
+        Lengths up to 4096 pages exercise both the per-VPN pops and the
+        span > nsets whole-array scan (128 sets for 4 KiB pages).
         """
         tlb = Tlb()
         resident = {}
@@ -152,10 +152,26 @@ class TestInvalidation:
             for key, e in resident.items()
             if e.asid == asid and e.vaddr < end and e.vaddr + e.page_size > vaddr
         }
+        # Every set's survivors, in LRU order: dropping entries must not
+        # reorder the ones left behind.
+        expected_sets = {
+            (size, index): [
+                key
+                for key, e in entry_set.items()
+                if (e.asid, e.page_size, e.vpn) not in expected_dropped
+            ]
+            for size, sets in tlb._arrays.items()
+            for index, entry_set in sets.items()
+        }
 
         assert tlb.invalidate_range(vaddr, length, asid=asid) == len(
             expected_dropped
         )
+        assert {
+            (size, index): list(entry_set)
+            for size, sets in tlb._arrays.items()
+            for index, entry_set in sets.items()
+        } == expected_sets
         for key, e in resident.items():
             hit = tlb.lookup(e.vaddr, asid=e.asid)
             if key in expected_dropped:

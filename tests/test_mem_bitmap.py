@@ -94,6 +94,100 @@ class TestRunSearch:
         assert bitmap.largest_clear_run() == 20
 
 
+def _per_bit_scan(bits, size, lo, hi, length):
+    """The per-bit ``Bitmap._scan`` the run-skipping one replaced: steps
+    through a set run one bit at a time."""
+    hi = min(hi, size)
+    index = lo
+    while index + length <= hi:
+        if bits >> index & 1:
+            index += 1
+            continue
+        window = bits >> index
+        if window == 0:
+            return index
+        next_set = (window & -window).bit_length() - 1
+        if next_set >= length:
+            return index
+        index += next_set + 1
+    return None
+
+
+def _per_bit_find(bits, size, length, start_hint):
+    """``find_clear_run`` over :func:`_per_bit_scan`, wrap included."""
+    if length > size:
+        return None
+    hint = start_hint % size
+    found = _per_bit_scan(bits, size, hint, size, length)
+    if found is None and hint:
+        found = _per_bit_scan(bits, size, 0, hint + length - 1, length)
+    return found
+
+
+def _per_bit_largest(bits, size):
+    """The per-bit ``largest_clear_run`` the run-hopping one replaced."""
+    best = current = 0
+    for index in range(size):
+        if bits >> index & 1:
+            current = 0
+        else:
+            current += 1
+            best = max(best, current)
+    return best
+
+
+#: A bitmap as alternating clear/set run lengths (clear first), so runs
+#: of every length sit next to each other, wrap points included.
+_RUNS = st.lists(st.integers(1, 40), min_size=1, max_size=16)
+
+
+def _from_runs(runs, size_slack):
+    bitmap = Bitmap(sum(runs) + size_slack)
+    start = 0
+    for position, length in enumerate(runs):
+        if position % 2:
+            bitmap.set_range(start, length)
+        start += length
+    return bitmap
+
+
+class TestRunHopping:
+    """The run-skipping searches against their per-bit references."""
+
+    @given(
+        runs=_RUNS,
+        size_slack=st.integers(0, 3),
+        length=st.integers(1, 48),
+        hint=st.integers(0, 1000),
+    )
+    def test_find_clear_run_matches_per_bit_scan(self, runs, size_slack, length, hint):
+        bitmap = _from_runs(runs, size_slack)
+        expected = _per_bit_find(bitmap._bits, bitmap.size, length, hint)
+        assert bitmap.find_clear_run(length, hint) == expected
+
+    @given(runs=_RUNS, size_slack=st.integers(0, 3))
+    def test_largest_clear_run_matches_per_bit_count(self, runs, size_slack):
+        bitmap = _from_runs(runs, size_slack)
+        assert bitmap.largest_clear_run() == _per_bit_largest(bitmap._bits, bitmap.size)
+
+    @given(runs=_RUNS, size_slack=st.integers(0, 3), expected=st.integers(0, 1 << 700))
+    def test_mismatches_lists_differing_bits_lowest_first(
+        self, runs, size_slack, expected
+    ):
+        bitmap = _from_runs(runs, size_slack)
+        assert bitmap.mismatches(expected) == [
+            index
+            for index in range(bitmap.size)
+            if bitmap.test(index) != bool(expected >> index & 1)
+        ]
+
+    def test_mismatches_ignores_bits_past_the_end(self):
+        bitmap = Bitmap(8)
+        bitmap.set_range(2, 3)
+        assert bitmap.mismatches(0b11100 | 1 << 8 | 1 << 40) == []
+        assert bitmap.mismatches(0) == [2, 3, 4]
+
+
 class TestProperties:
     @given(st.data())
     def test_alloc_free_roundtrip(self, data):

@@ -51,12 +51,14 @@ class TestBumpSiteAudit:
         assert len(names) >= 40
 
     def test_dynamic_fault_counter_names_are_canonical(self):
-        # FaultType.counter_name builds "fault_<kind>" at run time; the
-        # literal scan can't see those, so pin them here.
-        from repro.paging.fault import FaultType
+        # The fault path bumps FAULT_COUNTERS[kind], which the literal
+        # scan can't see, so pin every kind's name here.
+        from repro.paging.fault import FAULT_COUNTERS, FaultType
 
-        for kind in FaultType:
-            assert is_canonical(kind.counter_name), kind
+        kinds = (FaultType.MINOR, FaultType.MAJOR, FaultType.COW)
+        assert sorted(kinds) == list(range(len(FAULT_COUNTERS)))
+        for kind in kinds:
+            assert is_canonical(FAULT_COUNTERS[kind]), kind
 
     def test_fstring_bumps_limited_to_syscall_dispatch(self):
         dynamic = []

@@ -10,7 +10,7 @@ from repro.hw.cache import CacheModel
 from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel
 from repro.obs.metrics import MetricsRegistry
-from repro.paging.pagetable import PageTable, PageTableNode
+from repro.paging.pagetable import PageTable, PageTableNode, Pte
 from repro.paging.walker import PageWalker
 from repro.units import HUGE_PAGE_1G, HUGE_PAGE_2M, PAGE_SIZE
 
@@ -172,6 +172,42 @@ def _build(table, steps):
     return built
 
 
+class _NoPerLineCache(CacheModel):
+    """A cache whose single-line entry point must not be used by walks."""
+
+    def reference(self, paddr, write=False):
+        raise AssertionError("the walker priced a line outside its one pass")
+
+
+def _per_line_walk(cache, counters, table, vaddr, virtualized, ept_base):
+    """Reference pricing: one ``CacheModel.reference`` and one counter
+    bump per line, in visit order — each node's nested EPT lines, then
+    its entry line, then the data page's EPT lines on success."""
+    counters.bump("walk_start")
+
+    def host_walk(guest_paddr):
+        for host_depth in range(table.levels):
+            cache.reference(ept_base + (guest_paddr >> 12 << 6) + host_depth * 8)
+            counters.bump("nested_walk_ref")
+
+    node = table.root
+    for depth in range(table.levels):
+        shift = 12 + 9 * (table.levels - 1 - depth)
+        index = (vaddr >> shift) & 511
+        if virtualized:
+            host_walk(node.paddr)
+        cache.reference(node.paddr + index * 8)
+        counters.bump("walk_ref")
+        entry = node.entries.get(index)
+        if isinstance(entry, Pte):
+            if virtualized:
+                host_walk(entry.paddr)
+            return
+        if entry is None:
+            return
+        node = entry
+
+
 def _nodes_visited(table, vaddr):
     """Reference descent, indexing with the textbook shift formula:
     nodes read until a leaf, an empty slot, or the bottom level."""
@@ -224,3 +260,35 @@ class TestWalkMatchesLookup:
             assert visited + nested <= walker.references_per_walk(levels)
             if entry is not None and entry.page_size == PAGE_SIZE:
                 assert visited + nested == walker.references_per_walk(levels)
+
+    @given(
+        levels=st.sampled_from([4, 5]),
+        virtualized=st.booleans(),
+        steps=st.lists(_STEPS, min_size=1, max_size=24),
+        probes=st.lists(_PROBES, min_size=1, max_size=16),
+    )
+    def test_one_pass_prices_like_per_line_references(
+        self, levels, virtualized, steps, probes
+    ):
+        """Property: a walk's one cache pass leaves the clock, every
+        counter and both LRU orders exactly where one reference per line
+        would, walk after walk (hits, failed walks, warm and cold)."""
+        clock, counters, costs = SimClock(), MetricsRegistry(), CostModel()
+        cache = _NoPerLineCache(clock, costs, counters, l1_lines=8, llc_lines=32)
+        walker = PageWalker(cache, clock, costs, counters, virtualized=virtualized)
+        twin_clock, twin_counters = SimClock(), MetricsRegistry()
+        twin = CacheModel(twin_clock, costs, twin_counters, l1_lines=8, llc_lines=32)
+        table = PageTable(levels=levels)
+        built = _build(table, steps)
+        for reuse, fresh, offset in probes:
+            vaddr = (built[fresh % len(built)] if reuse and built else fresh) + offset
+            walker.walk(table, vaddr)
+            _per_line_walk(
+                twin, twin_counters, table, vaddr, virtualized, walker._ept_base
+            )
+            assert clock.now == twin_clock.now
+            # Full snapshots, not deltas: a zero-amount bump would leave
+            # a key the per-line reference never creates.
+            assert counters.snapshot() == twin_counters.snapshot()
+            assert list(cache._l1) == list(twin._l1)
+            assert list(cache._llc) == list(twin._llc)
