@@ -14,7 +14,7 @@ from repro.analysis import Series, format_series_table
 from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel, MemoryTechnology
 from repro.mem.bitmap import Bitmap
-from repro.mem.frame_meta import FrameTable, PageFlags
+from repro.mem.frame_meta import FrameTable
 from repro.obs.metrics import MetricsRegistry
 from repro.units import GIB, PAGE_SIZE
 
@@ -25,9 +25,9 @@ def scan_cost(size_gb: int) -> int:
     clock = SimClock()
     table = FrameTable(clock, CostModel(), MetricsRegistry())
     frames = size_gb * GIB // PAGE_SIZE
-    # One aging pass: touch every frame's metadata (as kswapd would).
-    for meta in table.scan(iter(range(frames))):
-        meta.clear_flag(PageFlags.REFERENCED)
+    # One aging pass: update every frame's metadata (as kswapd would),
+    # charged in closed form, exactly the sum of per-frame touches.
+    table.scan_charge(frames)
     return clock.now
 
 

@@ -9,12 +9,18 @@ memory size.  This module reproduces that baseline faithfully: a
 every touched frame — so benchmarks can measure exactly the linear costs
 the paper argues against, and the file-only-memory path can show them
 disappearing (one bit per block in a bitmap instead).
+
+A scan (a reclaim aging pass, a run of the clock hand) is charged in
+closed form: :meth:`FrameTable.scan_charge` prices ``n`` metadata updates
+with one clock advance and one counter bump, the same simulated sum as
+``n`` separate touches, and :meth:`FrameTable.scan_meta` hands out the
+visited metas uncharged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel
@@ -92,6 +98,16 @@ class FrameMeta:
         return bool(self.flags & flag)
 
 
+class _FrameMetas(dict):
+    """pfn -> :class:`FrameMeta`, creating a frame's entry on first lookup."""
+
+    def __missing__(self, pfn: int) -> FrameMeta:
+        if pfn < 0:
+            raise ValueError(f"pfn must be non-negative, got {pfn}")
+        meta = self[pfn] = FrameMeta(pfn=pfn)
+        return meta
+
+
 class FrameTable:
     """The kernel's frame-metadata array (Linux's ``mem_map``).
 
@@ -112,22 +128,38 @@ class FrameTable:
         self._clock: SimClock = clock or SimClock()
         self._costs: CostModel = costs or CostModel()
         self._counters: MetricsRegistry = counters or MetricsRegistry()
-        self._frames: Dict[int, FrameMeta] = {}
-
-    def _charge(self) -> None:
-        self._clock.advance(self._costs.frame_meta_update_ns)
-        self._counters.bump("frame_meta_touch")
+        self._frames = _FrameMetas()
+        #: Cost models are frozen: the price is read once, not per charge.
+        self._update_ns = self._costs.frame_meta_update_ns
 
     def touch(self, pfn: int) -> FrameMeta:
-        """Metadata for frame ``pfn``, charging one metadata update."""
-        if pfn < 0:
-            raise ValueError(f"pfn must be non-negative, got {pfn}")
-        self._charge()
-        meta = self._frames.get(pfn)
-        if meta is None:
-            meta = FrameMeta(pfn=pfn)
-            self._frames[pfn] = meta
+        """Metadata for frame ``pfn``, charging one metadata update.
+
+        A one-frame scan: the same get-or-create as :meth:`scan_meta`
+        and the same charge as :meth:`scan_charge`.
+        """
+        meta = self._frames[pfn]
+        self.scan_charge(1)
         return meta
+
+    def scan_meta(self, pfn: int) -> FrameMeta:
+        """Metadata for frame ``pfn``, created on first use, uncharged.
+
+        A scan's visits are paid for by :meth:`scan_charge`.
+        """
+        return self._frames[pfn]
+
+    def scan_charge(self, n: int) -> None:
+        """Charge ``n`` metadata updates: one advance, one bump.
+
+        This is the primitive behind reclaim scans (clock hand, LRU
+        aging), whose linear cost the paper's §3.1 eliminates: the clock
+        moves ``n * frame_meta_update_ns``, exactly the sum of ``n``
+        touches.  ``n == 0`` charges nothing and creates no counter.
+        """
+        if n:
+            self._clock.advance(n * self._update_ns)
+            self._counters.bump("frame_meta_touch", n)
 
     def peek(self, pfn: int) -> Optional[FrameMeta]:
         """Read metadata without charging (for tests/introspection)."""
@@ -146,15 +178,6 @@ class FrameTable:
             raise ValueError(f"refcount underflow on pfn {pfn}")
         meta.refcount -= 1
         return meta.refcount
-
-    def scan(self, pfns: Iterator[int]) -> Iterator[FrameMeta]:
-        """Iterate metadata for ``pfns``, charging per frame.
-
-        This is the primitive behind reclaim scans (clock hand, LRU aging)
-        whose linear cost the paper's §3.1 eliminates.
-        """
-        for pfn in pfns:
-            yield self.touch(pfn)
 
     def tracked_count(self) -> int:
         """Number of frames with instantiated metadata."""

@@ -382,27 +382,36 @@ class PageTable:
         return False
 
     @o1(note="fixed-depth radix descent")
-    def path_shared(self, vaddr: int) -> bool:
-        """True when ``vaddr`` translates through a node shared with
-        another table (``refs > 1``) or a write-protected slot.
+    def lookup_shared(self, vaddr: int) -> Tuple[Optional[Pte], bool]:
+        """``vaddr``'s effective leaf (as :meth:`lookup` returns it) and
+        whether its path is shared, from one descent.
 
-        Such a translation is visible to a sibling address space (fork's
-        COW subtree sharing), so per-page mutations on it — eviction in
-        particular — cannot be performed from this table alone.
+        The path is shared when it passes a write-protected slot or a
+        node shared with another table (``refs > 1``), down to where the
+        translation ends.  Such a translation is visible to a sibling
+        address space (fork's COW subtree sharing), so per-page mutations
+        on it — eviction in particular — cannot be performed from this
+        table alone.
         """
         node = self._root
+        write_protected = False
+        shared = False
         # o1: allow(o1-size-loop) -- the level count is a hardware constant
         for shift in self.shifts:
             index = (vaddr >> shift) & INDEX_MASK
             if index in node.wp_slots:
-                return True
+                write_protected = True
             entry = node.entries.get(index)
-            if not isinstance(entry, PageTableNode):
-                return False
+            if entry is None:
+                return None, shared or write_protected
+            if isinstance(entry, Pte):
+                if write_protected and entry.writable:
+                    entry = entry._replace(writable=False)
+                return entry, shared or write_protected
             if entry.refs > 1:
-                return True
+                shared = True
             node = entry
-        return False
+        return None, shared or write_protected
 
     @o1(note="fixed-depth radix descent")
     def path_nodes(self, vaddr: int) -> List[PageTableNode]:

@@ -339,6 +339,28 @@ def _prep_qos_reclaim_batch(round_budget: int) -> Callable[[], object]:
     return lambda: qos.reclaim_batch(target)
 
 
+def _prep_reclaim_aging_pass(pages: int) -> Callable[[], object]:
+    from repro.vm.reclaimd import ClockReclaimer
+
+    kernel = _machine()
+    process = kernel.spawn("b", track_lru=True)
+    va = kernel.syscalls(process).mmap(pages * PAGE_SIZE)
+    kernel.access_range(process, va, pages * PAGE_SIZE, write=True)
+    lru = kernel.lru
+    reclaimer = ClockReclaimer(lru, kernel.frame_table, kernel.counters)
+
+    def step() -> object:
+        # Every entry back on the active list, the page the last call
+        # promoted at its tail: this call ages all of them, then pops one
+        # page that is still referenced and promotes it, evicting nothing.
+        lru.inactive.extend(lru.active)
+        lru.active.clear()
+        lru.active, lru.inactive = lru.inactive, lru.active
+        return reclaimer.reclaim(1, max_scan=1)
+
+    return step
+
+
 def _prep_counters_bump() -> Callable[[], object]:
     counters = MetricsRegistry()
     counters.bump("tlb_hit")  # warm: the key exists, as on the hot path
@@ -474,6 +496,9 @@ TIER1_OPS: List[BenchOp] = [
     BenchOp("qos.reclaim_batch", lambda: _prep_qos_reclaim_batch(16), 16,
             "one direct-reclaim batch (32 evictions to swap) against a "
             "limited cgroup, with a neighbour cgroup's pages resident"),
+    BenchOp("reclaim.aging_pass", lambda: _prep_reclaim_aging_pass(1024), 16,
+            "clock reclaim that ages a 1,024-entry active list of "
+            "referenced pages, then promotes one"),
     BenchOp("qos.charge", _prep_qos_charge, 256,
             "order-0 alloc + free billed to a limited tenant cgroup"),
     BenchOp("counters.bump", _prep_counters_bump, 16384,

@@ -683,11 +683,11 @@ class AddressSpace:
         (clean file page).
         """
         page_va = vaddr - vaddr % PAGE_SIZE
-        pte = self._pt.lookup(page_va)
+        pte, shared = self._pt.lookup_shared(page_va)
         if pte is None:
             return False
         vma = self.find_vma(page_va)
-        if not self._evictable(vma, page_va, pte):
+        if shared or not self._evictable(vma, page_va, pte):
             # A COW-shared translation (fork's subtree sharing) is pinned:
             # unmapping here would privatize only this table's path while
             # the sibling keeps a live PTE to the frame swap-out is about
@@ -714,11 +714,9 @@ class AddressSpace:
         self._counters.bump("vm_page_evict")
         return True
 
-    @o1(note="one fixed-depth probe plus refcount checks")
+    @o1(note="refcount checks on the backing")
     def _evictable(self, vma, page_va: int, pte) -> bool:
-        """Whether this page can be reclaimed from this space alone."""
-        if self._pt.path_shared(page_va):
-            return False
+        """Whether the backing lets this space alone reclaim the page."""
         if vma is None:
             return True
         backing = vma.backing

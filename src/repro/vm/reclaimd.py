@@ -3,10 +3,18 @@
 These are the algorithms the paper's §3.1 declares unnecessary under
 file-only memory ("avoids the need for page reclamation algorithms (e.g.,
 clock, 2-queue)").  Both are implemented faithfully enough to expose their
-defining cost: *scanning* — every page examined is a charged metadata
-touch, so reclaiming under pressure is linear in resident memory even when
-few pages are actually evicted.  Bench E10 contrasts this with file-
-granularity reclamation (delete one discardable file, O(1) per file).
+defining cost: *scanning* — on the simulated clock every page examined is
+a charged ``FrameTable.touch``, so reclaiming under pressure is linear in
+resident memory even when few pages are actually evicted.  Bench E10
+contrasts this with file-granularity reclamation (delete one discardable
+file, O(1) per file).
+
+On the host the same sum is charged per pass or per run: an aging pass
+charges its whole list at once, and a scan counts the pages it examines
+and charges them (``reclaim_scanned`` plus ``FrameTable.scan_charge``)
+right before each eviction — the only call that leaves the reclaimer —
+and before returning.  Every hook, chaos site and tracer span an eviction
+reaches therefore sees the clock and counters a per-page charge leaves.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from typing import Any, Deque, Dict, Optional
 from repro.lint import complexity
 from repro.mem.frame_meta import FrameMeta, FrameTable, PageFlags
 from repro.obs.metrics import MetricsRegistry
+from repro.units import PAGE_SIZE
 
 
 @dataclass
@@ -29,8 +38,25 @@ class _LruEntry:
     vaddr: int
 
     def is_mapped(self) -> bool:
-        """True while ``space`` still translates ``vaddr``."""
-        return self.space.page_table.lookup(self.vaddr) is not None
+        """True while ``space`` still translates ``vaddr`` to ``pfn``.
+
+        A translation to another frame means the page was unmapped and
+        the address reused: the entry is dead although ``vaddr`` maps.
+        """
+        pte = self.space.page_table.lookup(self.vaddr)
+        return (
+            pte is not None
+            and pte.paddr + self.vaddr % pte.page_size == self.pfn * PAGE_SIZE
+        )
+
+
+def _charge_scanned(
+    counters: MetricsRegistry, frame_table: FrameTable, n: int
+) -> None:
+    """Charge ``n`` examined pages: ``reclaim_scanned`` and their touches."""
+    if n:
+        counters.bump("reclaim_scanned", n)
+        frame_table.scan_charge(n)
 
 
 class LruLists:
@@ -56,8 +82,9 @@ class LruLists:
     def page_mapped(self, pfn: int, space: object, vaddr: int) -> None:
         """Register a freshly mapped page (called from the fault path).
 
-        A pfn whose entry is still mapped keeps it (a shared page is
-        scanned once); a dead entry holding a reused pfn is replaced.
+        A pfn whose entry still maps it keeps it (a shared page is
+        scanned once); a dead entry holding a reused pfn is replaced,
+        also when its address now maps another frame.
         """
         tracked = self._entries.get(pfn)
         if tracked is not None and tracked.is_mapped():
@@ -114,8 +141,9 @@ class ClockReclaimer:
     ``reclaim(n)`` scans the inactive list: referenced pages get a second
     chance (promoted to active, flag cleared); unreferenced pages are
     evicted via their address space.  When the inactive list runs dry the
-    active list is aged into it.  Every examined page is a charged
-    ``FrameTable.touch`` — the linear scan cost.  The reclaimer only ever
+    active list is aged into it.  Every examined page is charged one
+    metadata update — the linear scan cost — in one charge per aging pass
+    and per run of scanned pages.  The reclaimer only ever
     sees its own lists, so reclaim targeted at one memory cgroup runs
     over that cgroup's lists.
     """
@@ -154,48 +182,56 @@ class ClockReclaimer:
             return reclaimed
         return self._reclaim(nr_pages, max_scan)
 
-    @complexity("n", note="scan-budgeted clock hand; every touch is charged")
+    @complexity("n", note="scan-budgeted clock hand; examined pages charged per run")
     def _reclaim(self, nr_pages: int, max_scan: Optional[int] = None) -> int:
+        lru = self._lru
+        scan_meta = self._frame_table.scan_meta
         reclaimed = 0
         scanned = 0
+        # Examined but not yet charged: flushed before every eviction.
+        pending = 0
         # Bound total scanning at a few passes over everything, as kswapd
         # priorities do, so pressure with all-hot pages terminates.
         scan_budget = (
             max_scan
             if max_scan is not None
-            else 4 * max(1, self._lru.resident_count)
+            else 4 * max(1, lru.resident_count)
         )
         while reclaimed < nr_pages and scanned < scan_budget:
-            if not self._lru.inactive:
+            if not lru.inactive:
                 # o1: allow(flow-bounded) -- aging moves pages the scan then consumes; amortized into the declared n
                 if not self._age_active():
                     break
-            entry = self._lru.inactive.popleft()
+            entry = lru.inactive.popleft()
             scanned += 1
-            self._counters.bump("reclaim_scanned")
-            meta = self._frame_table.touch(entry.pfn)
+            pending += 1
+            meta = scan_meta(entry.pfn)
             if meta.has_flag(PageFlags.REFERENCED):
                 meta.clear_flag(PageFlags.REFERENCED)
                 meta.lru_list = "active"
-                self._lru.active.append(entry)
+                lru.active.append(entry)
                 continue
-            if self._lru._evict(entry, meta):
+            _charge_scanned(self._counters, self._frame_table, pending)
+            pending = 0
+            if lru._evict(entry, meta):
                 reclaimed += 1
                 self._counters.bump("reclaim_evicted")
+        _charge_scanned(self._counters, self._frame_table, pending)
         self.scanned = scanned
         return reclaimed
 
-    @complexity("n", note="one pass over the active list; charged per touch")
+    @complexity("n", note="one pass over the active list, charged once for all of it")
     def _age_active(self) -> bool:
         """Move the active list to inactive (one aging pass)."""
-        if not self._lru.active:
+        active = self._lru.active
+        if not active:
             return False
-        while self._lru.active:
-            entry = self._lru.active.popleft()
-            self._counters.bump("reclaim_scanned")
-            meta = self._frame_table.touch(entry.pfn)
-            meta.lru_list = "inactive"
-            self._lru.inactive.append(entry)
+        _charge_scanned(self._counters, self._frame_table, len(active))
+        scan_meta = self._frame_table.scan_meta
+        for entry in active:
+            scan_meta(entry.pfn).lru_list = "inactive"
+        self._lru.inactive.extend(active)
+        active.clear()
         return True
 
 
@@ -204,7 +240,7 @@ class TwoQueueReclaimer:
 
     New pages enter A1 and are evicted from it unless referenced, in which
     case they are promoted to Am; Am overflows back into A1's tail.  Like
-    clock, every examined page charges a metadata touch.
+    clock, every examined page charges a metadata update, per run.
     """
 
     def __init__(
@@ -234,33 +270,40 @@ class TwoQueueReclaimer:
         return self._reclaim(nr_pages)
 
     def _reclaim(self, nr_pages: int) -> int:
+        lru = self._lru
+        scan_meta = self._frame_table.scan_meta
         reclaimed = 0
-        scan_budget = 4 * max(1, self._lru.resident_count)
-        max_protected = int(self._protected_fraction * self._lru.resident_count)
+        # Examined but not yet charged: flushed before every eviction.
+        pending = 0
+        scan_budget = 4 * max(1, lru.resident_count)
+        max_protected = int(self._protected_fraction * lru.resident_count)
         while reclaimed < nr_pages and scan_budget > 0:
-            if not self._lru.inactive:
-                if not self._lru.active:
+            if not lru.inactive:
+                if not lru.active:
                     break
                 # Demote the Am head when A1 is empty.
-                entry = self._lru.active.popleft()
-                self._counters.bump("reclaim_scanned")
+                entry = lru.active.popleft()
+                pending += 1
                 scan_budget -= 1
-                self._frame_table.touch(entry.pfn).lru_list = "inactive"
-                self._lru.inactive.append(entry)
+                scan_meta(entry.pfn).lru_list = "inactive"
+                lru.inactive.append(entry)
                 continue
-            entry = self._lru.inactive.popleft()
+            entry = lru.inactive.popleft()
             scan_budget -= 1
-            self._counters.bump("reclaim_scanned")
-            meta = self._frame_table.touch(entry.pfn)
+            pending += 1
+            meta = scan_meta(entry.pfn)
             if (
                 meta.has_flag(PageFlags.REFERENCED)
-                and len(self._lru.active) < max_protected
+                and len(lru.active) < max_protected
             ):
                 meta.clear_flag(PageFlags.REFERENCED)
                 meta.lru_list = "active"
-                self._lru.active.append(entry)
+                lru.active.append(entry)
                 continue
-            if self._lru._evict(entry, meta):
+            _charge_scanned(self._counters, self._frame_table, pending)
+            pending = 0
+            if lru._evict(entry, meta):
                 reclaimed += 1
                 self._counters.bump("reclaim_evicted")
+        _charge_scanned(self._counters, self._frame_table, pending)
         return reclaimed

@@ -70,11 +70,23 @@ class TestFrameTable:
 
     def test_scan_charges_per_frame(self):
         # The linear cost the paper eliminates: scanning N frames costs N
-        # metadata touches.
+        # metadata touches, charged in closed form.
         table, clock, counters = self.make()
-        list(table.scan(iter(range(100))))
+        table.scan_charge(100)
         assert counters.get("frame_meta_touch") == 100
         assert clock.now == 100 * CostModel().frame_meta_update_ns
+
+    def test_scan_meta_and_empty_charge_are_free(self):
+        # A scan's metas are paid for by scan_charge; an empty scan
+        # charges nothing and leaves no zero-valued counter behind.
+        table, clock, counters = self.make()
+        meta = table.scan_meta(3)
+        table.scan_charge(0)
+        assert table.scan_meta(3) is meta and table.touch(3) is meta
+        assert clock.now == CostModel().frame_meta_update_ns
+        assert list(counters.snapshot()) == ["frame_meta_touch"]
+        with pytest.raises(ValueError):
+            table.scan_meta(-1)
 
     def test_works_unwired(self):
         table = FrameTable()  # no clock: pure data structure

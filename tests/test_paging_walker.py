@@ -222,6 +222,44 @@ def _nodes_visited(table, vaddr):
     return visited
 
 
+def _path_shared(table, vaddr):
+    """The separate sharing descent eviction made before ``lookup_shared``
+    (the reference): a write-protected slot or a ``refs > 1`` node on the
+    path, down to where the translation ends."""
+    node = table.root
+    for shift in table.shifts:
+        index = (vaddr >> shift) & 511
+        if index in node.wp_slots:
+            return True
+        entry = node.entries.get(index)
+        if not isinstance(entry, PageTableNode):
+            return False
+        if entry.refs > 1:
+            return True
+        node = entry
+    return False
+
+
+class TestLookupShared:
+    """Property: one ``lookup_shared`` descent answers what eviction
+    asked of two, ``lookup`` and the sharing descent, on random trees
+    with huge leaves, linked subtrees and write-protected windows."""
+
+    @given(
+        levels=st.sampled_from([4, 5]),
+        steps=st.lists(_STEPS, min_size=1, max_size=24),
+        probes=st.lists(_PROBES, min_size=1, max_size=16),
+    )
+    def test_matches_lookup_and_path_sharing(self, levels, steps, probes):
+        table = PageTable(levels=levels)
+        built = _build(table, steps)
+        for reuse, fresh, offset in probes:
+            vaddr = (built[fresh % len(built)] if reuse and built else fresh) + offset
+            assert table.lookup_shared(vaddr) == (
+                table.lookup(vaddr), _path_shared(table, vaddr)
+            )
+
+
 class TestWalkMatchesLookup:
     """Property: the hardware walker and the page table's own lookup
     translate every address the same way, on random trees with huge
