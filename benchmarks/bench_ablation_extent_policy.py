@@ -4,6 +4,10 @@ DESIGN.md calls out extent sizing as the core trade.  Sweep the minimum
 extent size (4 KiB = no rounding ... 2 MiB = paper's choice) and report
 both sides of the bargain: mapping cost (PTEs per region) and wasted
 bytes, over a realistic mixed-size allocation trace.
+
+PTE writes are counted on the mapping side (``fom.allocate``) only.
+Teardown drops whole page-table windows and writes the same few PTEs at
+every extent size, so counting it would only blur the mapping ratio.
 """
 
 from conftest import run_once
@@ -36,15 +40,19 @@ def run_policy(min_extent: int):
         OPERATIONS, live_target=48
     )
     live = {}
+    counters = kernel.counters
+    map_ptes = 0
     with kernel.measure() as m:
         for event in trace:
             if event.op is TraceOp.MALLOC:
+                before = counters.get("pte_write")
                 live[event.tag] = fom.allocate(process, max(event.size, 1))
+                map_ptes += counters.get("pte_write") - before
             else:
                 fom.release(live.pop(event.tag))
     return (
         m.elapsed_ns,
-        m.counter_delta.get("pte_write", 0),
+        map_ptes,
         policy.ledger.wasted_bytes,
         policy.ledger.overhead_ratio,
     )
@@ -71,7 +79,7 @@ def test_ablation_extent_policy(benchmark, record_result):
     record_result(
         "ablation_extent_policy",
         format_table(
-            ["min extent", "time ms", "pte writes", "waste MiB", "overhead"],
+            ["min extent", "time ms", "map pte writes", "waste MiB", "overhead"],
             [(n, f"{ms:.2f}", p, w, o) for n, ms, p, w, o in rows],
         ),
     )

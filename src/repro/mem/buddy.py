@@ -10,6 +10,13 @@ The paper's §3.1 notes that "Linux manages pages in the buddy allocator,
 but does not aggressively merge pages, so there may be contiguity present
 that is not available for use" and suggests slab-style extent allocation
 instead — the comparison appears in the extent-allocation ablation bench.
+
+The host charges once per call: :meth:`BuddyAllocator.alloc` advances
+the clock once by ``frame_alloc_ns`` plus its splits' ``buddy_split_ns``,
+and :meth:`~BuddyAllocator.free` and :meth:`~BuddyAllocator.free_many`
+share one block-free core that tallies ``buddy_free`` and
+``buddy_merge`` and bumps each once per call.  The simulated clock and
+counters come out exactly as one charge per block and per split.
 """
 
 from __future__ import annotations
@@ -95,10 +102,6 @@ class BuddyAllocator:
         """Region name for error messages (falls back to its address)."""
         return self._region.name or f"{self._region.start:#x}"
 
-    def _charge(self, ns: int, event: str) -> None:
-        self._clock.advance(ns)
-        self._counters.bump(event)
-
     @staticmethod
     @o1(note="bit_length, no search")
     def order_for_pages(npages: int) -> int:
@@ -132,21 +135,25 @@ class BuddyAllocator:
                 f"{self._describe()} "
                 f"({self._free_frames} frames free but fragmented)"
             )
-        costs = self._costs
-        self._charge(costs.frame_alloc_ns, "buddy_alloc")
         pfn = self._free_lists[source].pop()
+        splits = source - order
         # Split down to the requested order, freeing the upper halves.
         # o1: allow(flow-bounded) -- at most max_order splits, the declared log factor
         while source > order:
             source -= 1
             self._free_lists[source].add(pfn + (1 << source))
-            self._charge(costs.buddy_split_ns, "buddy_split")
+        costs = self._costs
+        self._clock.advance(costs.frame_alloc_ns + splits * costs.buddy_split_ns)
+        counters = self._counters
+        counters.bump("buddy_alloc")
+        if splits:
+            counters.bump("buddy_split", splits)
         self._allocated[pfn] = order
         self._free_frames -= 1 << order
-        san = self._counters.sanitize
+        san = counters.sanitize
         if san is not None:
             san.on_frame_alloc(self, pfn, order)
-        qos = self._counters.qos
+        qos = counters.qos
         if qos is not None:
             qos.on_frames_alloc(pfn, 1 << order)
         return pfn
@@ -167,10 +174,7 @@ class BuddyAllocator:
     @o1(note="frees charge once; the merge chain charges 0 ns")
     def free(self, pfn: int) -> None:
         """Free a previously allocated block, coalescing with buddies."""
-        san = self._counters.sanitize
-        if san is not None:
-            san.on_frame_free(self, pfn)
-        self._free_block(pfn, self._costs.frame_free_ns)
+        self._free_blocks((pfn,))
 
     @o1(note="one charged update for the whole batch; per-block work charges 0 ns")
     def free_many(self, pfns: Sequence[int]) -> None:
@@ -184,41 +188,74 @@ class BuddyAllocator:
         <repro.core.o1.zeroing.CryptoErase.return_frames>` be O(1) like
         the key destruction itself.
         """
-        if not pfns:
-            return
-        san = self._counters.sanitize
-        charge = self._costs.frame_free_ns
-        # o1: allow(o1-size-loop) -- batch charges one frame_free_ns; rest 0 ns
-        for pfn in pfns:
-            if san is not None:
-                san.on_frame_free(self, pfn)
-            self._free_block(pfn, charge)
-            charge = 0
+        self._free_blocks(pfns)
 
-    @o1(note="coalescing climbs at most max_order orders, a config constant")
-    def _free_block(self, pfn: int, charge_ns: int) -> None:
-        """Uncharged-core free: ledger pop, coalesce, free-list insert."""
-        if pfn in self._retired:
-            raise ValueError(f"pfn {pfn} is retired and can never be freed")
-        order = self._allocated.pop(pfn, None)
-        if order is None:
-            raise ValueError(f"pfn {pfn} was not allocated by this allocator")
+    @o1(note="one frame_free_ns per call; merge chains capped at max_order steps")
+    def _free_blocks(self, pfns: Sequence[int]) -> None:
+        """The block-free core: ledger pop, coalesce, free-list insert.
+
+        The first block charges ``frame_free_ns`` right after its QoS
+        uncharge; the rest charge 0 ns.  ``buddy_free`` and
+        ``buddy_merge`` are tallied and bumped once each on the way out,
+        even when a bad pfn raises partway, so the counters hold the
+        blocks freed before it.  An armed sanitizer may count a violation
+        of its own mid-batch, so the tallies are settled before each of
+        its hooks: every counter keeps the creation order that one bump
+        per block gave it.
+        """
+        san = self._counters.sanitize
         qos = self._counters.qos
-        if qos is not None:
-            qos.on_frames_free(pfn)
-        self._charge(charge_ns, "buddy_free")
-        self._free_frames += 1 << order
+        free_lists = self._free_lists
+        allocated = self._allocated
+        retired = self._retired
         first = self._region.first_pfn
-        # o1: allow(o1-size-loop, o1-charge-in-loop) -- merge chain is capped at max_order steps
-        while order < self._max_order:
-            buddy = first + ((pfn - first) ^ (1 << order))
-            if buddy not in self._free_lists[order]:
-                break
-            self._free_lists[order].remove(buddy)
-            pfn = min(pfn, buddy)
-            order += 1
-            self._charge(0, "buddy_merge")
-        self._free_lists[order].add(pfn)
+        max_order = self._max_order
+        charge_ns = self._costs.frame_free_ns
+        freed = merges = 0
+        try:
+            # o1: allow(o1-size-loop, o1-charge-in-loop) -- the batch charges one frame_free_ns, at its first block; per-block work 0 ns
+            for pfn in pfns:
+                if san is not None:
+                    if freed:
+                        self._count_frees(freed, merges)
+                        freed = merges = 0
+                    san.on_frame_free(self, pfn)
+                if pfn in retired:
+                    raise ValueError(
+                        f"pfn {pfn} is retired and can never be freed"
+                    )
+                order = allocated.pop(pfn, None)
+                if order is None:
+                    raise ValueError(
+                        f"pfn {pfn} was not allocated by this allocator"
+                    )
+                if qos is not None:
+                    qos.on_frames_free(pfn)
+                if charge_ns:
+                    self._clock.advance(charge_ns)
+                    charge_ns = 0
+                freed += 1
+                self._free_frames += 1 << order
+                # o1: allow(o1-size-loop, o1-nested-size-loop) -- merge chain is capped at max_order steps
+                while order < max_order:
+                    buddy = first + ((pfn - first) ^ (1 << order))
+                    if buddy not in free_lists[order]:
+                        break
+                    free_lists[order].remove(buddy)
+                    if buddy < pfn:
+                        pfn = buddy
+                    order += 1
+                    merges += 1
+                free_lists[order].add(pfn)
+        finally:
+            self._count_frees(freed, merges)
+
+    def _count_frees(self, freed: int, merges: int) -> None:
+        """Bump the free and merge tallies of a batch (none: no keys)."""
+        if freed:
+            self._counters.bump("buddy_free", freed)
+            if merges:
+                self._counters.bump("buddy_merge", merges)
 
     # ------------------------------------------------------------------
     # Retirement (RAS)
@@ -260,7 +297,7 @@ class BuddyAllocator:
             self._allocated[pfn] = 0
             self._retired.add(pfn)
             self._free_frames -= 1
-            self._charge(0, "buddy_retire")
+            self._counters.bump("buddy_retire")
             san = self._counters.sanitize
             if san is not None:
                 san.on_frame_retired(self, pfn)

@@ -143,10 +143,46 @@ def _prep_access_fault_minor(round_budget: int) -> Callable[[], object]:
     return step
 
 
+def _prep_access_cow_break(round_budget: int) -> Callable[[], object]:
+    from repro.vm.vma import MapFlags
+
+    kernel = _machine()
+    parent = kernel.spawn("parent")
+    sys_calls = kernel.syscalls(parent)
+    # One fork-shared 2 MiB window per call, each holding 32 resident
+    # pages (file_churn's anonymous region): every store breaks a share.
+    window = 2 * MIB
+    base = parent.space.pick_address(round_budget * window, window)
+    regions = [
+        sys_calls.mmap(
+            32 * PAGE_SIZE,
+            flags=MapFlags.PRIVATE | MapFlags.POPULATE,
+            addr=base + index * window,
+        )
+        for index in range(round_budget)
+    ]
+    kernel.fork(parent)
+    regions.reverse()
+
+    def step() -> object:
+        return kernel.access(parent, regions.pop(), write=True)
+
+    return step
+
+
 def _prep_mmap_anon() -> Callable[[], object]:
     kernel = _machine()
     sys_calls = kernel.syscalls(kernel.spawn("b"))
     return lambda: sys_calls.mmap(16 * PAGE_SIZE)
+
+
+def _prep_mmap_populate() -> Callable[[], object]:
+    from repro.vm.vma import MapFlags
+
+    kernel = _machine()
+    sys_calls = kernel.syscalls(kernel.spawn("b"))
+    flags = MapFlags.PRIVATE | MapFlags.POPULATE
+    return lambda: sys_calls.mmap(32 * PAGE_SIZE, flags=flags)
 
 
 def _prep_munmap(round_budget: int) -> Callable[[], object]:
@@ -466,8 +502,13 @@ TIER1_OPS: List[BenchOp] = [
     BenchOp("access.fault_minor",
             lambda: _prep_access_fault_minor(256), 256,
             "first touch of a fresh anonymous page: trap + allocate + map"),
+    BenchOp("access.cow_break", lambda: _prep_access_cow_break(32), 32,
+            "parent's first store into a fork-shared 2 MiB window holding "
+            "32 resident pages: window privatized, page copied"),
     BenchOp("syscall.mmap_anon", _prep_mmap_anon, 256,
             "16-page anonymous VMA insert, no populate"),
+    BenchOp("syscall.mmap_populate", _prep_mmap_populate, 32,
+            "32-page anonymous MAP_POPULATE into a fresh range"),
     BenchOp("syscall.munmap", lambda: _prep_munmap(128), 128,
             "teardown of a 2 MiB anonymous window with 8 resident pages "
             "(extent subtree drop)"),

@@ -8,7 +8,7 @@ attribute read per site and the golden figures stay bit-identical.
 
 Charge sites (all O(1) per event):
 
-* ``BuddyAllocator.alloc`` / ``_free_block`` — every DRAM frame block,
+* ``BuddyAllocator.alloc`` / ``_free_blocks`` — every DRAM frame block,
   attributed to the *current* cgroup (the controller tracks the block's
   owner so the free uncharges the right tenant no matter who frees);
 * ``ZeroPool.refill`` / ``take`` — pooled frames park on the root
