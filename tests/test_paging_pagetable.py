@@ -118,6 +118,12 @@ class TestUnmapProtect:
         table.protect(0, writable=False)
         assert not table.lookup(0).writable
 
+    def test_read_only_keeps_every_other_field(self):
+        # A distinct value per field: one that read_only() does not
+        # carry over comes back as its default and breaks the equality.
+        pte = Pte(*(("field", name) for name in Pte._fields))
+        assert pte.read_only() == pte._replace(writable=False)
+
 
 class TestSubtreeSharing:
     def test_link_subtree_shares_translations(self):
