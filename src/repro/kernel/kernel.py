@@ -334,10 +334,10 @@ class Kernel:
         )
         child.space.adopt_vma(child_vma)
         # Eagerly duplicate the parent's existing private copies for
-        # the child (rare; keeps sharing bookkeeping simple).
+        # the child (rare; keeps sharing bookkeeping simple), from the
+        # allocator the child's munmap and exit return them to.
         for page_index, _src_pfn in vma.private_copies.items():
-            # o1: allow(flow-bounded) -- order-0 allocs hit the exact free list
-            copy_pfn = self.dram_buddy.alloc(0)
+            copy_pfn = vma.copy_allocator().alloc(0)
             self.clock.advance(self.costs.copy_line_ns * 128)
             child_vma.private_copies[page_index] = copy_pfn
         return child_vma, cow

@@ -28,6 +28,17 @@ leaf, and :meth:`PageTable.write_leaf` writes one PTE into it.
 2 MiB window and writes each 4 KiB PTE of the window into the same node,
 and :meth:`~PageTable.replace_leaf` swaps a COW-faulted leaf from one
 descent.  Each PTE write still charges one ``pte_write_ns``.
+
+Software reads descend once too; the walker reads a hardware walk's
+path through :meth:`~PageTable.path_nodes`.  :meth:`PageTable.descend`
+is the one uncharged software descent: it returns the node and slot
+where ``vaddr``'s leaf sits, the raw leaf, and whether the path is
+write-protected or shared, so a fault, an eviction or a per-page
+teardown decides and acts from one descent; :meth:`~PageTable.lookup`
+is its effective-leaf view.  Every leaf clear ends in
+:meth:`PageTable.clear_slot` (delete, one PTE write, the sanitizer
+hook), which callers holding an unshared path use directly and
+:meth:`~PageTable.unmap` uses after unsharing.
 """
 
 from __future__ import annotations
@@ -390,12 +401,23 @@ class PageTable:
         entry = node.entries.get(index)
         if not isinstance(entry, Pte):
             raise MappingError(f"vaddr {vaddr:#x} is not mapped")
+        self.clear_slot(node, index, entry)
+        return node, entry
+
+    @o1(note="one entry delete, one PTE write and one hook")
+    def clear_slot(self, node: PageTableNode, index: int, leaf: Pte) -> None:
+        """Remove ``leaf`` from slot ``index`` of ``node``, charging one
+        PTE write: the tail of every leaf clear.
+
+        ``node`` must belong to this table alone (no node with
+        ``refs > 1`` on its path), as :meth:`descend` reports it;
+        :meth:`unmap` first unshares the path, which is charged.
+        """
         del node.entries[index]
         self._charge_pte_write()
         san = self._counters.sanitize
         if san is not None:
-            san.on_pte_unmap(entry)
-        return node, entry
+            san.on_pte_unmap(leaf)
 
     def protect(self, vaddr: int, writable: bool, page_size: int = PAGE_SIZE) -> Pte:
         """Rewrite the leaf PTE's permission at ``vaddr``."""
@@ -408,6 +430,45 @@ class PageTable:
     # Lookup (uncharged; the walker prices hardware walks)
     # ------------------------------------------------------------------
     @o1(note="fixed-depth radix descent")
+    def descend(
+        self, vaddr: int
+    ) -> Tuple[PageTableNode, int, Optional[Pte], bool, bool]:
+        """One uncharged descent towards ``vaddr``'s leaf.
+
+        Returns ``(node, index, leaf, write_protected, shared)``: the
+        last node reached and ``vaddr``'s slot index in it, that slot's
+        raw entry (a :class:`Pte`, or None when nothing maps it), whether
+        the path passed a write-protected slot (that slot included), and
+        whether it passed a node shared with another table
+        (``refs > 1``).  The descent stops at the first slot that holds
+        no node, so ``node`` is where a leaf for ``vaddr`` sits or would
+        sit: a bottom node for a 4 KiB leaf, one level up for 2 MiB.
+
+        A path with no node of ``refs > 1`` belongs to this table alone,
+        so the leaf can be cleared with :meth:`clear_slot` or a 4 KiB
+        leaf written into a bottom node with :meth:`write_leaf` without a
+        second descent.  A write-protected slot does not matter to
+        either: it only downgrades the effective permission, and
+        :meth:`unmap` and :meth:`map` do not unshare for it.  A bottom
+        node that holds a subtree (one linked from a deeper table)
+        raises :class:`MappingError`.
+        """
+        node = self._root
+        write_protected = shared = False
+        # o1: allow(o1-size-loop) -- the level count is a hardware constant
+        for shift in self.shifts:
+            index = (vaddr >> shift) & INDEX_MASK
+            if index in node.wp_slots:
+                write_protected = True
+            entry = node.entries.get(index)
+            if not isinstance(entry, PageTableNode):
+                return node, index, entry, write_protected, shared
+            if entry.refs > 1:
+                shared = True
+            node = entry
+        raise MappingError(f"vaddr {vaddr:#x}: a bottom node holds a subtree")
+
+    @o1(note="one fixed-depth descent")
     def lookup(self, vaddr: int) -> Optional[Pte]:
         """Leaf PTE covering ``vaddr``, or None.  Pure data-structure op.
 
@@ -416,67 +477,10 @@ class PageTable:
         read-only, exactly like x86's U/S and R/W bits combining across
         levels.
         """
-        node = self._root
-        write_protected = False
-        # o1: allow(o1-size-loop) -- the level count is a hardware constant
-        for shift in self.shifts:
-            index = (vaddr >> shift) & INDEX_MASK
-            entry = node.entries.get(index)
-            if entry is None:
-                return None
-            if index in node.wp_slots:
-                write_protected = True
-            if isinstance(entry, Pte):
-                if write_protected and entry.writable:
-                    return entry.read_only()
-                return entry
-            node = entry
-        return None
-
-    def path_write_protected(self, vaddr: int) -> bool:
-        """True when a write-protected slot covers ``vaddr``'s path."""
-        node = self._root
-        for shift in self.shifts:
-            index = (vaddr >> shift) & INDEX_MASK
-            if index in node.wp_slots:
-                return True
-            entry = node.entries.get(index)
-            if not isinstance(entry, PageTableNode):
-                return False
-            node = entry
-        return False
-
-    @o1(note="fixed-depth radix descent")
-    def lookup_shared(self, vaddr: int) -> Tuple[Optional[Pte], bool]:
-        """``vaddr``'s effective leaf (as :meth:`lookup` returns it) and
-        whether its path is shared, from one descent.
-
-        The path is shared when it passes a write-protected slot or a
-        node shared with another table (``refs > 1``), down to where the
-        translation ends.  Such a translation is visible to a sibling
-        address space (fork's COW subtree sharing), so per-page mutations
-        on it — eviction in particular — cannot be performed from this
-        table alone.
-        """
-        node = self._root
-        write_protected = False
-        shared = False
-        # o1: allow(o1-size-loop) -- the level count is a hardware constant
-        for shift in self.shifts:
-            index = (vaddr >> shift) & INDEX_MASK
-            if index in node.wp_slots:
-                write_protected = True
-            entry = node.entries.get(index)
-            if entry is None:
-                return None, shared or write_protected
-            if isinstance(entry, Pte):
-                if write_protected and entry.writable:
-                    entry = entry.read_only()
-                return entry, shared or write_protected
-            if entry.refs > 1:
-                shared = True
-            node = entry
-        return None, shared or write_protected
+        _node, _index, leaf, write_protected, _shared = self.descend(vaddr)
+        if write_protected and leaf is not None and leaf.writable:
+            return leaf.read_only()
+        return leaf
 
     @o1(note="fixed-depth radix descent")
     def path_nodes(self, vaddr: int) -> List[PageTableNode]:

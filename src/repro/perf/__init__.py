@@ -33,6 +33,7 @@ from repro.perf.bench import (
     calibrate,
     env_fingerprint,
     load_document,
+    merge_documents,
     ops_by_name,
     results_table,
     run_op,
@@ -63,6 +64,7 @@ __all__ = [
     "calibrate",
     "env_fingerprint",
     "load_document",
+    "merge_documents",
     "ops_by_name",
     "results_table",
     "run_op",

@@ -723,6 +723,64 @@ def validate_document(document: object) -> List[str]:
     return problems
 
 
+def merge_documents(documents: Sequence[Dict[str, object]]) -> Dict[str, object]:
+    """One baseline document from several runs of the same ops.
+
+    Each op's ``median_ns`` is the median, over the runs, of that run's
+    median scaled to the runs' median calibration (``median_ns *
+    calibration / run_calibration``), so a run taken in a slow spell of
+    a shared host counts as much as any other, at the common speed.  The
+    merged ``calibration_ns`` is that median calibration, ``ops_per_sec``
+    is 1e9 over the merged median, and ``rounds``, ``batch`` and the rest
+    of the environment block are the first run's.
+
+    Raises ``ValueError`` for no documents, an invalid one, runs in
+    different modes, or runs that measured different ops.
+    """
+    if not documents:
+        raise ValueError("no bench documents to merge")
+    for index, document in enumerate(documents):
+        problems = validate_document(document)
+        if problems:
+            raise ValueError(f"document {index} is invalid: " + "; ".join(problems))
+    modes = sorted({str(document.get("mode")) for document in documents})
+    if len(modes) > 1:
+        raise ValueError(f"cannot merge runs in different modes: {modes}")
+    runs = []
+    for document in documents:
+        env, ops = document["env"], document["ops"]
+        assert isinstance(env, dict) and isinstance(ops, dict)
+        runs.append((float(env["calibration_ns"]), ops))
+    first_env, first_ops = documents[0]["env"], runs[0][1]
+    assert isinstance(first_env, dict)
+    for index, (_calibration, ops) in enumerate(runs):
+        if set(ops) != set(first_ops):
+            raise ValueError(
+                f"document {index} measured other ops than document 0: "
+                f"{sorted(set(ops) ^ set(first_ops))}"
+            )
+    calibration = statistics.median(run_calibration for run_calibration, _ in runs)
+    merged: Dict[str, Dict[str, object]] = {}
+    for name, figures in first_ops.items():
+        median_ns = statistics.median(
+            float(ops[name]["median_ns"]) * calibration / run_calibration
+            for run_calibration, ops in runs
+        )
+        merged[name] = {
+            "median_ns": median_ns,
+            "ops_per_sec": 1e9 / median_ns,
+            "rounds": figures["rounds"],
+            "batch": figures["batch"],
+        }
+    return {
+        "version": SCHEMA_VERSION,
+        "schema": SCHEMA,
+        "mode": documents[0].get("mode"),
+        "env": dict(first_env, calibration_ns=calibration),
+        "ops": merged,
+    }
+
+
 def write_document(path: str, document: Dict[str, object]) -> None:
     """Write a bench document as stable, diff-friendly JSON."""
     with open(path, "w", encoding="utf-8") as handle:

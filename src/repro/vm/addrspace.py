@@ -22,7 +22,11 @@ of the work coarser where the model allows.  A 4 KiB populate descends
 the page table once per 2 MiB window and writes each PTE into that
 window's node; the first store into a fork-shared window looks up one
 VMA per run of leaves, not per leaf; and a COW fault rewrites its leaf
-from one descent.  Every charge, counter and hook still comes per page,
+from one descent.  A fault, an eviction and each page of the per-page
+munmap descend the page table once (:meth:`PageTable.descend`), and a
+fault descends again only after a COW break rewrote the window: a leaf
+on an unshared path is written into, or cleared from, the node that
+descent reached.  Every charge, counter and hook still comes per page,
 in the same order and at the same clock.
 """
 
@@ -41,7 +45,7 @@ from repro.mem.frame_meta import FrameTable, PageFlags
 from repro.obs.metrics import MetricsRegistry
 from repro.paging.fault import FAULT_COUNTERS, FaultType
 from repro.paging.hugepages import SUPPORTED_PAGE_SIZES, choose_page_runs
-from repro.paging.pagetable import PageTable, Pte
+from repro.paging.pagetable import PageTable, PageTableNode, Pte
 from repro.paging.walker import PageWalker
 from repro.units import CACHE_LINE, PAGE_SIZE, align_up
 from repro.vm.vma import AnonBacking, MapFlags, MemoryBacking, Protection, Vma
@@ -388,14 +392,14 @@ class AddressSpace:
             vma.backing.release(first_page, npages)
         # COW copies for the range were order-0 frames the VMA owns;
         # return them to their allocator so they do not leak.
-        allocator = getattr(vma.backing, "_allocator", None)
         # o1: allow(o1-size-loop) -- one pop per private copy in the cut, within the declared n
         doomed = [
             vma.private_copies.pop(page_index)
             for page_index in list(vma.private_copies)
             if first_page <= page_index < first_page + npages
         ]
-        if doomed and allocator is not None:
+        if doomed:
+            allocator = vma.copy_allocator()
             free_many = getattr(allocator, "free_many", None)
             if extent and free_many is not None:
                 free_many(doomed)
@@ -419,15 +423,21 @@ class AddressSpace:
 
     @complexity("n", note="one PTE visit per page — the baseline's linear loop")
     def _teardown_pages(self, vma: Vma, start: int, end: int) -> int:
-        """Per-PTE teardown — the baseline's linear loop."""
+        """Per-PTE teardown — the baseline's linear loop, one descent per
+        leaf."""
         tracks_meta = getattr(vma.backing, "tracks_frame_meta", True)
+        pt = self._pt
         pages = 0
         va = start
         while va < end:
-            pte = self._pt.lookup(va)
+            node, index, pte, _write_protected, shared = pt.descend(va)
             if pte is not None:
                 page_base = va - va % pte.page_size
-                self._pt.unmap(page_base, page_size=pte.page_size)
+                if shared:
+                    # unmap unshares the path first, and charges for it.
+                    pt.unmap(page_base, page_size=pte.page_size)
+                else:
+                    pt.clear_slot(node, index, pte)
                 if self._frame_table is not None and tracks_meta:
                     # o1: allow(o1-size-loop, o1-charge-in-loop, o1-nested-size-loop) -- 4 KiB frames of one PTE; pages partition the declared n
                     for pfn4k in range(
@@ -592,17 +602,27 @@ class AddressSpace:
         if not write and not vma.prot & Protection.READ:
             raise ProtectionError(f"read from PROT_NONE mapping at {vaddr:#x}")
         page_va = vaddr - vaddr % PAGE_SIZE
-        if write and self._pt.path_write_protected(page_va):
+        pt = self._pt
+        node, _index, leaf, write_protected, shared = pt.descend(page_va)
+        if write and write_protected:
             # First store into a fork-shared page-table window: break the
             # share once, for the whole window, charged to this access.
+            # The break rewrote the window, so descend again.
             self._cow_break_window(page_va)
-        existing = self._pt.lookup(page_va)
-        if existing is not None and write and not existing.writable:
-            self._cow_fault(vma, page_va, existing)
-            return
-        if existing is not None:
-            return  # spurious — translation already valid
-        self._minor_fault(vma, page_va, write)
+            node, _index, leaf, write_protected, shared = pt.descend(page_va)
+        if leaf is None:
+            # The leaf goes straight into a bottom node on an unshared
+            # path; otherwise map creates or unshares the path, after the
+            # data frame, as ever.  Between here and that write the node
+            # stays attached and private: the frame allocation may run
+            # reclaim, but eviction pins shared paths and never unshares,
+            # unmap never frees nodes, and the OOM killer never tears
+            # down the running process.
+            private = not shared and node.depth == pt.bottom_depth
+            self._minor_fault(vma, page_va, write, node if private else None)
+        elif write and (write_protected or not leaf.writable):
+            self._cow_fault(vma, page_va, leaf)
+        # Otherwise spurious — the translation is already valid.
 
     def _cow_break_window(self, page_va: int) -> None:
         """Privatize the fork-shared window containing ``page_va``.
@@ -650,7 +670,11 @@ class AddressSpace:
         self._pt.window_write_protect(window_va, protect=False)
         self._counters.bump("cow_break")
 
-    def _minor_fault(self, vma: Vma, page_va: int, write: bool) -> None:
+    def _minor_fault(
+        self, vma: Vma, page_va: int, write: bool, node: Optional[PageTableNode]
+    ) -> None:
+        """Map ``page_va``'s frame: into ``node``, the private bottom node
+        that holds its slot, or through :meth:`PageTable.map` when None."""
         self._clock.advance(self._costs.fault_accounting_ns)
         page_index = vma.backing_page(page_va)
         pfn = vma.private_copies.get(page_index)
@@ -668,7 +692,10 @@ class AddressSpace:
             # re-faulting.
             pfn = self._make_private_copy(vma, page_index, pfn)
             writable = True
-        self._pt.map(page_va, pfn, writable=writable)
+        if node is None:
+            self._pt.map(page_va, pfn, writable=writable)
+        else:
+            self._pt.write_leaf(node, page_va, pfn, PAGE_SIZE, writable)
         if self._frame_table is not None and getattr(
             vma.backing, "tracks_frame_meta", True
         ):
@@ -687,6 +714,16 @@ class AddressSpace:
             raise ProtectionError(
                 f"write to read-only shared mapping at {page_va:#x}"
             )
+        if old.page_size != PAGE_SIZE:
+            # A huge leaf: split it as Linux splits a file THP on a write
+            # fault.  Drop it, then copy the one 4 KiB page the store
+            # needs; the rest of the old leaf refaults on demand.
+            page_base = page_va - page_va % old.page_size
+            self._teardown_pages(vma, page_base, page_base + old.page_size)
+            if self.cpu is not None:
+                self.cpu.invalidate_page(page_base, asid=self._asid)
+            self._minor_fault(vma, page_va, True, None)
+            return
         page_index = vma.backing_page(page_va)
         new_pfn = self._make_private_copy(vma, page_index, old.pfn)
         self._pt.replace_leaf(page_va, new_pfn, writable=True)
@@ -700,13 +737,7 @@ class AddressSpace:
         existing = vma.private_copies.get(page_index)
         if existing is not None:
             return existing
-        allocator = getattr(vma.backing, "_allocator", None)
-        if allocator is None:
-            raise MappingError(
-                "COW on a backing without an allocator; map MAP_SHARED or "
-                "provide an allocator-backed mapping"
-            )
-        new_pfn = allocator.alloc(0)
+        new_pfn = vma.copy_allocator().alloc(0)
         lines = PAGE_SIZE // CACHE_LINE
         self._clock.advance(self._costs.copy_line_ns * lines * 2)
         self._counters.bump("cow_copy")
@@ -724,11 +755,11 @@ class AddressSpace:
         (clean file page).
         """
         page_va = vaddr - vaddr % PAGE_SIZE
-        pte, shared = self._pt.lookup_shared(page_va)
+        node, index, pte, write_protected, shared = self._pt.descend(page_va)
         if pte is None:
             return False
         vma = self.find_vma(page_va)
-        if shared or not self._evictable(vma, page_va, pte):
+        if shared or write_protected or not self._evictable(vma, page_va, pte):
             # A COW-shared translation (fork's subtree sharing) is pinned:
             # unmapping here would privatize only this table's path while
             # the sibling keeps a live PTE to the frame swap-out is about
@@ -738,7 +769,9 @@ class AddressSpace:
             # sharer exits).
             self._counters.bump("vm_evict_pinned")
             return False
-        self._pt.unmap(page_va, page_size=pte.page_size)
+        # The path is this table's alone: clear the leaf where the
+        # descent found it.
+        self._pt.clear_slot(node, index, pte)
         if self.cpu is not None:
             self.cpu.invalidate_page(page_va, asid=self._asid)
         if vma is not None:

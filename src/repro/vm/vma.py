@@ -278,6 +278,21 @@ class Vma:
             return True
         return self.cow_shared
 
+    def copy_allocator(self):
+        """The allocator private (COW) copies of this mapping's pages
+        come from, and go back to at munmap and exit: the backing's own.
+
+        Every copy — a COW fault's, and fork's duplicate of a copy for
+        the child — comes from here, so it returns to where it came from.
+        """
+        allocator = getattr(self.backing, "_allocator", None)
+        if allocator is None:
+            raise MappingError(
+                "COW on a backing without an allocator; map MAP_SHARED or "
+                "provide an allocator-backed mapping"
+            )
+        return allocator
+
     def can_merge_with(self, other: "Vma") -> bool:
         """True if ``other`` directly follows and is mergeable.
 

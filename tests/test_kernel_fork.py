@@ -183,3 +183,25 @@ class TestResourceLifetimes:
         assert (
             child_vma.private_copies[0] != parent_vma.private_copies[0]
         )
+
+    def test_private_dax_copies_return_to_nvm(self):
+        # A private PMFS mapping's COW copies come from NVM; the child's
+        # duplicates must come from there too, or its exit hands DRAM
+        # frames to the NVM allocator.
+        kernel = Kernel(MachineConfig(dram_bytes=64 * MIB, nvm_bytes=16 * MIB))
+        parent = kernel.spawn("p")
+        sys = kernel.syscalls(parent)
+        fd = sys.open(kernel.pmfs, "/f", create=True, size=8 * PAGE_SIZE)
+        va = sys.mmap(8 * PAGE_SIZE, fd=fd, flags=MapFlags.PRIVATE)
+        kernel.access(parent, va, write=True)
+        nvm_free = kernel.nvm_allocator.free_blocks
+        dram_free = kernel.dram_buddy.free_frames
+        child = sys.fork()
+        assert kernel.nvm_allocator.free_blocks == nvm_free - 1
+        child.exit()
+        assert kernel.nvm_allocator.free_blocks == nvm_free
+        # The child's page-table nodes went back as well.
+        assert kernel.dram_buddy.free_frames == dram_free
+        parent.exit()
+        assert kernel.nvm_allocator.free_blocks == nvm_free + 1
+        assert kernel.pmfs.fsck() == []

@@ -77,6 +77,19 @@ class TestWalks:
         warm = clock.now - start
         assert warm < cold  # page-table nodes now cached
 
+    def test_write_protected_slot_over_a_huge_leaf(self):
+        # The slot that holds a 2 MiB leaf is write-protected: the walk
+        # and the descent both see a read-only translation.
+        walker, table, _, _ = make_walker()
+        table.map(HUGE_PAGE_2M, 4, page_size=HUGE_PAGE_2M)
+        table.window_write_protect(HUGE_PAGE_2M)
+        entry = walker.walk(table, HUGE_PAGE_2M + 100)
+        assert entry.pfn == 4 and not entry.writable
+        node, index, leaf, write_protected, shared = table.descend(HUGE_PAGE_2M)
+        assert index in node.wp_slots and leaf.writable
+        assert write_protected and not shared
+        assert not table.lookup(HUGE_PAGE_2M).writable
+
     def test_entry_vpn_in_page_units(self):
         walker, table, _, _ = make_walker()
         table.map(HUGE_PAGE_2M, 4, page_size=HUGE_PAGE_2M)
@@ -222,10 +235,33 @@ def _nodes_visited(table, vaddr):
     return visited
 
 
-def _path_shared(table, vaddr):
-    """The separate sharing descent eviction made before ``lookup_shared``
-    (the reference): a write-protected slot or a ``refs > 1`` node on the
-    path, down to where the translation ends."""
+def _lookup_shared(table, vaddr):
+    """Reference: the single-purpose descent eviction made before
+    ``PageTable.descend`` — the effective leaf, and whether a
+    write-protected slot or a ``refs > 1`` node lies on the path."""
+    node = table.root
+    write_protected = False
+    shared = False
+    for shift in table.shifts:
+        index = (vaddr >> shift) & 511
+        if index in node.wp_slots:
+            write_protected = True
+        entry = node.entries.get(index)
+        if entry is None:
+            return None, shared or write_protected
+        if isinstance(entry, Pte):
+            if write_protected and entry.writable:
+                entry = entry._replace(writable=False)
+            return entry, shared or write_protected
+        if entry.refs > 1:
+            shared = True
+        node = entry
+    return None, shared or write_protected
+
+
+def _path_write_protected(table, vaddr):
+    """Reference: the single-purpose descent a store fault made before
+    ``PageTable.descend`` — a write-protected slot on the path."""
     node = table.root
     for shift in table.shifts:
         index = (vaddr >> shift) & 511
@@ -234,30 +270,81 @@ def _path_shared(table, vaddr):
         entry = node.entries.get(index)
         if not isinstance(entry, PageTableNode):
             return False
-        if entry.refs > 1:
-            return True
         node = entry
     return False
 
 
-class TestLookupShared:
-    """Property: one ``lookup_shared`` descent answers what eviction
-    asked of two, ``lookup`` and the sharing descent, on random trees
-    with huge leaves, linked subtrees and write-protected windows."""
+class TestDescend:
+    """Property: one ``descend`` answers what a fault and an eviction
+    asked of separate descents (``path_write_protected``, ``lookup`` and
+    ``lookup_shared``), and names the node and slot a leaf sits in, on
+    random trees with huge leaves, linked subtrees and write-protected
+    windows."""
 
     @given(
         levels=st.sampled_from([4, 5]),
         steps=st.lists(_STEPS, min_size=1, max_size=24),
         probes=st.lists(_PROBES, min_size=1, max_size=16),
     )
-    def test_matches_lookup_and_path_sharing(self, levels, steps, probes):
+    def test_matches_the_single_purpose_descents(self, levels, steps, probes):
         table = PageTable(levels=levels)
         built = _build(table, steps)
         for reuse, fresh, offset in probes:
             vaddr = (built[fresh % len(built)] if reuse and built else fresh) + offset
-            assert table.lookup_shared(vaddr) == (
-                table.lookup(vaddr), _path_shared(table, vaddr)
-            )
+            node, index, leaf, write_protected, shared = table.descend(vaddr)
+            effective, pinned = _lookup_shared(table, vaddr)
+            assert write_protected == _path_write_protected(table, vaddr)
+            assert (shared or write_protected) == pinned
+            assert table.lookup(vaddr) == effective
+            if leaf is not None and write_protected:
+                assert effective == leaf._replace(writable=False)
+            else:
+                assert effective == leaf
+            # The node and slot are where the walk's path ends, and the
+            # leaf is that slot's raw entry.
+            path = table.path_nodes(vaddr)
+            assert node is path[-1]
+            assert index == (vaddr >> table.shifts[node.depth]) & 511
+            assert node.entries.get(index) is leaf
+            assert shared == any(below.refs > 1 for below in path[1:])
+
+
+class _RecordingCache(CacheModel):
+    """A cache that keeps every line list it is asked to price."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.priced = []
+
+    def reference_lines(self, lines):
+        self.priced.append(list(lines))
+        return super().reference_lines(lines)
+
+
+class TestPathNodes:
+    """Property: ``path_nodes`` names exactly the nodes whose entry
+    lines a flat walk references, in the same order."""
+
+    @given(
+        levels=st.sampled_from([4, 5]),
+        steps=st.lists(_STEPS, min_size=1, max_size=24),
+        probes=st.lists(_PROBES, min_size=1, max_size=16),
+    )
+    def test_names_the_nodes_the_walk_reads(self, levels, steps, probes):
+        clock, counters, costs = SimClock(), MetricsRegistry(), CostModel()
+        cache = _RecordingCache(clock, costs, counters)
+        walker = PageWalker(cache, clock, costs, counters)
+        table = PageTable(levels=levels)
+        built = _build(table, steps)
+        for reuse, fresh, offset in probes:
+            vaddr = (built[fresh % len(built)] if reuse and built else fresh) + offset
+            walker.walk(table, vaddr)
+            expected = [
+                (node.paddr + ((vaddr >> table.shifts[node.depth]) & 511) * 8)
+                & ~(64 - 1)
+                for node in table.path_nodes(vaddr)
+            ]
+            assert cache.priced.pop() == expected
 
 
 class TestWalkMatchesLookup:

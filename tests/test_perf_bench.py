@@ -19,6 +19,7 @@ from repro.perf.bench import (
     calibrate,
     env_fingerprint,
     load_document,
+    merge_documents,
     ops_by_name,
     results_table,
     run_op,
@@ -189,3 +190,65 @@ class TestCommittedBaseline:
         # Every registered op is in the committed trajectory and vice
         # versa — a drift either way silently weakens the CI gate.
         assert set(ops) == {op.name for op in TIER1_OPS}
+
+
+# ----------------------------------------------------------------------
+# Merging runs into a baseline
+# ----------------------------------------------------------------------
+def _run_document(calibration_ns, mode="full", **medians):
+    return build_document(
+        fake_results(**medians),
+        env=dict(FAKE_ENV, calibration_ns=calibration_ns),
+        mode=mode,
+    )
+
+
+class TestMergeDocuments:
+    def test_copies_of_one_document_merge_to_it(self):
+        document = _run_document(3_000_000.0, **{"x.y": 123.0, "z.w": 5.5})
+        assert merge_documents([document] * 3) == document
+        assert merge_documents([document]) == document
+
+    def test_medians_are_scaled_to_the_median_calibration(self):
+        # The second run's host was half as fast: calibration and every
+        # op doubled.  Scaled to the common calibration they agree.
+        slow = _run_document(2_000_000.0, **{"x.y": 200.0, "z.w": 60.0})
+        fast = _run_document(1_000_000.0, **{"x.y": 100.0, "z.w": 30.0})
+        merged = merge_documents([fast, slow])
+        assert merged["env"]["calibration_ns"] == 1_500_000.0
+        assert merged["ops"]["x.y"]["median_ns"] == pytest.approx(150.0)
+        assert merged["ops"]["z.w"]["median_ns"] == pytest.approx(45.0)
+        assert merged["ops"]["x.y"]["ops_per_sec"] == pytest.approx(1e9 / 150.0)
+        assert validate_document(merged) == []
+
+    def test_median_over_runs_drops_an_outlier(self):
+        runs = [
+            _run_document(1_000_000.0, **{"x.y": ns})
+            for ns in (100.0, 104.0, 900.0, 98.0, 101.0)
+        ]
+        assert merge_documents(runs)["ops"]["x.y"]["median_ns"] == 101.0
+
+    @pytest.mark.parametrize(
+        "documents, fragment",
+        [
+            ([], "no bench documents"),
+            (
+                [
+                    _run_document(1e6, **{"x.y": 1.0}),
+                    _run_document(1e6, mode="quick", **{"x.y": 1.0}),
+                ],
+                "different modes",
+            ),
+            (
+                [
+                    _run_document(1e6, **{"x.y": 1.0}),
+                    _run_document(1e6, **{"x.y": 1.0, "z.w": 2.0}),
+                ],
+                "other ops",
+            ),
+            ([{"schema": "nope"}], "invalid"),
+        ],
+    )
+    def test_mismatched_inputs_raise(self, documents, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            merge_documents(documents)

@@ -88,3 +88,49 @@ class TestHugePopulate:
         )
         pte = process.space.page_table.lookup(va)
         assert pte.page_size == PAGE_SIZE  # graceful degradation
+
+
+class TestPrivateHugeStore:
+    def test_store_splits_the_leaf_and_copies_one_page(self):
+        # MAP_PRIVATE over a 2 MiB-aligned file: populate installs one
+        # read-only huge leaf; a store splits it, as Linux splits a file
+        # THP on a write fault, and copies only the page it wrote.
+        kernel = Kernel(
+            MachineConfig(
+                dram_bytes=64 * MIB, nvm_bytes=64 * MIB,
+                pmfs_extent_align_frames=512,
+            )
+        )
+        suite = kernel.arm_sanitizers()
+        process = kernel.spawn("p")
+        sys = kernel.syscalls(process)
+        fd = sys.open(kernel.pmfs, "/huge", create=True, size=2 * MIB)
+        inode = kernel.pmfs.lookup("/huge")
+        base_pfn = kernel.pmfs._tree_of(inode).extents()[0].pfn
+        nvm_free = kernel.nvm_allocator.free_blocks
+        va = process.space.pick_address(2 * MIB, alignment=HUGE_PAGE_2M)
+        sys.mmap(
+            2 * MIB, fd=fd,
+            flags=MapFlags.PRIVATE | MapFlags.POPULATE | MapFlags.HUGEPAGE,
+            addr=va,
+        )
+        table = process.space.page_table
+        assert table.lookup(va).page_size == HUGE_PAGE_2M
+        kernel.access(process, va)  # the huge leaf is in the TLB now
+        kernel.access(process, va + 5 * PAGE_SIZE + 8, write=True)
+        copy = table.lookup(va + 5 * PAGE_SIZE)
+        assert copy.page_size == PAGE_SIZE and copy.writable
+        assert copy.pfn == process.space.vmas[0].private_copies[5]
+        assert copy.pfn != base_pfn + 5
+        assert list(table.iter_leaves()) == [(va + 5 * PAGE_SIZE, copy)]
+        # The rest of the old leaf refaults on demand, read-only, onto
+        # the file's own NVM frames.
+        for page in (0, 4, 6, 511):
+            paddr = kernel.access(process, va + page * PAGE_SIZE)
+            assert paddr == (base_pfn + page) * PAGE_SIZE
+            assert not table.lookup(va + page * PAGE_SIZE).writable
+        assert kernel.access(process, va + 5 * PAGE_SIZE) == copy.pfn * PAGE_SIZE
+        sys.munmap(va, 2 * MIB)
+        assert kernel.nvm_allocator.free_blocks == nvm_free
+        assert kernel.pmfs.fsck() == []
+        assert suite.violations == []
