@@ -110,6 +110,7 @@ class PageTableCache:
         npages = inode.page_count
         if npages == 0:
             raise MappingError(f"cannot premap empty file ino={inode.ino}")
+        # o1: allow(flow-bounded) -- the runs partition the file's declared n pages
         for page_index, pfn, run in backing.frame_runs(0, npages):
             # o1: allow(o1-nested-size-loop) -- the amortized build itself
             for page in range(run):

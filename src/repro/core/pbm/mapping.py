@@ -88,7 +88,7 @@ class PbmManager:
             kernel.costs,
             kernel.counters,
         )
-        pmfs = getattr(kernel, "pmfs", None)
+        pmfs = kernel.pmfs
         if pmfs is not None:
             # When PMFS frees or migrates an extent, cached shared
             # subtrees keyed on it must not survive to translate into
@@ -131,6 +131,7 @@ class PbmManager:
         writable = bool(prot & Protection.WRITE)
         backing = inode.fs.backing_for(inode)
         segments: List[_Segment] = []
+        # o1: allow(flow-bounded) -- the runs partition the file's declared n pages
         for page_index, pfn, run in backing.frame_runs(0, npages):
             vaddr = self.va_of(pfn * PAGE_SIZE)
             length = run * PAGE_SIZE

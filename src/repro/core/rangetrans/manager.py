@@ -19,7 +19,7 @@ from repro.fs.vfs import Inode
 from repro.lint import complexity, o1
 from repro.units import PAGE_SIZE, align_up
 from repro.vm.addrspace import AddressSpace
-from repro.vm.vma import MapFlags, Protection, Vma
+from repro.vm.vma import MapFlags, MemoryBacking, Protection, Vma
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.kernel import Kernel
@@ -105,6 +105,7 @@ class RangeMemory:
         writable = bool(prot & Protection.WRITE)
         rte_bases: List[int] = []
         backing = inode.fs.backing_for(inode)
+        # o1: allow(flow-bounded) -- the runs partition the file's declared n pages
         for page_index, pfn, run in backing.frame_runs(0, npages):
             base = vaddr + page_index * PAGE_SIZE
             table.insert(
@@ -184,11 +185,11 @@ class RangeMemory:
         mapping.space.detach_vma(mapping.vma)
 
 
-class _RawExtentBacking:
+class _RawExtentBacking(MemoryBacking):
     """Backing for a bare physical extent mapped via ranges.
 
     Faults should never reach it (the range table translates first); the
-    methods exist to satisfy the protocol and to catch design errors.
+    methods exist to complete the backing and to catch design errors.
     """
 
     def __init__(self, first_pfn: int) -> None:
@@ -199,6 +200,3 @@ class _RawExtentBacking:
 
     def frame_runs(self, start_page: int, npages: int):
         yield start_page, self._first_pfn + start_page, npages
-
-    def release(self, page_index: int, npages: int) -> None:
-        return None

@@ -6,8 +6,8 @@ translations straight to the media's frames — no page cache, no copy.
 data to programs directly rather than forcing the kernel to interpose on
 every access" (§3/§4).
 
-These helpers are consumed by the kernel's mmap path and by file-only
-memory when deciding whether a file can be mapped extent-at-a-time.
+These helpers decide whether, and at what page size, file-only memory
+can map a file extent-at-a-time.
 """
 
 from __future__ import annotations
@@ -22,11 +22,6 @@ from repro.units import PAGE_SIZE
 def is_dax(fs: FileSystem) -> bool:
     """True if mappings of this file system go direct to media frames."""
     return isinstance(fs, Pmfs) and fs.dax
-
-
-def mmap_setup_extra_ns(fs: FileSystem) -> int:
-    """Extra constant mmap cost the file system imposes (0 for tmpfs)."""
-    return getattr(fs, "mmap_setup_extra_ns", 0)
 
 
 def direct_map_runs(inode: Inode) -> Iterator[Tuple[int, int, int]]:

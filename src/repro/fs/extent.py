@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import FileSystemError
-from repro.lint import o1
+from repro.lint import complexity, o1
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,7 @@ class ExtentTree:
             extent.logical_end - logical_block,
         )
 
+    @complexity("n", note="one lookup per run; runs never outnumber blocks")
     def runs(self, start_block: int, nblocks: int) -> Iterator[Tuple[int, int, int]]:
         """(logical_block, pfn, run_len) covering ``[start, start+nblocks)``.
 

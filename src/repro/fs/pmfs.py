@@ -219,36 +219,34 @@ class BlockAllocator:
         self._bitmap.clear_range(extent.pfn - self._region.first_pfn, extent.count)
 
 
-class _PmfsBacking:
+class _PmfsBacking(MemoryBacking):
     """DAX mmap backing: file pages map straight to NVM frames.
 
     ``tracks_frame_meta`` is False: DAX mappings are pfn-based — there is
     no ``struct page`` for the media's frames, so the vm layer performs no
     per-4KiB metadata updates on populate or teardown.  This is exactly
     the coarse-metadata property §3.1 claims for file-managed memory.
+    A store into a private mapping copies the page into DRAM, as Linux
+    does, so every block this file system hands out belongs to a file.
     """
 
     tracks_frame_meta = False
 
     def __init__(self, fs: "Pmfs", inode: Inode) -> None:
         self._fs = fs
-        self._inode = inode
-        # COW needs a frame source; private copies of NVM pages come from
-        # the same NVM allocator (simplification: one media).
-        self._allocator = _CowShim(fs)
+        self.inode = inode
 
     def frame_for(self, page_index: int, write: bool) -> int:
-        return self._fs.charge_block_lookup(self._inode, page_index)
+        return self._fs.charge_block_lookup(self.inode, page_index)
 
+    @complexity("n", note="one extent lookup per run; runs never outnumber pages")
     def frame_runs(self, start_page: int, npages: int) -> Iterator[Tuple[int, int, int]]:
-        tree = self._fs._tree_of(self._inode)
+        tree = self._fs._tree_of(self.inode)
+        # o1: allow(flow-bounded) -- one pass over the runs of the declared n pages
         for logical, pfn, run in tree.runs(start_page, npages):
             # One extent lookup per run — the extent economy in action.
             self._fs._charge_extent_lookup()
             yield logical, pfn, run
-
-    def release(self, page_index: int, npages: int) -> None:
-        return None
 
 
 @dataclass
@@ -277,20 +275,6 @@ class JournalRecord:
     #: migrate records: inode number of the badblock list that adopts the
     #: vacated blocks at apply time.
     badblock_ino: int = 0
-
-
-class _CowShim:
-    """Adapter giving the vm layer an ``alloc(0)`` for COW copies."""
-
-    def __init__(self, fs: "Pmfs") -> None:
-        self._fs = fs
-
-    def alloc(self, order: int) -> int:
-        extent = self._fs.allocator.alloc_extent(1 << order)
-        return extent.pfn
-
-    def free(self, pfn: int) -> None:
-        self._fs.allocator.free_extent(Extent(logical=0, pfn=pfn, count=1))
 
 
 class Pmfs(FileSystem):

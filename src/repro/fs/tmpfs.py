@@ -26,27 +26,25 @@ from repro.units import PAGE_SIZE
 from repro.vm.vma import MemoryBacking
 
 
-class _TmpfsBacking:
-    """mmap backing over one tmpfs inode's page cache."""
+class _TmpfsBacking(MemoryBacking):
+    """mmap backing over one tmpfs inode's page cache.
+
+    Pages belong to the file, not the mapping: munmap releases nothing
+    until the file is unlinked.
+    """
 
     def __init__(self, fs: "Tmpfs", inode: Inode) -> None:
         self._fs = fs
-        self._inode = inode
-        # COW in the vm layer needs a frame source.
-        self._allocator = fs._buddy
+        self.inode = inode
 
     def frame_for(self, page_index: int, write: bool) -> int:
-        return self._fs._page_in(self._inode, page_index)
+        return self._fs._page_in(self.inode, page_index)
 
+    @complexity("n", note="one page-cache lookup per page")
     def frame_runs(self, start_page: int, npages: int) -> Iterator[Tuple[int, int, int]]:
         # Page-cache pages are individually placed: one run per page.
         for page_index in range(start_page, start_page + npages):
-            yield page_index, self._fs._page_in(self._inode, page_index), 1
-
-    def release(self, page_index: int, npages: int) -> None:
-        # Pages belong to the file, not the mapping; nothing to do until
-        # the file is unlinked.
-        return None
+            yield page_index, self._fs._page_in(self.inode, page_index), 1
 
 
 class Tmpfs(FileSystem):

@@ -91,6 +91,8 @@ class FileSystem(abc.ABC):
     tech: MemoryTechnology = MemoryTechnology.DRAM
     #: Whether contents survive :meth:`crash`.
     persistent: bool = False
+    #: Extra constant cost mmap pays to map a file of this file system.
+    mmap_setup_extra_ns: int = 0
 
     def __init__(
         self,

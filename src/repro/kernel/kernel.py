@@ -49,6 +49,7 @@ from repro.units import GIB, MIB, PAGE_SIZE
 from repro.vm.addrspace import AddressSpace
 from repro.vm.reclaimd import LruLists
 from repro.vm.swap import SwapDevice
+from repro.vm.vma import Protection, Vma
 
 
 @dataclass(frozen=True)
@@ -239,6 +240,7 @@ class Kernel:
             clock=self.clock,
             costs=self.costs,
             counters=self.counters,
+            buddy=self.dram_buddy,
             frame_table=self.frame_table,
         )
         space.cpu = self.cpu
@@ -312,13 +314,9 @@ class Kernel:
             tracer.end(args={"child_pid": child.pid})
 
     @complexity("n", note="one duplicate frame per pre-fork private copy (rare)")
-    def _fork_clone_vma(self, child: Process, vma) -> tuple:
+    def _fork_clone_vma(self, child: Process, vma: Vma) -> tuple:
         """Shared per-VMA fork work; returns (child_vma, cow)."""
-        from repro.vm.vma import Protection, Vma
-
-        add_user = getattr(vma.backing, "add_user", None)
-        if add_user is not None:
-            add_user()
+        vma.backing.add_user()
         cow = vma.is_private() and bool(vma.prot & Protection.WRITE)
         if cow:
             vma.cow_shared = True
@@ -335,9 +333,10 @@ class Kernel:
         child.space.adopt_vma(child_vma)
         # Eagerly duplicate the parent's existing private copies for
         # the child (rare; keeps sharing bookkeeping simple), from the
-        # allocator the child's munmap and exit return them to.
+        # DRAM buddy the child's munmap and exit return them to.
+        # o1: allow(flow-bounded) -- one order-0 alloc per pre-fork private copy, the declared n
         for page_index, _src_pfn in vma.private_copies.items():
-            copy_pfn = vma.copy_allocator().alloc(0)
+            copy_pfn = self.dram_buddy.alloc(0)
             self.clock.advance(self.costs.copy_line_ns * 128)
             child_vma.private_copies[page_index] = copy_pfn
         return child_vma, cow

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Optional, TYPE_CHECKING
 
 from repro.errors import MappingError
-from repro.fs.dax import mmap_setup_extra_ns
 from repro.fs.vfs import FileSystem
 from repro.lint import complexity, o1
 from repro.units import PAGE_SIZE
@@ -176,7 +175,7 @@ class Syscalls:
                 handle = self._process.fd(fd)
                 inode = handle.inode
                 fs = inode.fs
-                self._kernel.clock.advance(mmap_setup_extra_ns(fs))
+                self._kernel.clock.advance(fs.mmap_setup_extra_ns)
                 backing = fs.backing_for(inode)
                 inode.refcount += 1
                 space.mmap(

@@ -182,14 +182,9 @@ class RasEngine:
         pmfs = self._kernel.pmfs
         vma = process.space.find_vma(vaddr)
         if vma is not None and pmfs is not None and pfn is not None:
-            backing_fs = getattr(vma.backing, "_fs", None)
-            backing_inode = getattr(vma.backing, "_inode", None)
+            inode = vma.backing.inode
             is_private_copy = pfn in set(vma.private_copies.values())
-            if (
-                backing_fs is pmfs
-                and backing_inode is not None
-                and not is_private_copy
-            ):
+            if inode is not None and inode.fs is pmfs and not is_private_copy:
                 # File-backed NVM: the file system owns a durable home
                 # for the data — migrate it off the failing media, then
                 # let the caller re-fault onto the fresh frame.
@@ -378,7 +373,7 @@ class RasEngine:
             space = process.space
             # o1: allow(o1-nested-size-loop) -- migration is the slow path
             for vma in space.vmas:
-                if getattr(vma.backing, "_inode", None) is not inode:
+                if vma.backing.inode is not inode:
                     continue
                 dropped = False
                 # o1: allow(o1-nested-size-loop) -- per-PTE teardown sweep

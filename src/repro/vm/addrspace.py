@@ -41,6 +41,7 @@ from repro.hw.costmodel import CostModel
 from repro.hw.rtlb import RangeEntry
 from repro.hw.tlb import TlbEntry
 from repro.lint import complexity, o1
+from repro.mem.buddy import BuddyAllocator
 from repro.mem.frame_meta import FrameTable, PageFlags
 from repro.obs.metrics import MetricsRegistry
 from repro.paging.fault import FAULT_COUNTERS, FaultType
@@ -48,7 +49,7 @@ from repro.paging.hugepages import SUPPORTED_PAGE_SIZES, choose_page_runs
 from repro.paging.pagetable import PageTable, PageTableNode, Pte
 from repro.paging.walker import PageWalker
 from repro.units import CACHE_LINE, PAGE_SIZE, align_up
-from repro.vm.vma import AnonBacking, MapFlags, MemoryBacking, Protection, Vma
+from repro.vm.vma import MapFlags, MemoryBacking, Protection, Vma
 
 #: Default base of the mmap area (x86-64 userland convention-ish).
 _MMAP_BASE = 0x7F00_0000_0000
@@ -65,6 +66,7 @@ class AddressSpace:
         clock: SimClock,
         costs: CostModel,
         counters: MetricsRegistry,
+        buddy: BuddyAllocator,
         frame_table: Optional[FrameTable] = None,
         mmap_base: int = _MMAP_BASE,
     ) -> None:
@@ -74,6 +76,9 @@ class AddressSpace:
         self._clock = clock
         self._costs = costs
         self._counters = counters
+        #: The DRAM buddy every private (COW) copy comes from and goes
+        #: back to, whatever the backing's media.
+        self._buddy = buddy
         self._frame_table = frame_table
         self._vmas: List[Vma] = []  # sorted by start
         self._starts: List[int] = []
@@ -269,7 +274,7 @@ class AddressSpace:
         # regardless of mapping granularity (mapcount, flags).  DAX
         # backings opt out — their frames have no struct page.
         frame_table = self._frame_table
-        if not getattr(vma.backing, "tracks_frame_meta", True):
+        if not vma.backing.tracks_frame_meta:
             frame_table = None
         pt = self._pt
         write_leaf = pt.write_leaf
@@ -280,6 +285,7 @@ class AddressSpace:
         window_base = window_end = 0
         node = None
         written = 0
+        # o1: allow(flow-bounded) -- the runs partition the declared n pages
         for page_index, first_pfn, run_pages in vma.backing.frame_runs(
             first_page, npages
         ):
@@ -379,39 +385,31 @@ class AddressSpace:
     def _unmap_vma_range(self, vma: Vma, start: int, end: int) -> int:
         """Tear down PTEs and backing for ``[start, end)`` of ``vma``."""
         extent = self.munmap_policy == "extent"
-        if extent:
-            pages = self._teardown_extent(vma, start, end)
-        else:
-            pages = self._teardown_pages(vma, start, end)
         first_page = vma.backing_page(start)
         npages = (end - start) // PAGE_SIZE
-        release_extent = getattr(vma.backing, "release_extent", None)
-        if extent and release_extent is not None:
-            release_extent(first_page, npages)
+        if extent:
+            pages = self._teardown_extent(vma, start, end)
+            vma.backing.release_extent(first_page, npages)
         else:
+            pages = self._teardown_pages(vma, start, end)
             vma.backing.release(first_page, npages)
-        # COW copies for the range were order-0 frames the VMA owns;
-        # return them to their allocator so they do not leak.
+        # COW copies for the range were order-0 DRAM frames the VMA owns;
+        # return them to the buddy so they do not leak.
         # o1: allow(o1-size-loop) -- one pop per private copy in the cut, within the declared n
         doomed = [
             vma.private_copies.pop(page_index)
             for page_index in list(vma.private_copies)
             if first_page <= page_index < first_page + npages
         ]
-        if doomed:
-            allocator = vma.copy_allocator()
-            free_many = getattr(allocator, "free_many", None)
-            if extent and free_many is not None:
-                free_many(doomed)
-            else:
-                for pfn in doomed:
-                    allocator.free(pfn)
+        if doomed and extent:
+            self._buddy.free_many(doomed)
+        elif doomed:
+            for pfn in doomed:
+                self._buddy.free(pfn)
         # Adjust or remove the VMA itself.
         if start == vma.start and end == vma.end:
             self._remove_vma(vma)
-            detach = getattr(vma.backing, "detach_user", None)
-            if detach is not None:
-                detach()
+            vma.backing.detach_user()
         elif start == vma.start:
             index = self._vmas.index(vma)
             vma.start = end
@@ -425,7 +423,7 @@ class AddressSpace:
     def _teardown_pages(self, vma: Vma, start: int, end: int) -> int:
         """Per-PTE teardown — the baseline's linear loop, one descent per
         leaf."""
-        tracks_meta = getattr(vma.backing, "tracks_frame_meta", True)
+        tracks_meta = vma.backing.tracks_frame_meta
         pt = self._pt
         pages = 0
         va = start
@@ -681,9 +679,8 @@ class AddressSpace:
         major = False
         if pfn is None:
             backing = vma.backing
-            # Only anonymous memory swaps: the fault is major when the
-            # page waits on the swap device.
-            major = isinstance(backing, AnonBacking) and backing.is_swapped(page_index)
+            # The fault is major when the page waits on the swap device.
+            major = backing.is_swapped(page_index)
             pfn = backing.frame_for(page_index, write=write)
         writable = self._map_writable(vma) or page_index in vma.private_copies
         if write and vma.needs_cow():
@@ -696,9 +693,7 @@ class AddressSpace:
             self._pt.map(page_va, pfn, writable=writable)
         else:
             self._pt.write_leaf(node, page_va, pfn, PAGE_SIZE, writable)
-        if self._frame_table is not None and getattr(
-            vma.backing, "tracks_frame_meta", True
-        ):
+        if self._frame_table is not None and vma.backing.tracks_frame_meta:
             meta = self._frame_table.get_ref(pfn)
             meta.mapcount += 1
             meta.set_flag(PageFlags.REFERENCED)
@@ -733,11 +728,11 @@ class AddressSpace:
         self._counters.bump(FAULT_COUNTERS[FaultType.COW])
 
     def _make_private_copy(self, vma: Vma, page_index: int, src_pfn: int) -> int:
-        """Allocate and fill a private copy of a backing page."""
+        """Allocate and fill a private DRAM copy of a backing page."""
         existing = vma.private_copies.get(page_index)
         if existing is not None:
             return existing
-        new_pfn = vma.copy_allocator().alloc(0)
+        new_pfn = self._buddy.alloc(0)
         lines = PAGE_SIZE // CACHE_LINE
         self._clock.advance(self._costs.copy_line_ns * lines * 2)
         self._counters.bump("cow_copy")
@@ -775,16 +770,12 @@ class AddressSpace:
         if self.cpu is not None:
             self.cpu.invalidate_page(page_va, asid=self._asid)
         if vma is not None:
-            backing = vma.backing
-            swap_out = getattr(backing, "swap_out", None)
-            if swap_out is not None:
-                page_index = vma.backing_page(page_va)
-                resident = getattr(backing, "resident_frame", None)
-                if resident is None or resident(page_index) == pte.pfn:
-                    # Only write back the frame we actually unmapped: a
-                    # private COW copy must not push out (and free) the
-                    # backing's original, possibly still-mapped frame.
-                    swap_out(page_index)
+            page_index = vma.backing_page(page_va)
+            if vma.backing.resident_frame(page_index) == pte.pfn:
+                # Only write back the frame we actually unmapped: a
+                # private COW copy must not push out (and free) the
+                # backing's original, possibly still-mapped frame.
+                vma.backing.swap_out(page_index)
         self._counters.bump("vm_page_evict")
         return True
 
@@ -793,8 +784,7 @@ class AddressSpace:
         """Whether the backing lets this space alone reclaim the page."""
         if vma is None:
             return True
-        backing = vma.backing
-        if getattr(backing, "_users", 1) > 1:
+        if vma.backing.shared:
             # The backing (anon frames after a COW fork) is shared: the
             # frame may be mapped by a sibling space whose page table we
             # cannot reach from here.

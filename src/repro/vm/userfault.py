@@ -19,8 +19,9 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterator, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import MappingError, ProtectionError
+from repro.lint import complexity
 from repro.units import PAGE_SIZE
-from repro.vm.vma import MapFlags, Protection, Vma
+from repro.vm.vma import MapFlags, MemoryBacking, Protection, Vma
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.kernel import Kernel
@@ -37,12 +38,11 @@ UPCALL_NS = 4_500
 FaultHandler = Callable[[int], Optional[bytes]]
 
 
-class _UserFaultBacking:
+class _UserFaultBacking(MemoryBacking):
     """Backing that upcalls instead of allocating."""
 
     def __init__(self, region: "UserFaultRegion") -> None:
         self._region = region
-        self._allocator = region._kernel.dram_buddy  # for COW protocol
 
     def frame_for(self, page_index: int, write: bool) -> int:
         return self._region._handle_user_fault(page_index)
@@ -52,6 +52,7 @@ class _UserFaultBacking:
             "userfault regions cannot be pre-populated; faults are the point"
         )
 
+    @complexity("n", note="one probe per page of the range")
     def release(self, page_index: int, npages: int) -> None:
         self._region._release_pages(page_index, npages)
 
@@ -145,6 +146,7 @@ class UserFaultRegion:
         """Pages currently materialized."""
         return len(self._frames)
 
+    @complexity("n", note="one probe per page of the range")
     def _release_pages(self, page_index: int, npages: int) -> None:
         for index in range(page_index, page_index + npages):
             pfn = self._frames.pop(index, None)

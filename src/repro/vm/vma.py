@@ -6,6 +6,7 @@ A :class:`Vma` describes one contiguous mapped region of an address space
 abstract over anonymous memory, tmpfs page caches, and DAX extents so the
 fault and populate paths are uniform — and so the file-only-memory design
 can swap in extent-granularity backings without touching the VM core.
+Private (COW) copies are DRAM pages whatever the backing's media.
 
 Adjacent-VMA merging is implemented because the paper explicitly names it
 as an optimization that file-granularity management gives up ("Linux
@@ -16,9 +17,10 @@ what that costs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Protocol, Tuple, runtime_checkable
+from typing import Iterator, Optional, Tuple
 
 from repro.errors import MappingError
+from repro.lint import complexity
 from repro.units import PAGE_SIZE
 
 
@@ -49,17 +51,25 @@ class MapFlags:
     HUGEPAGE = 1 << 4
 
 
-@runtime_checkable
-class MemoryBacking(Protocol):
-    """Supplier of physical frames for a mapped region.
+class MemoryBacking:
+    """Supplier of physical frames for a mapped region; every backing's base.
 
     All methods charge their own simulated costs.  ``page_index`` is
     relative to the backing object (file page number), not the VMA.
+    Subclasses supply :meth:`frame_for` and :meth:`frame_runs`; the other
+    members default to frames something else owns (a file, an extent),
+    mapped by one address space at a time and never swapped.
     """
+
+    #: Whether the vm layer keeps per-4 KiB frame metadata (``struct
+    #: page``) for this backing's frames.
+    tracks_frame_meta = True
+    #: The file this backing maps; None for memory no file owns.
+    inode = None
 
     def frame_for(self, page_index: int, write: bool) -> int:
         """PFN backing ``page_index``, allocating/fetching if needed."""
-        ...
+        raise NotImplementedError
 
     def frame_runs(self, start_page: int, npages: int) -> Iterator[Tuple[int, int, int]]:
         """(page_index, first_pfn, run_pages) runs covering the range.
@@ -67,14 +77,41 @@ class MemoryBacking(Protocol):
         Extent-based backings return long runs (cheap to enumerate);
         page-cache backings return one run per page.
         """
-        ...
+        raise NotImplementedError
 
     def release(self, page_index: int, npages: int) -> None:
         """Drop any per-mapping resources for the range (on munmap)."""
-        ...
+
+    @complexity("n", note="the release it stands for")
+    def release_extent(self, page_index: int, npages: int) -> None:
+        """:meth:`release` under the extent munmap policy."""
+        self.release(page_index, npages)
+
+    def add_user(self) -> None:
+        """Another address space maps this backing (fork)."""
+
+    def detach_user(self) -> None:
+        """One address space dropped its whole mapping of this backing."""
+
+    @property
+    def shared(self) -> bool:
+        """True while another address space may map the backing's frames,
+        so no one space may evict them."""
+        return False
+
+    def is_swapped(self, page_index: int) -> bool:
+        """True when ``page_index`` lives on swap: faulting it is major."""
+        return False
+
+    def resident_frame(self, page_index: int) -> Optional[int]:
+        """The frame :meth:`swap_out` would push out for ``page_index``."""
+        return None
+
+    def swap_out(self, page_index: int) -> None:
+        """Push one resident page to swap."""
 
 
-class AnonBacking:
+class AnonBacking(MemoryBacking):
     """Anonymous (demand-zero) memory, the MAP_ANONYMOUS baseline.
 
     Frames come from the buddy allocator one at a time and are zeroed on
@@ -102,6 +139,10 @@ class AnonBacking:
     def add_user(self) -> None:
         """Register another address space sharing these frames (fork)."""
         self._users += 1
+
+    @property
+    def shared(self) -> bool:
+        return self._users > 1
 
     def frame_for(self, page_index: int, write: bool) -> int:
         pfn = self._frames.get(page_index)
@@ -145,12 +186,14 @@ class AnonBacking:
         self._swapped[page_index] = slot
         self._allocator.free(pfn)
 
+    @complexity("n", note="one frame per page: what makes MAP_POPULATE linear")
     def frame_runs(self, start_page: int, npages: int) -> Iterator[Tuple[int, int, int]]:
         # Anonymous memory has no pre-existing frames: populate allocates
         # page by page, which is what makes MAP_POPULATE linear.
         for page_index in range(start_page, start_page + npages):
             yield page_index, self.frame_for(page_index, write=True), 1
 
+    @complexity("n", note="one free per page of the range")
     def release(self, page_index: int, npages: int) -> None:
         """Free the range's frames — unless another space still shares them.
 
@@ -167,6 +210,7 @@ class AnonBacking:
                 self._allocator.free(pfn)
             self._free_swap_slot(index)
 
+    @complexity("n", note="one pass over the resident and swapped pages")
     def release_extent(self, page_index: int, npages: int) -> None:
         """Extent-granularity :meth:`release`: one batched frame free.
 
@@ -179,11 +223,13 @@ class AnonBacking:
         end = page_index + npages
         doomed = [i for i in self._frames if page_index <= i < end]
         pfns = [self._frames.pop(i) for i in doomed]
+        # o1: allow(flow-bounded) -- the swapped pages number at most the declared n
         for index in [i for i in self._swapped if page_index <= i < end]:
             self._free_swap_slot(index)
         if pfns:
             self._allocator.free_many(pfns)
 
+    @complexity("n", note="the last user frees every page still resident or swapped")
     def detach_user(self) -> None:
         """One address space dropped its whole mapping of this backing.
 
@@ -224,7 +270,8 @@ class Vma:
     #: Page offset into the backing at which this VMA begins.
     backing_offset: int = 0
     name: str = ""
-    #: page_index (backing-relative) -> private COW copy pfn.
+    #: page_index (backing-relative) -> private COW copy pfn, a DRAM
+    #: frame from the address space's buddy.
     private_copies: dict = field(default_factory=dict)
     #: True after fork(): the backing's frames are shared copy-on-write
     #: with another address space, so writes must copy even for anon.
@@ -277,21 +324,6 @@ class Vma:
         if not self.flags & MapFlags.ANONYMOUS:
             return True
         return self.cow_shared
-
-    def copy_allocator(self):
-        """The allocator private (COW) copies of this mapping's pages
-        come from, and go back to at munmap and exit: the backing's own.
-
-        Every copy — a COW fault's, and fork's duplicate of a copy for
-        the child — comes from here, so it returns to where it came from.
-        """
-        allocator = getattr(self.backing, "_allocator", None)
-        if allocator is None:
-            raise MappingError(
-                "COW on a backing without an allocator; map MAP_SHARED or "
-                "provide an allocator-backed mapping"
-            )
-        return allocator
 
     def can_merge_with(self, other: "Vma") -> bool:
         """True if ``other`` directly follows and is mergeable.

@@ -28,7 +28,7 @@ from repro.paging.pagetable import PageTable, PageTableNode, Pte
 from repro.sanitize import SanitizerError
 from repro.units import MIB, PAGE_SIZE
 from repro.vm.addrspace import AddressSpace
-from repro.vm.vma import MapFlags, Protection
+from repro.vm.vma import MapFlags, MemoryBacking, Protection
 
 
 # ----------------------------------------------------------------------
@@ -237,13 +237,12 @@ def _references():
 # ----------------------------------------------------------------------
 # Twin machines
 # ----------------------------------------------------------------------
-class _ContiguousBacking:
+class _ContiguousBacking(MemoryBacking):
     """One buddy block handed out as a single run: a multi-page run whose
     frames carry metadata (anonymous and page-cache runs are one page,
     DAX runs carry none)."""
 
     def __init__(self, allocator, npages):
-        self._allocator = allocator
         self.first_pfn = allocator.alloc_pages(npages)
 
     def frame_for(self, page_index, write):
@@ -251,9 +250,6 @@ class _ContiguousBacking:
 
     def frame_runs(self, start_page, npages):
         yield start_page, self.first_pfn + start_page, npages
-
-    def release(self, page_index, npages):
-        return None
 
 
 class _Machine:
@@ -459,7 +455,11 @@ def _nodes(root, ids):
 
 
 def _drive(machine, steps):
-    """(op, outcome, state) after each step; an outcome names any error."""
+    """(op, outcome, state) after each step; an outcome names any error.
+
+    PMFS must pass fsck after every step: every block it hands out
+    belongs to a file, private copies of DAX pages included.
+    """
     log = []
     for op, a, b, c in steps:
         try:
@@ -468,6 +468,7 @@ def _drive(machine, steps):
             # A planted bad free halts an armed sanitizer before the
             # allocator's own check: both twins must stop at the same point.
             outcome = (type(exc).__name__, str(exc))
+        assert machine.kernel.pmfs.fsck() == [], f"after {op}"
         log.append((op, outcome, machine.state()))
     return log
 

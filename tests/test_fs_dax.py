@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.fs.dax import (
-    direct_map_runs,
-    is_dax,
-    largest_natural_alignment,
-    mmap_setup_extra_ns,
-)
+from repro.fs.dax import direct_map_runs, is_dax, largest_natural_alignment
 from repro.kernel import Kernel, MachineConfig
 from repro.units import GIB, HUGE_PAGE_2M, KIB, MIB, PAGE_SIZE
 
@@ -22,8 +17,8 @@ class TestDaxPredicates:
         assert not is_dax(kernel.pmfs)
 
     def test_setup_extra_cost(self, kernel):
-        assert mmap_setup_extra_ns(kernel.pmfs) == kernel.costs.dax_setup_ns
-        assert mmap_setup_extra_ns(kernel.tmpfs) == 0
+        assert kernel.pmfs.mmap_setup_extra_ns == kernel.costs.dax_setup_ns
+        assert kernel.tmpfs.mmap_setup_extra_ns == 0
 
 
 class TestDirectMapRuns:

@@ -184,24 +184,32 @@ class TestResourceLifetimes:
             child_vma.private_copies[0] != parent_vma.private_copies[0]
         )
 
-    def test_private_dax_copies_return_to_nvm(self):
-        # A private PMFS mapping's COW copies come from NVM; the child's
-        # duplicates must come from there too, or its exit hands DRAM
-        # frames to the NVM allocator.
+    def test_private_dax_copies_come_from_dram(self):
+        # A store into a private PMFS mapping copies the page into DRAM,
+        # as Linux does, and fork duplicates that copy from DRAM too: no
+        # NVM block leaves the file system, so fsck stays clean, and
+        # munmap and exit return each copy to the buddy.
         kernel = Kernel(MachineConfig(dram_bytes=64 * MIB, nvm_bytes=16 * MIB))
         parent = kernel.spawn("p")
         sys = kernel.syscalls(parent)
         fd = sys.open(kernel.pmfs, "/f", create=True, size=8 * PAGE_SIZE)
         va = sys.mmap(8 * PAGE_SIZE, fd=fd, flags=MapFlags.PRIVATE)
-        kernel.access(parent, va, write=True)
         nvm_free = kernel.nvm_allocator.free_blocks
+        copy = kernel.access(parent, va, write=True) // PAGE_SIZE
+        assert kernel.dram_buddy.is_allocated(copy)
+        assert kernel.nvm_allocator.free_blocks == nvm_free
+        assert kernel.pmfs.fsck() == []
         dram_free = kernel.dram_buddy.free_frames
         child = sys.fork()
-        assert kernel.nvm_allocator.free_blocks == nvm_free - 1
-        child.exit()
+        dup = child.space.find_vma(va).private_copies[0]
+        assert dup != copy and kernel.dram_buddy.is_allocated(dup)
         assert kernel.nvm_allocator.free_blocks == nvm_free
-        # The child's page-table nodes went back as well.
+        assert kernel.pmfs.fsck() == []
+        child.exit()
+        # The duplicate and the child's page-table nodes went back.
+        assert not kernel.dram_buddy.is_allocated(dup)
         assert kernel.dram_buddy.free_frames == dram_free
-        parent.exit()
-        assert kernel.nvm_allocator.free_blocks == nvm_free + 1
+        sys.munmap(va, 8 * PAGE_SIZE)
+        assert not kernel.dram_buddy.is_allocated(copy)
+        assert kernel.nvm_allocator.free_blocks == nvm_free
         assert kernel.pmfs.fsck() == []

@@ -433,6 +433,34 @@ class TestRealTree:
         assert attrs.get("_tlb") == "repro.hw.tlb.Tlb"
         assert attrs.get("_rtlb") == "repro.hw.rtlb.RangeTlb"
 
+    def test_backing_calls_reach_every_override(self, real_flow):
+        """Every backing subclasses ``MemoryBacking``, so a call through
+        ``vma.backing`` reaches each backing's own body, not a stub."""
+        _, result = real_flow
+        graph = result.graph
+        backings = (
+            "repro.vm.vma.AnonBacking",
+            "repro.fs.tmpfs._TmpfsBacking",
+            "repro.fs.pmfs._PmfsBacking",
+            "repro.vm.userfault._UserFaultBacking",
+            "repro.core.rangetrans.manager._RawExtentBacking",
+        )
+        space = "repro.vm.addrspace.AddressSpace"
+        for caller, method in (
+            ("_minor_fault", "frame_for"),
+            ("_populate", "frame_runs"),
+            ("_unmap_vma_range", "release"),
+        ):
+            targets = {
+                target
+                for site in graph.calls[f"{space}.{caller}"]
+                if site.attr == method and "backing" in site.raw
+                for target in site.targets
+            }
+            for backing in backings:
+                override = graph.lookup_method(backing, method)
+                assert override in targets, (caller, override)
+
     def test_entries_cover_syscalls_and_kernel(self, real_flow):
         _, result = real_flow
         names = set(result.entries)

@@ -1,5 +1,7 @@
-"""Source audits over src/: every bump() literal must be canonical, and
-every armed subsystem is read from its registry slot as a plain attribute."""
+"""Source audits over src/: every bump() literal must be canonical,
+every armed subsystem is read from its registry slot as a plain
+attribute, and no code probes a backing, file system or kernel with
+``getattr``."""
 
 import ast
 import pathlib
@@ -14,6 +16,8 @@ from repro.obs.names import (
     check_convention,
     is_canonical,
 )
+from repro.units import PAGE_SIZE
+from repro.vm.vma import AnonBacking, MemoryBacking
 
 SRC = pathlib.Path(__file__).parent.parent / "src"
 
@@ -79,31 +83,57 @@ def _is_registry(node):
     return name in ("counters", "_counters")
 
 
-def iter_hook_accesses():
-    """(path, line, kind) for every hook-slot access over a registry.
+#: Receivers with a declared interface: every backing subclasses
+#: ``MemoryBacking``, every file system ``FileSystem``, and the kernel
+#: sets each of its attributes.  A ``getattr`` probe of one with a
+#: default only hides a typo, or a member some subclass lacks.
+DECLARED_RECEIVERS = frozenset({"backing", "fs", "kernel", "_kernel"})
+
+
+def _receiver_name(node):
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def _accesses(tree):
+    """(line, kind) for every hook-slot access and declared-receiver
+    probe in ``tree``.
 
     ``kind`` is ``"getattr"`` for a ``getattr(<registry>, "<slot>", ...)``
-    probe and ``"attr"`` for a plain ``<registry>.<slot>`` read or write.
-    Parsed, not grepped, so docstring examples do not count.
+    probe, ``"probe"`` for a ``getattr`` on a backing (``backing``,
+    ``<expr>.backing``), a file system or the kernel, and ``"attr"`` for
+    a plain ``<registry>.<slot>`` read or write.
     """
-    for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) >= 2
+        ):
             if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "getattr"
-                and len(node.args) >= 2
-                and _is_registry(node.args[0])
+                _is_registry(node.args[0])
                 and isinstance(node.args[1], ast.Constant)
                 and node.args[1].value in HOOK_SLOTS
             ):
-                yield path.relative_to(SRC), node.lineno, "getattr"
-            elif (
-                isinstance(node, ast.Attribute)
-                and node.attr in HOOK_SLOTS
-                and _is_registry(node.value)
-            ):
-                yield path.relative_to(SRC), node.lineno, "attr"
+                yield node.lineno, "getattr"
+            elif _receiver_name(node.args[0]) in DECLARED_RECEIVERS:
+                yield node.lineno, "probe"
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in HOOK_SLOTS
+            and _is_registry(node.value)
+        ):
+            yield node.lineno, "attr"
+
+
+def iter_hook_accesses():
+    """(path, line, kind) of every :func:`_accesses` hit under src/.
+
+    Parsed, not grepped, so docstring examples do not count.
+    """
+    for path in sorted(SRC.rglob("*.py")):
+        for line, kind in _accesses(ast.parse(path.read_text())):
+            yield path.relative_to(SRC), line, kind
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +162,36 @@ class TestHookSlotAudit:
             "repro/mem/buddy.py",
             "repro/kernel/kernel.py",
         }
+
+
+class TestBackingAudit:
+    def test_no_getattr_probe_of_a_backing(self, hook_accesses):
+        # The MemoryBacking base declares every member the vm, kernel
+        # and ras layers call; give a missing one a default there.
+        offenders = [
+            f"{path}:{line}" for path, line, kind in hook_accesses if kind == "probe"
+        ]
+        assert not offenders, (
+            "getattr() probes of a backing, file system or kernel; call "
+            "the member the base class declares instead:\n" + "\n".join(offenders)
+        )
+
+    def test_audit_sees_each_receiver_shape(self):
+        probes = (
+            'getattr(vma.backing, "_allocator", None)',
+            'getattr(backing, "swap_out", None)',
+            'getattr(fs, "mmap_setup_extra_ns", 0)',
+            'getattr(self._kernel, "pmfs", None)',
+        )
+        for source in probes:
+            assert list(_accesses(ast.parse(source))) == [(1, "probe")], source
+        assert list(_accesses(ast.parse('getattr(space, "asid", None)'))) == []
+
+    def test_every_backing_is_a_memory_backing(self, kernel):
+        assert issubclass(AnonBacking, MemoryBacking)
+        for fs in (kernel.tmpfs, kernel.pmfs):
+            inode = fs.create("/audit", size=PAGE_SIZE)
+            assert isinstance(fs.backing_for(inode), MemoryBacking), fs.name
 
 
 class TestConvention:

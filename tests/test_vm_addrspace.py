@@ -189,13 +189,16 @@ class TestMunmap:
         assert not kernel.dram_buddy.is_allocated(high)
 
     def test_unmap_frees_pmfs_cow_copies(self, machine):
+        # A private DAX mapping copies into DRAM and takes no NVM block.
         kernel, process, sys = machine
-        fd = sys.open(kernel.pmfs, "/cownvm", create=True, size=16 * KIB)
+        fd = sys.open(kernel.pmfs, "/cowdax", create=True, size=16 * KIB)
         free_before = kernel.pmfs.allocator.free_blocks
         va = sys.mmap(16 * KIB, fd=fd, flags=MapFlags.PRIVATE)
-        kernel.access(process, va, write=True)
-        assert kernel.pmfs.allocator.free_blocks == free_before - 1
+        copy = kernel.access(process, va, write=True) // PAGE_SIZE
+        assert kernel.dram_buddy.is_allocated(copy)
+        assert kernel.pmfs.allocator.free_blocks == free_before
         sys.munmap(va, 16 * KIB)
+        assert not kernel.dram_buddy.is_allocated(copy)
         assert kernel.pmfs.allocator.free_blocks == free_before
 
     def test_prefix_unmap_shrinks_vma(self, machine):
