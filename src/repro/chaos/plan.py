@@ -214,7 +214,7 @@ class FaultPlan:
     # ------------------------------------------------------------------
     @o1(note="scan of the registered fault specs, a test-config constant")
     def _decide(self, site: str, index: int, site_count: int) -> Optional[str]:
-        # o1: allow(o1-size-loop) -- specs is the configured fault list, not operand-sized
+        # o1: allow(flow-bounded) -- specs is the configured fault list, not operand-sized
         for spec_index, spec in enumerate(self.specs):
             if spec_index in self._fired_specs:
                 continue

@@ -12,10 +12,10 @@ Installed as ``repro-o1`` (see pyproject.toml)::
     repro-o1 sanitize    # run a workload with shadow-state sanitizers armed
     repro-o1 ras         # seeded media-fault sweep: scrub, retire, migrate
     repro-o1 ras --sweep 10   # ... across workload seeds 0..9
-    repro-o1 lint        # O(1) conformance: AST cost-shape check
+    repro-o1 lint        # O(1) conformance: the call-graph o1 pass
     repro-o1 lint --fit  # ... plus the empirical complexity fitter
-    repro-o1 lint --interproc   # ... plus call-graph cost summaries
-    repro-o1 lint --interproc --dot callgraph.dot   # ... and the graph
+    repro-o1 lint --alloc   # ... plus AllocSan and its tracemalloc check
+    repro-o1 lint --dot callgraph.dot   # ... and write the call graph
     repro-o1 bench       # tier-1 wall-clock microbenchmarks
     repro-o1 bench --quick --compare BENCH_tier1.json   # CI regression gate
     repro-o1 profile     # wall-clock profile of the demo workload
@@ -384,13 +384,9 @@ def _cmd_qos(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.lint.astcheck import lint_tree
+    from repro.lint.flow import run_flow
     from repro.lint.report import build_report, render_text, write_json
 
-    if args.dot is not None and not args.interproc:
-        print("lint: --dot needs --interproc, the pass that builds the "
-              "call graph", file=sys.stderr)
-        return 2
     if args.op and not args.fit:
         print("lint: --op selects operations for --fit; add --fit",
               file=sys.stderr)
@@ -407,20 +403,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if not root.is_dir():
         print(f"lint root {root} is not a directory", file=sys.stderr)
         return 2
-    result = lint_tree(root)
-    failed = bool(result.violations)
-
-    flow = None
-    if args.interproc:
-        from repro.lint.flow import run_flow
-
-        flow = run_flow(root, intra_used=result.used_allows)
-        failed = failed or bool(flow.findings) or bool(flow.stale_suppressions)
-        if args.dot is not None:
-            dot_path = Path(args.dot)
-            dot_path.parent.mkdir(parents=True, exist_ok=True)
-            dot_path.write_text(flow.graph.to_dot(), encoding="utf-8")
-            print(f"wrote call graph to {args.dot}")
+    o1 = run_flow(root)
+    failed = bool(o1.findings) or bool(o1.stale_suppressions)
+    if args.dot is not None:
+        dot_path = Path(args.dot)
+        dot_path.parent.mkdir(parents=True, exist_ok=True)
+        dot_path.write_text(o1.graph.to_dot(), encoding="utf-8")
+        print(f"wrote call graph to {args.dot}")
 
     alloc = None
     allocfit_results = None
@@ -428,9 +417,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         from repro.lint.alloc import run_alloc
         from repro.lint.allocfit import run_allocfit
 
-        alloc = run_alloc(
-            root, graph=flow.graph if flow is not None else None
-        )
+        alloc = run_alloc(root, graph=o1.graph)
         allocfit_results = run_allocfit()
         failed = (
             failed
@@ -449,12 +436,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         failed = failed or any(not f.ok for f in fits)
 
     print(render_text(
-        result, fits, flow=flow, alloc=alloc,
-        allocfit_results=allocfit_results,
+        o1, fits, alloc=alloc, allocfit_results=allocfit_results,
     ))
     if args.json is not None:
         report = build_report(
-            result, fits, sizes=sizes, flow=flow, alloc=alloc,
+            o1, fits, sizes=sizes, alloc=alloc,
             allocfit_results=allocfit_results,
         )
         write_json(Path(args.json), report)
@@ -670,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     qos.set_defaults(func=_cmd_qos)
     lint = sub.add_parser(
         "lint",
-        help="O(1) conformance: AST cost-shape linter + complexity fitter",
+        help="O(1) conformance: call-graph cost pass + complexity fitter",
     )
     lint.add_argument(
         "--root", default=None,
@@ -694,15 +680,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the machine-readable lint_report.json here",
     )
     lint.add_argument(
-        "--interproc", action="store_true",
-        help="also run the interprocedural pass: call-graph cost "
-             "summaries, declaration coverage from hot-path entries, "
-             "must-call protocols, stale-suppression detection",
-    )
-    lint.add_argument(
         "--dot", metavar="PATH", default=None,
-        help="with --interproc, write the call graph in Graphviz DOT "
-             "format here",
+        help="write the call graph in Graphviz DOT format here",
     )
     lint.add_argument(
         "--alloc", action="store_true",

@@ -112,7 +112,6 @@ class PageTableCache:
             raise MappingError(f"cannot premap empty file ino={inode.ino}")
         # o1: allow(flow-bounded) -- the runs partition the file's declared n pages
         for page_index, pfn, run in backing.frame_runs(0, npages):
-            # o1: allow(o1-nested-size-loop) -- the amortized build itself
             for page in range(run):
                 donor.map(
                     (page_index + page) * PAGE_SIZE,
@@ -175,7 +174,7 @@ class PageTableCache:
             addr=vaddr,
             name=f"premap:ino{inode.ino}",
         )
-        # o1: allow(o1-size-loop) -- one link per 2 MiB window, not per page
+        # o1: allow(flow-bounded) -- one link per 2 MiB window, not per page
         for offset, node in premapped.windows:
             space.page_table.link_subtree(vaddr + offset, node)
         premapped.attach_count += 1
@@ -186,7 +185,7 @@ class PageTableCache:
     def detach(self, attachment: Attachment) -> None:
         """Unmap: unlink each window pointer and drop the VMA — O(windows)."""
         span = attachment.premap.window_span
-        # o1: allow(o1-size-loop) -- one unlink per 2 MiB window
+        # o1: allow(flow-bounded) -- one unlink per 2 MiB window
         for offset, _node in attachment.premap.windows:
             attachment.space.page_table.unlink_subtree(
                 attachment.vaddr + offset, self._levels - 1

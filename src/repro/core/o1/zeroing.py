@@ -46,7 +46,7 @@ def _alloc_with_retry(
     fault) is retried a bounded number of times before propagating.
     """
     last_error: Optional[Exception] = None
-    # o1: allow(o1-size-loop, o1-charge-in-loop) -- attempts is a constant retry budget
+    # o1: allow(flow-bounded) -- attempts is a constant retry budget
     for attempt in range(attempts):
         if attempt:
             counters.bump("zero_alloc_retry")

@@ -151,7 +151,6 @@ class PbmManager:
             # o1: allow(flow-bounded) -- the extents partition the declared n windows
             windows = self._subtrees.windows_for_extent(vaddr, pfn, run, writable)
             if windows is not None:
-                # o1: allow(o1-nested-size-loop) -- per 2 MiB window
                 for window_va, node in windows:
                     space.page_table.link_subtree(window_va, node)
                     segment.linked_windows.append(window_va)
@@ -159,7 +158,6 @@ class PbmManager:
             else:
                 # Unshareable extent: private per-page mapping (the
                 # graceful-degradation path).
-                # o1: allow(o1-nested-size-loop) -- degradation by design
                 for page in range(run):
                     space.page_table.map(
                         vaddr + page * PAGE_SIZE, pfn + page, writable=writable
@@ -181,11 +179,11 @@ class PbmManager:
                     (segment.vaddr - self._pbm_base) // PAGE_SIZE,
                     segment.length // PAGE_SIZE,
                 )
-            # o1: allow(o1-nested-size-loop) -- per 2 MiB window
+            # o1: allow(flow-bounded) -- per 2 MiB window
             for window_va in segment.linked_windows:
                 mapping.space.page_table.unlink_subtree(window_va, levels - 1)
             if segment.mapped_pages:
-                # o1: allow(o1-nested-size-loop) -- degradation by design
+                # o1: allow(flow-bounded) -- degradation by design
                 for page in range(segment.mapped_pages):
                     mapping.space.page_table.unmap(segment.vaddr + page * PAGE_SIZE)
             mapping.space.detach_vma(segment.vma)

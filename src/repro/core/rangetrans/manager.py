@@ -105,7 +105,6 @@ class RangeMemory:
         writable = bool(prot & Protection.WRITE)
         rte_bases: List[int] = []
         backing = inode.fs.backing_for(inode)
-        # o1: allow(flow-bounded) -- the runs partition the file's declared n pages
         for page_index, pfn, run in backing.frame_runs(0, npages):
             base = vaddr + page_index * PAGE_SIZE
             table.insert(
@@ -169,7 +168,7 @@ class RangeMemory:
     def unmap(self, mapping: RangeMapping) -> None:
         """Remove the mapping's RTEs and shoot down the range TLB."""
         table = self.table_for(mapping.space)
-        # o1: allow(o1-size-loop) -- per extent, not per page
+        # o1: allow(flow-bounded) -- per extent, not per page
         for base in mapping.rte_bases:
             table.remove(base)
         rtlb = self._kernel.rtlb

@@ -120,7 +120,7 @@ class BlockAllocator:
         first = self._region.first_pfn
         candidate = self._bitmap.find_clear_run(nblocks, self._hint)
         scanned_from = candidate
-        # o1: allow(o1-size-loop, o1-charge-in-loop) -- candidates advance monotonically; one bitmap pass total
+        # o1: allow(flow-bounded) -- candidates advance monotonically; one bitmap pass total
         while candidate is not None:
             misalign = (first + candidate) % align_frames
             if misalign == 0:
@@ -144,7 +144,7 @@ class BlockAllocator:
         while remaining > 0:
             run = remaining
             start = None
-            # o1: allow(o1-size-loop, o1-charge-in-loop, o1-nested-size-loop) -- run halves each probe, a log-bounded search
+            # o1: allow(flow-bounded) -- run halves each probe, a log-bounded search
             while run > 0:
                 # o1: allow(flow-bounded) -- the bitmap scan is the priced fragmentation fallback
                 start = self._bitmap.find_clear_run(run, self._hint)
@@ -152,7 +152,7 @@ class BlockAllocator:
                     break
                 run //= 2
             if start is None or run == 0:
-                # o1: allow(o1-size-loop, o1-charge-in-loop, o1-nested-size-loop) -- error-path rollback of the few extents grabbed
+                # o1: allow(flow-bounded) -- error-path rollback of the few extents grabbed
                 for extent in extents:
                     self.free_extent(extent)
                 raise NoSpaceError(
@@ -242,7 +242,6 @@ class _PmfsBacking(MemoryBacking):
     @complexity("n", note="one extent lookup per run; runs never outnumber pages")
     def frame_runs(self, start_page: int, npages: int) -> Iterator[Tuple[int, int, int]]:
         tree = self._fs._tree_of(self.inode)
-        # o1: allow(flow-bounded) -- one pass over the runs of the declared n pages
         for logical, pfn, run in tree.runs(start_page, npages):
             # One extent lookup per run — the extent economy in action.
             self._fs._charge_extent_lookup()
@@ -323,7 +322,7 @@ class Pmfs(FileSystem):
         self._extent_invalidators.append(callback)
 
     def _notify_extent_invalidators(self, ino: int, first_pfn: int, count: int) -> None:
-        # o1: allow(o1-size-loop) -- a handful of registered caches
+        # o1: allow(flow-bounded) -- a handful of registered caches
         for callback in self._extent_invalidators:
             callback(ino, first_pfn, count)
 
@@ -606,7 +605,7 @@ class Pmfs(FileSystem):
         tree = self._tree_of(badblock_inode)
         if self._tree_claims(tree, pfn):
             return
-        # o1: allow(o1-size-loop) -- one extent per retired frame, few total
+        # o1: allow(flow-bounded) -- one extent per retired frame, few total
         ends = [extent.logical_end for extent in tree.extents()]
         next_logical = max(ends, default=0)
         record = self._journal_begin("alloc", badblock_inode.ino)
@@ -635,7 +634,6 @@ class Pmfs(FileSystem):
         """
         tree = self._tree_of(inode)
         logical = None
-        # o1: allow(o1-size-loop) -- per extent of one file (repair path)
         for extent in tree.extents():
             if extent.pfn <= bad_pfn < extent.pfn + extent.count:
                 logical = extent.logical + (bad_pfn - extent.pfn)
@@ -723,7 +721,7 @@ class Pmfs(FileSystem):
 
     @staticmethod
     def _tree_claims(tree: ExtentTree, pfn: int) -> bool:
-        # o1: allow(o1-size-loop) -- badblock tree: one extent per frame
+        # o1: allow(flow-bounded) -- badblock tree: one extent per frame
         return any(
             extent.pfn <= pfn < extent.pfn + extent.count
             for extent in tree.extents()
@@ -798,7 +796,7 @@ class Pmfs(FileSystem):
                     # never became part of any file.  (For migrate that
                     # is only the replacement block — the failing extent
                     # still holds the sole durable copy of the data.)
-                    # o1: allow(o1-size-loop, o1-charge-in-loop, o1-nested-size-loop) -- few extents per undone record
+                    # o1: allow(flow-bounded) -- few extents per undone record
                     for extent in record.extents:
                         self.allocator.free_extent(extent)
                 # Uncommitted frees/shrinks changed nothing durable.
@@ -860,7 +858,7 @@ class Pmfs(FileSystem):
         first_pfn = self.allocator._region.first_pfn
         owned = 0
         for tree in self._trees.values():
-            # o1: allow(o1-nested-size-loop) -- extents across all trees fit the declared n
+            # o1: allow(flow-bounded) -- extents across all trees fit the declared n
             for extent in tree.extents():
                 lo = max(extent.pfn - first_pfn, 0)
                 hi = extent.pfn + extent.count - first_pfn

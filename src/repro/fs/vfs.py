@@ -250,7 +250,7 @@ class FileSystem(abc.ABC):
         stack: List[Tuple[str, Inode]] = [("", self.root)]
         while stack:
             prefix, node = stack.pop()
-            # o1: allow(o1-size-loop, o1-charge-in-loop, o1-nested-size-loop) -- each entry is visited once; entries are the declared n
+            # o1: allow(flow-bounded) -- each entry is visited once; entries are the declared n
             for name, child in sorted(node.children.items()):
                 path = f"{prefix}/{name}"
                 if child.kind is InodeKind.DIR:

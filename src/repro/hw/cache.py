@@ -110,7 +110,7 @@ class CacheModel:
         llc = self._llc
         l1_hits = llc_hits = misses = 0
         miss_cost = 0
-        # o1: allow(o1-size-loop) -- a walk's lines: (levels + 1) * (host levels + 1) - 1 <= 35
+        # o1: allow(flow-bounded) -- a walk's lines: (levels + 1) * (host levels + 1) - 1 <= 35
         for line in lines:
             if line in l1:
                 l1.move_to_end(line)

@@ -133,7 +133,7 @@ class Cpu:
         """Access with span bookkeeping; charge sequence matches access()."""
         tracer.begin("access", "cpu")
         try:
-            # o1: allow(o1-size-loop) -- fault retries capped at _MAX_FAULT_RETRIES
+            # o1: allow(flow-bounded) -- fault retries capped at _MAX_FAULT_RETRIES
             for _ in range(self._MAX_FAULT_RETRIES):
                 paddr = self._translate(space, vaddr, write)
                 if paddr is not None:
@@ -160,7 +160,7 @@ class Cpu:
         success after ``k`` faults costs ``k + 1`` translations and ``k``
         round trips; exhaustion costs ``_MAX_FAULT_RETRIES`` of each.
         """
-        # o1: allow(o1-size-loop) -- fault retries capped at _MAX_FAULT_RETRIES
+        # o1: allow(flow-bounded) -- fault retries capped at _MAX_FAULT_RETRIES
         for _ in range(self._MAX_FAULT_RETRIES - 1):
             self._fault_round_trip(space, vaddr, write)
             paddr = self._translate(space, vaddr, write)
@@ -220,7 +220,6 @@ class Cpu:
             raise ValueError(f"size must be non-negative, got {size}")
         if stride <= 0:
             raise ValueError(f"stride must be positive, got {stride}")
-        # o1: allow(o1-size-loop) -- the stride walk is the declared n
         for offset in range(0, size, stride):
             self.access(space, vaddr + offset, write=write)
 
@@ -288,7 +287,7 @@ class Cpu:
         if self.remote_cpus <= 0:
             return
         chaos = self._counters.chaos
-        # o1: allow(o1-size-loop, o1-charge-in-loop) -- broadcast retries capped at `attempts`
+        # o1: allow(flow-bounded) -- broadcast retries capped at `attempts`
         for _attempt in range(attempts):
             if chaos is not None and chaos.hit("cpu.shootdown") == "error":
                 # Interrupted broadcast: part of the IPI fan-out went out

@@ -68,7 +68,7 @@ class RangeTlb:
     @allocfree(note="scan and move-to-end: no per-probe objects")
     def lookup(self, vaddr: int, asid: int = 0) -> Optional[RangeEntry]:
         """Entry covering ``vaddr`` for ``asid``, or None on miss."""
-        # o1: allow(o1-size-loop) -- associative scan capped at capacity
+        # o1: allow(flow-bounded) -- associative scan capped at capacity
         for entry in self._entries:
             if entry.asid == asid and entry.covers(vaddr):
                 self._entries.move_to_end(entry)
@@ -89,7 +89,7 @@ class RangeTlb:
         return None
 
     @o1(note="one shootdown over a <= 32-entry associative array")
-    def invalidate_overlap(self, base: int, limit: int, asid: int = 0) -> int:  # o1: allow(o1-size-loop) -- capacity-bounded scan
+    def invalidate_overlap(self, base: int, limit: int, asid: int = 0) -> int:  # o1: allow(flow-bounded) -- capacity-bounded scan
         """Shoot down every entry overlapping ``[base, base + limit)``.
 
         Unmapping a file is one such call — the O(1) shootdown the paper

@@ -120,7 +120,7 @@ class Tlb:
 
         Probes every page-size array, as hardware does in parallel.
         """
-        # o1: allow(o1-size-loop) -- the geometry has exactly 3 arrays
+        # o1: allow(flow-bounded) -- the geometry has exactly 3 arrays
         for size, nsets, sets in self._probe:
             vpn = vaddr // size
             entry_set = sets[vpn % nsets]
@@ -162,7 +162,7 @@ class Tlb:
     def invalidate(self, vaddr: int, asid: int = 0) -> int:
         """Drop any entry covering ``vaddr`` (invlpg); returns count dropped."""
         dropped = 0
-        # o1: allow(o1-size-loop) -- the geometry has exactly 3 arrays
+        # o1: allow(flow-bounded) -- the geometry has exactly 3 arrays
         for size, nsets, sets in self._probe:
             vpn = vaddr // size
             entry_set = sets[vpn % nsets]
@@ -191,29 +191,29 @@ class Tlb:
             return 0
         dropped = 0
         end = vaddr + length
-        # o1: allow(o1-size-loop) -- the geometry has exactly 3 arrays
+        # o1: allow(flow-bounded) -- the geometry has exactly 3 arrays
         for size, nsets, sets in self._probe:
             vpn_lo = vaddr // size
             vpn_hi = (end - 1) // size
             if vpn_hi - vpn_lo < nsets:
-                # o1: allow(o1-size-loop) -- at most nsets VPNs, a hardware constant
+                # o1: allow(flow-bounded) -- at most nsets VPNs, a hardware constant
                 for vpn in range(vpn_lo, vpn_hi + 1):
                     entry_set = sets[vpn % nsets]
                     if entry_set and entry_set.pop((vpn << _ASID_BITS) | asid, None) is not None:
                         dropped += 1
                 continue
-            # o1: allow(o1-size-loop) -- nsets indices, a constant
+            # o1: allow(flow-bounded) -- nsets indices, a constant
             for entry_set in sets.values():
                 if not entry_set:
                     continue
-                # o1: allow(o1-size-loop) -- ways per set is fixed
+                # o1: allow(flow-bounded) -- ways per set is fixed
                 stale = [
                     key
                     for key in entry_set
                     if key & _ASID_MASK == asid
                     and vpn_lo <= key >> _ASID_BITS <= vpn_hi
                 ]
-                # o1: allow(o1-size-loop) -- at most ways stale keys
+                # o1: allow(flow-bounded) -- at most ways stale keys
                 for key in stale:
                     del entry_set[key]
                     dropped += 1
@@ -235,9 +235,9 @@ class Tlb:
     def flush_all(self) -> int:
         """Drop everything (CR3 write without PCID); returns count dropped."""
         dropped = self.resident_count()
-        # o1: allow(o1-size-loop) -- the TLB arrays have fixed hardware geometry
+        # o1: allow(flow-bounded) -- the TLB arrays have fixed hardware geometry
         for sets in self._arrays.values():
-            # o1: allow(o1-size-loop) -- sets per array is a hardware constant
+            # o1: allow(flow-bounded) -- sets per array is a hardware constant
             for entry_set in sets.values():
                 # Clear in place: the preallocated sets (and the probe
                 # tuple that aliases them) must survive a full flush.
@@ -275,7 +275,7 @@ class Tlb:
         sizes: Iterable[int] = (
             [page_size] if page_size is not None else self._arrays.keys()
         )
-        # o1: allow(o1-size-loop) -- the TLB arrays have fixed hardware geometry
+        # o1: allow(flow-bounded) -- the TLB arrays have fixed hardware geometry
         return sum(
             len(entry_set)
             for size in sizes

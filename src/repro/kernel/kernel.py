@@ -351,7 +351,7 @@ class Kernel:
             # Copy resident translations, downgrading COW pages.
             # o1: allow(flow-bounded) -- the VMAs partition the declared n leaves
             leaves = list(self._leaves_in_range(parent.space, vma.start, vma.end))
-            # o1: allow(o1-nested-size-loop) -- the VMAs partition the declared n leaves
+            # o1: allow(flow-bounded) -- the VMAs partition the declared n leaves
             for page_va, pte in leaves:
                 self.clock.advance(self.costs.fork_page_copy_ns)
                 page_index = vma.backing_page(page_va)
@@ -403,7 +403,7 @@ class Kernel:
             # duplicates, or the parent freeing its copy would leave the
             # child translating a dead frame.  Those windows take the
             # eager per-leaf path below (rare; see _fork_clone_vma).
-            # o1: allow(o1-nested-size-loop) -- pre-fork private copies are rare
+            # o1: allow(flow-bounded) -- pre-fork private copies are rare
             for page_index in vma.private_copies:
                 pc_va = vma.start + (page_index - vma.backing_offset) * PAGE_SIZE
                 pc_windows.add(pc_va - pc_va % window_span)
@@ -430,7 +430,7 @@ class Kernel:
                     window_va + window_span,
                 )
                 continue
-            # o1: allow(o1-nested-size-loop) -- a handful of COW VMAs per test
+            # o1: allow(flow-bounded) -- a handful of COW VMAs per test
             wp = any(
                 vma.overlaps(window_va, window_va + window_span)
                 for vma in cow_vmas

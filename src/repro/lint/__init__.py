@@ -1,8 +1,8 @@
-"""Order(1) conformance: declarations, AST linters, flow analysis, fitters.
+"""Order(1) conformance: declarations, the o1 pass, AllocSan, fitters.
 
 The paper's thesis is that every memory-management operation should cost
 constant time regardless of operand size.  This package turns that claim
-into a machine-checked invariant, in four prongs.  Every finding any
+into a machine-checked invariant, in three prongs.  Every finding any
 prong reports fails the gate; a justified inline allow comment
 (``# o1: allow(rule) -- reason`` or ``# alloc: allow(rule) -- reason``)
 is the only escape, and an allow that suppresses nothing is itself a
@@ -14,22 +14,21 @@ finding.
   orthogonal wall-clock contract (how many Python-level allocations a
   call may perform).  Declaring is free at runtime (attributes set at
   import time, no wrapper).
-* :mod:`repro.lint.astcheck` — a static cost-shape linter that parses the
-  source of every declared function and flags size-dependent loops,
-  charge-inside-loop patterns and recursion that contradict the declared
-  class.  Known-O(n)-by-design paths carry inline ``# o1: allow(...)``
-  suppressions.
 * :mod:`repro.lint.flow` (with :mod:`repro.lint.callgraph`,
   :mod:`repro.lint.summaries`, :mod:`repro.lint.protocols`,
-  :mod:`repro.lint.controls`) — an interprocedural analysis that builds a
-  syntactic call graph of the whole package, propagates transitive cost
+  :mod:`repro.lint.astcheck`, :mod:`repro.lint.controls`) — the o1
+  pass.  It parses and tokenizes each module once, builds a syntactic
+  call graph of the whole package, propagates transitive cost
   summaries bottom-up over SCCs so a declaration is judged against
   everything it can reach, requires every function reachable from a
   hot-path entry to be declared or constant-shaped, and checks two
   must-call protocols across call boundaries (page-table mutation must
   reach a TLB invalidation before the syscall returns; journal commit
-  must precede apply).  Stale ``# o1: allow`` suppressions are
-  themselves findings.
+  must precede apply).  Two rules judge each function body alone:
+  self-recursion in an O(1)/O(log n) function, and a journal apply
+  with no earlier commit in its function.  Known-O(n)-by-design loops
+  carry inline ``# o1: allow(flow-bounded)`` comments, and stale
+  ``# o1: allow`` suppressions are themselves findings.
 * :mod:`repro.lint.alloc` + :mod:`repro.lint.allocfit` — AllocSan: an
   AST allocation-shape classifier (displays, comprehensions, f-strings,
   closures, star-args, materializing builtins) whose per-function shapes
@@ -47,8 +46,8 @@ finding.
   constant/log/linear/linearithmic, catching dynamic O(n) behaviour the
   AST cannot see.
 
-Run them via ``repro-o1 lint [--interproc] [--alloc] [--fit]``; CI gates
-on a clean run.
+Run them via ``repro-o1 lint [--alloc] [--fit]``; CI gates on a clean
+run.
 
 Only the declaration half is imported here: the checkers and fitters pull
 in the whole simulator, and annotated modules (buddy, TLB, syscalls, ...)

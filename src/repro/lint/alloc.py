@@ -1,20 +1,22 @@
 """AllocSan: static allocation-shape analysis over the call graph.
 
-The fourth conformance prong.  ``@o1`` bounds how *simulated* cost
-scales; this pass bounds what a call *allocates on the real heap*.  A
-function's Python source is classified into allocation shapes — list /
-dict / set / tuple displays, comprehensions, generator expressions,
-nested ``def`` / ``lambda`` (closure objects), f-strings and string
-concatenation, slicing, ``*args`` / ``**kwargs`` call sites,
-materializing builtins (``sorted``, ``zip``, ``list``, ``.items()``,
-``.to_bytes()``, ...), and resolved in-package constructor calls — and
-the shapes propagate bottom-up over the same SCC condensation the cost
-pass uses, into the lattice
+``@o1`` bounds how *simulated* cost scales; this pass bounds what a
+call *allocates on the real heap*.  A function's Python source is
+classified into allocation shapes — list / dict / set / tuple displays,
+comprehensions, generator expressions, nested ``def`` / ``lambda``
+(closure objects), f-strings and string concatenation, slicing,
+``*args`` / ``**kwargs`` call sites, materializing builtins
+(``sorted``, ``zip``, ``list``, ``.items()``, ``.to_bytes()``, ...),
+and resolved in-package constructor calls — and the shapes propagate
+bottom-up over the same SCC condensation the cost pass uses, into the
+lattice
 
     NONE < BOUNDED < PER_ELEMENT < UNBOUNDED
 
 scaled by unbounded-loop nesting exactly like cost: a BOUNDED shape
-inside one unbounded loop is PER_ELEMENT, deeper is UNBOUNDED.
+inside one unbounded loop is PER_ELEMENT, deeper is UNBOUNDED, and a
+loop's header (a ``for`` iterable, a comprehension's first iterable)
+sits at the loop's enclosing depth, since it runs once.
 
 Judgments:
 
@@ -61,9 +63,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.astcheck import (
-    ALLOC_ALLOW_RE,
     AllowMap,
     _is_constant_bounded,
+    _LoopNode,
+    loop_parts,
 )
 from repro.lint.callgraph import (
     CallGraph,
@@ -79,7 +82,7 @@ from repro.lint.flow import (
     split_controls,
     stale_suppressions,
 )
-from repro.lint.summaries import Hop, Witness, _BOUND_RULES, strongly_connected
+from repro.lint.summaries import RULE_BOUNDED, Hop, Witness, strongly_connected
 
 RULE_ALLOC_EXCEEDS = "alloc-exceeds-declared"
 RULE_ALLOC_HOT = "alloc-undeclared-hot"
@@ -306,22 +309,28 @@ class _Classifier:
             AllocShape(kind=kind, line=line, detail=detail, klass=scaled)
         )
 
-    def _loop_bounded(self, loop: ast.AST) -> bool:
+    def _loop_bounded(self, loop: _LoopNode) -> bool:
         """Constant-bounded for scaling purposes.
 
         Reuses the o1 allow map *read-only* (``match``, never
-        ``allow``): an ``# o1: allow(o1-size-loop)`` comment is a
+        ``allow``): an ``# o1: allow(flow-bounded)`` comment is a
         human-verified bound, and reading it here must not perturb the
-        flow pass's stale-suppression accounting.
+        o1 pass's stale-suppression accounting.
         """
-        if _is_constant_bounded(loop):  # type: ignore[arg-type]
+        if _is_constant_bounded(loop):
             return True
-        o1_map = self.graph.allow_maps.get(self.func.path)
-        if o1_map is None:
-            return False
-        lineno = getattr(loop, "lineno", self.func.lineno)
-        lines = (lineno, lineno - 1, self.func.lineno)
-        return any(o1_map.match(lines, rule) is not None for rule in _BOUND_RULES)
+        lines = (loop.lineno, loop.lineno - 1, self.func.lineno)
+        o1_map = self.graph.allow_maps[self.func.path]
+        return o1_map.match(lines, RULE_BOUNDED) is not None
+
+    def _visit_loop(self, loop: _LoopNode, depth: int, cold: bool) -> None:
+        """The header once at ``depth``, the rest per iteration."""
+        header, per_iteration = loop_parts(loop)
+        if header is not None:
+            self._visit(header, depth, cold)
+        inner = depth if self._loop_bounded(loop) else depth + 1
+        for child in per_iteration:
+            self._visit(child, inner, cold)
 
     def _ctor_target(self, call: ast.Call) -> Optional[str]:
         """Class id when ``call`` constructs an in-package class."""
@@ -420,21 +429,12 @@ class _Classifier:
             for child in ast.iter_child_nodes(node):
                 self._visit(child, depth, cold)
             return
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            self._visit(node.iter, depth, cold)
-            inner = depth if self._loop_bounded(node) else depth + 1
-            for child in node.body + node.orelse:
-                self._visit(child, inner, cold)
-            return
-        if isinstance(node, ast.While):
-            inner = depth if self._loop_bounded(node) else depth + 1
-            self._visit(node.test, inner, cold)
-            for child in node.body + node.orelse:
-                self._visit(child, inner, cold)
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+            self._visit_loop(node, depth, cold)
             return
         if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp)):
-            bounded = self._loop_bounded(node)
             if not cold:
+                bounded = self._loop_bounded(node)
                 klass = AllocClass.BOUNDED if bounded else AllocClass.PER_ELEMENT
                 self._add(
                     "comprehension",
@@ -443,9 +443,7 @@ class _Classifier:
                     depth,
                     klass,
                 )
-            inner = depth if bounded else depth + 1
-            for child in ast.iter_child_nodes(node):
-                self._visit(child, inner, cold)
+            self._visit_loop(node, depth, cold)
             return
         if isinstance(node, ast.GeneratorExp):
             if not cold:
@@ -456,9 +454,7 @@ class _Classifier:
                     depth,
                     AllocClass.BOUNDED,
                 )
-            inner = depth if self._loop_bounded(node) else depth + 1
-            for child in ast.iter_child_nodes(node):
-                self._visit(child, inner, cold)
+            self._visit_loop(node, depth, cold)
             return
         if isinstance(node, ast.JoinedStr):
             if not cold:
@@ -554,11 +550,8 @@ class _ColdSite:
 class AllocTable:
     """Allocation summaries plus the edge sets findings are built from."""
 
-    def __init__(
-        self, graph: CallGraph, allow_maps: Dict[str, AllowMap]
-    ) -> None:
+    def __init__(self, graph: CallGraph) -> None:
         self.graph = graph
-        self.allow_maps = allow_maps
         self.declared: Dict[str, int] = {}
         self.shapes: Dict[str, _AllocShapeSet] = {}
         self.summaries: Dict[str, AllocSummary] = {}
@@ -569,13 +562,10 @@ class AllocTable:
         self._scc_of: Dict[str, int] = {}
         self._compute()
 
-    def allow_map_for(self, func: FunctionNode) -> AllowMap:
-        return self.allow_maps.setdefault(func.path, AllowMap(""))
-
     def _site_cold_line(
         self, func: FunctionNode, site: CallSite
     ) -> Optional[int]:
-        allowed = self.allow_map_for(func)
+        allowed = self.graph.alloc_allow_maps[func.path]
         return allowed.match((site.line, site.line - 1), RULE_COLD_CALL)
 
     def _compute(self) -> None:
@@ -585,7 +575,7 @@ class AllocTable:
             if bound is not None:
                 self.declared[fid] = bound
             self.shapes[fid] = _Classifier(
-                graph, func, self.allow_map_for(func)
+                graph, func, graph.alloc_allow_maps[func.path]
             ).run()
         edges: Dict[str, List[str]] = {}
         for fid, func in graph.functions.items():
@@ -631,9 +621,10 @@ class AllocTable:
             self.summaries[fid] = self._combine(fid)
         for cold in self._cold_sites:
             if self._cold_site_was_needed(cold):
-                self.allow_map_for(
-                    self.graph.functions[cold.caller]
-                ).mark_used(cold.allow_line)
+                caller = self.graph.functions[cold.caller]
+                self.graph.alloc_allow_maps[caller.path].mark_used(
+                    cold.allow_line
+                )
 
     def _recursive_summary(self, fid: str, component: Set[str]) -> AllocSummary:
         witness: Optional[Witness] = None
@@ -808,7 +799,7 @@ def _declared_findings(table: AllocTable) -> List[Finding]:
         summary = table.summaries[fid]
         if summary.klass <= permitted:
             continue
-        allowed = table.allow_map_for(func)
+        allowed = graph.alloc_allow_maps[func.path]
         if allowed.allow((func.lineno,), RULE_ALLOC_EXCEEDS):
             continue
         chain = tuple(table.witness_chain(fid))
@@ -841,7 +832,7 @@ def _hot_findings(
         if summary.klass is AllocClass.NONE:
             continue
         func = graph.functions[fid]
-        allowed = table.allow_map_for(func)
+        allowed = graph.alloc_allow_maps[func.path]
         if allowed.allow((func.lineno,), RULE_ALLOC_HOT):
             continue
         chain = closure.chain(fid, summary.witness)
@@ -868,19 +859,13 @@ def run_alloc(
 ) -> AllocResult:
     """Run AllocSan over the package at ``root``.
 
-    Pass ``graph`` to share the call graph with a flow run in the same
-    invocation instead of parsing the tree twice.
+    Pass ``graph`` to share the call graph with the o1 pass in the same
+    invocation instead of parsing the tree twice; its ``# alloc: allow``
+    maps were read when it was built.
     """
     if graph is None:
         graph = build_callgraph(root, package)
-    allow_maps: Dict[str, AllowMap] = {}
-    for info in graph.modules.values():
-        try:
-            source = Path(info.path).read_text(encoding="utf-8")
-        except OSError:  # pragma: no cover
-            source = ""
-        allow_maps[info.path] = AllowMap(source, pattern=ALLOC_ALLOW_RE)
-    table = AllocTable(graph, allow_maps)
+    table = AllocTable(graph)
     entries = hot_entry_points(graph)
     declared_free = sum(1 for b in table.declared.values() if b == 0)
     hot_findings, hot_reachable = _hot_findings(table, entries)
@@ -889,7 +874,7 @@ def run_alloc(
         findings, ALLOC_CONTROLS, RULE_ALLOC_CONTROL_MISSING, "alloc"
     )
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.function))
-    stale = stale_suppressions(allow_maps, "alloc")
+    stale = stale_suppressions(graph.alloc_allow_maps, "alloc")
     return AllocResult(
         findings=findings,
         controls_verified=verified,

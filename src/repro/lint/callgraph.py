@@ -1,10 +1,11 @@
 """Syntactic call graph over a package tree, for interprocedural lint.
 
 The graph is built without importing the analyzed code: every module
-under the package root is parsed, functions and classes are registered
-under module-qualified names, and each call expression is resolved to
-its possible targets with a deliberately conservative, type-hint-assisted
-resolver:
+under the package root is read, parsed and tokenized once (its comment
+tokens fill the ``# o1: allow`` and ``# alloc: allow`` maps), functions
+and classes are registered under module-qualified names, and each call
+expression is resolved to its possible targets with a deliberately
+conservative, type-hint-assisted resolver:
 
 * plain names resolve through the module's own defs and its imports
   (``from repro.vm.addrspace import AddressSpace`` makes ``AddressSpace``
@@ -33,12 +34,16 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.astcheck import AllowMap, declared_class_of, module_name_for
+from repro.lint.astcheck import (
+    AllowMap,
+    FuncDef,
+    allow_maps,
+    declared_class_of,
+    module_name_for,
+)
 from repro.lint.decorators import ComplexityClass
-
-FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 #: Attribute names that belong to builtin container/string protocols;
 #: the unique-method fallback never fires for these, no matter how few
@@ -150,7 +155,10 @@ class CallGraph:
         self.functions: Dict[str, FunctionNode] = {}
         self.classes: Dict[str, ClassNode] = {}
         self.calls: Dict[str, List[CallSite]] = {}
+        #: path -> ``# o1: allow`` / ``# alloc: allow`` map, both read
+        #: from one tokenize of the file.
         self.allow_maps: Dict[str, AllowMap] = {}
+        self.alloc_allow_maps: Dict[str, AllowMap] = {}
         self.modules: Dict[str, _ModuleInfo] = {}
         #: module -> {global name -> class id} for module-level singletons
         #: (``_machine = Machine(...)``); consulted when a local name has
@@ -324,7 +332,9 @@ class _Builder:
                 is_package=path.name == "__init__.py",
             )
             self.graph.modules[module] = info
-            self.graph.allow_maps[str(path)] = AllowMap(source)
+            o1_allows, alloc_allows = allow_maps(source)
+            self.graph.allow_maps[info.path] = o1_allows
+            self.graph.alloc_allow_maps[info.path] = alloc_allows
             self.graph.files_parsed += 1
             self._collect_imports(info)
             self._collect_defs(info, tree, scope=(), owner=None)
@@ -411,6 +421,9 @@ class _Builder:
                 self._collect_defs(
                     info, child, scope + (child.name,), owner=cid
                 )
+            elif isinstance(child, (ast.stmt, ast.excepthandler)):
+                # A def under an ``if``/``try``/``with``/loop body.
+                self._collect_defs(info, child, scope, owner)
 
     # -- pass 2: resolve types ----------------------------------------
     def link(self) -> None:

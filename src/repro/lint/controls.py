@@ -41,9 +41,9 @@ def _control_touch_all(pages: Iterable[int]) -> int:
 def control_persist_commit_elsewhere(fs: Any) -> None:
     """Applies a journaled mutation through a helper; nobody commits.
 
-    The helper's apply site carries the *intra*-rule allow (the classic
-    "caller commits" justification), so the old pass is silent — and no
-    caller on this path ever commits.  The flow pass must report
+    The helper's apply site carries the ``persist-outside-txn`` allow
+    (the classic "caller commits" justification), so that rule is
+    silent — and no caller on this path ever commits.  The flow pass must report
     ``flow-persist-outside-txn`` here, at the protocol root.
     """
     _control_apply(fs)

@@ -1,11 +1,16 @@
-"""`repro.lint.flow` — interprocedural O(1) conformance.
+"""`repro.lint.flow` — the O(1) conformance pass.
 
-Orchestrates the whole-package pass behind ``repro-o1 lint
---interproc``: builds the syntactic call graph
-(:mod:`repro.lint.callgraph`), propagates transitive cost summaries
-(:mod:`repro.lint.summaries`), evaluates the must-call protocols
-(:mod:`repro.lint.protocols`), and turns the results into findings:
+Orchestrates the whole-package pass behind ``repro-o1 lint``: builds
+the syntactic call graph (:mod:`repro.lint.callgraph`), propagates
+transitive cost summaries (:mod:`repro.lint.summaries`), evaluates the
+must-call protocols (:mod:`repro.lint.protocols`), runs the two
+intraprocedural rules of :mod:`repro.lint.astcheck` on every function
+of the graph, and turns the results into findings:
 
+``o1-recursion``
+    a declared-O(1)/O(log n) function calls itself.
+``persist-outside-txn``
+    a journal apply with no commit on an earlier line of its function.
 ``flow-cost-exceeds-declared``
     a declared function's transitive summary is worse than its
     decorator, with the witness call chain down to the loop.
@@ -24,9 +29,8 @@ Orchestrates the whole-package pass behind ``repro-o1 lint
 
 Every finding fails the gate; a justified inline ``# o1: allow(rule)
 -- reason`` comment is the only escape.  The pass also owns
-stale-suppression detection: every ``# o1: allow`` comment that neither
-the intra pass nor this one consumed is reported, with unused-``noqa``
-semantics.
+stale-suppression detection: every ``# o1: allow`` comment no rule
+consumed is reported, with unused-``noqa`` semantics.
 
 AllocSan (:mod:`repro.lint.alloc`) judges a different lattice over the
 same graph and reuses this module's verdict plumbing: :class:`Finding`,
@@ -36,13 +40,21 @@ same graph and reuses this module's verdict plumbing: :class:`Finding`,
 
 from __future__ import annotations
 
+import ast
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.astcheck import AllowMap
+from repro.lint.astcheck import (
+    RULE_PERSIST_OUTSIDE_TXN,
+    RULE_RECURSION,
+    AllowMap,
+    applies_before_commit,
+    recursive_calls,
+)
 from repro.lint.callgraph import CallGraph, FunctionNode, build_callgraph
+from repro.lint.decorators import ComplexityClass
 from repro.lint.protocols import (
     RULE_FLOW_PERSIST,
     RULE_STALE_TRANSLATION,
@@ -77,7 +89,7 @@ _KERNEL_ENTRY_NAMES = frozenset(
 
 @dataclass(frozen=True)
 class Finding:
-    """One interprocedural finding (flow or AllocSan) on one function."""
+    """One finding (o1 pass or AllocSan) on one function."""
 
     path: str
     line: int
@@ -125,8 +137,8 @@ class StaleSuppression:
     """An allow comment that suppressed nothing.
 
     ``marker`` names its namespace: ``o1`` for ``# o1: allow`` (unused
-    by both the intra and the flow pass), ``alloc`` for ``# alloc:
-    allow`` (unused by AllocSan).
+    by this pass), ``alloc`` for ``# alloc: allow`` (unused by
+    AllocSan).
     """
 
     path: str
@@ -144,7 +156,7 @@ class StaleSuppression:
 
 @dataclass
 class FlowResult:
-    """Everything ``lint --interproc`` reports."""
+    """Everything the o1 pass of ``repro-o1 lint`` reports."""
 
     findings: List[Finding]
     controls_verified: List[Finding]
@@ -152,6 +164,7 @@ class FlowResult:
     entries: List[str]
     files: int
     functions: int
+    declared: int
     sites_total: int
     sites_resolved: int
     graph: CallGraph = field(repr=False)
@@ -283,27 +296,20 @@ def split_controls(
 
 
 def stale_suppressions(
-    allow_maps: Dict[str, AllowMap],
-    marker: str,
-    also_used: Optional[Dict[str, Set[int]]] = None,
+    allow_maps: Dict[str, AllowMap], marker: str
 ) -> List[StaleSuppression]:
-    """Every ``# <marker>: allow`` comment no lookup consumed.
-
-    ``also_used`` adds the lines another pass consumed (path -> lines).
-    """
-    extra = also_used or {}
+    """Every ``# <marker>: allow`` comment no lookup consumed."""
     stale: List[StaleSuppression] = []
     for path in sorted(allow_maps):
         allow_map = allow_maps[path]
-        used = allow_map.used | extra.get(path, set())
-        for line in sorted(allow_map.comment_lines):
-            if line in used:
+        for line in sorted(allow_map.rules_by_line):
+            if line in allow_map.used:
                 continue
             stale.append(
                 StaleSuppression(
                     path=path,
                     line=line,
-                    rules=tuple(sorted(allow_map.comment_lines[line])),
+                    rules=tuple(sorted(allow_map.rules_by_line[line])),
                     marker=marker,
                 )
             )
@@ -313,6 +319,38 @@ def stale_suppressions(
 # ---------------------------------------------------------------------------
 # Checks
 # ---------------------------------------------------------------------------
+def _intra_findings(graph: CallGraph) -> List[Finding]:
+    """The intraprocedural rules, run on each function of the graph."""
+    findings: List[Finding] = []
+    for fid in sorted(graph.functions):
+        func = graph.functions[fid]
+        flagged = [
+            (
+                RULE_PERSIST_OUTSIDE_TXN,
+                call,
+                f"journaled mutation {ast.unparse(call.func)}() applied "
+                "with no preceding _journal_commit() in scope",
+            )
+            for call in applies_before_commit(func.node)
+        ]
+        if func.declared in (ComplexityClass.CONSTANT, ComplexityClass.LOG):
+            flagged.extend(
+                (
+                    RULE_RECURSION,
+                    call,
+                    f"declared {func.declared} but makes a recursive call "
+                    f"to {func.name}()",
+                )
+                for call in recursive_calls(func.node)
+            )
+        allowed = graph.allow_maps[func.path]
+        for rule, call, message in flagged:
+            lines = (call.lineno, call.lineno - 1, func.lineno)
+            if not allowed.allow(lines, rule):
+                findings.append(Finding.on(func, rule, message, line=call.lineno))
+    return findings
+
+
 def _cost_findings(table: SummaryTable) -> List[Finding]:
     graph = table.graph
     findings: List[Finding] = []
@@ -433,18 +471,15 @@ def _protocol_findings(
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
-def run_flow(
-    root: Path,
-    package: str = "repro",
-    intra_used: Optional[Dict[str, Set[int]]] = None,
-) -> FlowResult:
-    """Run the whole interprocedural pass over the package at ``root``."""
+def run_flow(root: Path, package: str = "repro") -> FlowResult:
+    """Run the whole o1 pass over the package at ``root``."""
     graph = build_callgraph(root, package)
     table = SummaryTable(graph)
     protocols = compute_protocols(graph)
     entries = entry_points(graph)
     findings = (
-        _cost_findings(table)
+        _intra_findings(graph)
+        + _cost_findings(table)
         + _coverage_findings(table, entries)
         + _protocol_findings(graph, protocols, entries)
     )
@@ -452,14 +487,16 @@ def run_flow(
         findings, CONTROLS, RULE_CONTROL_MISSING, "flow"
     )
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.function))
-    stale = stale_suppressions(graph.allow_maps, "o1", also_used=intra_used)
     return FlowResult(
         findings=findings,
         controls_verified=verified,
-        stale_suppressions=stale,
+        stale_suppressions=stale_suppressions(graph.allow_maps, "o1"),
         entries=entries,
         files=graph.files_parsed,
         functions=len(graph.functions),
+        declared=sum(
+            1 for func in graph.functions.values() if func.declared is not None
+        ),
         sites_total=graph.sites_total,
         sites_resolved=graph.sites_resolved,
         graph=graph,

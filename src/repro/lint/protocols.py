@@ -46,7 +46,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.lint.astcheck import (
     _PERSIST_APPLY_ATTRS,
     _PERSIST_COMMIT_ATTR,
-    RULE_PERSIST_OUTSIDE_TXN,
     _SCOPE_TYPES,
 )
 from repro.lint.callgraph import CallGraph, CallSite, FunctionNode

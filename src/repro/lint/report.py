@@ -12,23 +12,23 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
-from repro.lint.astcheck import LintResult
+from repro.lint.flow import CONTROLS, FlowResult
 from repro.lint.ops import OperationFit
 
 if TYPE_CHECKING:
     from repro.lint.alloc import AllocResult
     from repro.lint.allocfit import AllocFitResult
-    from repro.lint.flow import FlowResult
 
 #: v2 added the ``flow`` section (``lint --interproc``); v3 added the
 #: ``alloc`` section (``lint --alloc``: AllocSan + empirical cross-check);
 #: v4 dropped the ``baseline_suppressed`` / ``stale_baseline_entries``
-#: keys: every finding fails the gate.
-REPORT_VERSION = 4
+#: keys: every finding fails the gate; v5 merged the ``lint`` and
+#: ``flow`` sections into one ``o1`` section: one pass judges both.
+REPORT_VERSION = 5
 
 
-def _verdict_dict(result: Union["FlowResult", "AllocResult"]) -> Dict[str, object]:
-    """The keys the ``flow`` and ``alloc`` sections share."""
+def _verdict_dict(result: Union[FlowResult, "AllocResult"]) -> Dict[str, object]:
+    """The keys the ``o1`` and ``alloc`` sections share."""
     return {
         "findings": [
             {
@@ -61,7 +61,7 @@ def _verdict_dict(result: Union["FlowResult", "AllocResult"]) -> Dict[str, objec
 
 
 def _verdict_lines(
-    result: Union["FlowResult", "AllocResult"], controls: int
+    result: Union[FlowResult, "AllocResult"], controls: int
 ) -> List[str]:
     """Summary line plus one line per finding and stale suppression."""
     lines = [
@@ -75,11 +75,10 @@ def _verdict_lines(
 
 
 def build_report(
-    lint: LintResult,
+    o1: FlowResult,
     fits: Optional[Sequence[OperationFit]] = None,
     *,
     sizes: Optional[Sequence[int]] = None,
-    flow: Optional["FlowResult"] = None,
     alloc: Optional["AllocResult"] = None,
     allocfit_results: Optional[Sequence["AllocFitResult"]] = None,
 ) -> Dict[str, object]:
@@ -87,34 +86,18 @@ def build_report(
     report: Dict[str, object] = {
         "version": REPORT_VERSION,
         "tool": "repro-o1 lint",
-        "lint": {
-            "files_checked": lint.files_checked,
-            "functions_checked": lint.functions_checked,
-            "inline_suppressed": lint.inline_suppressed,
-            "violations": [
-                {
-                    "function": v.function,
-                    "rule": v.rule,
-                    "declared": str(v.declared) if v.declared is not None else None,
-                    "path": str(v.path),
-                    "line": v.line,
-                    "message": v.message,
-                }
-                for v in lint.violations
-            ],
+        "o1": {
+            "entries": list(o1.entries),
+            "files": o1.files,
+            "functions": o1.functions,
+            "declared": o1.declared,
+            "call_sites": {
+                "total": o1.sites_total,
+                "resolved": o1.sites_resolved,
+            },
+            **_verdict_dict(o1),
         },
     }
-    if flow is not None:
-        report["flow"] = {
-            "entries": list(flow.entries),
-            "files": flow.files,
-            "functions": flow.functions,
-            "call_sites": {
-                "total": flow.sites_total,
-                "resolved": flow.sites_resolved,
-            },
-            **_verdict_dict(flow),
-        }
     if alloc is not None:
         alloc_section: Dict[str, object] = {
             "entries": list(alloc.entries),
@@ -172,35 +155,19 @@ def write_json(path: Path, report: Dict[str, object]) -> None:
 
 
 def render_text(
-    lint: LintResult,
+    o1: FlowResult,
     fits: Optional[Sequence[OperationFit]] = None,
     *,
-    flow: Optional["FlowResult"] = None,
     alloc: Optional["AllocResult"] = None,
     allocfit_results: Optional[Sequence["AllocFitResult"]] = None,
 ) -> str:
     """Human-readable conformance summary."""
-    lines: List[str] = []
-    lines.append(
-        f"o1 lint: {lint.functions_checked} declared functions across "
-        f"{lint.files_checked} files"
-    )
-    lines.append(
-        f"  {len(lint.violations)} violation(s), "
-        f"{lint.inline_suppressed} inline-suppressed"
-    )
-    for violation in lint.violations:
-        lines.append(f"  VIOLATION {violation.format()}")
-    if flow is not None:
-        from repro.lint.flow import CONTROLS
-
-        lines.append("")
-        lines.append(
-            f"o1 flow: {flow.functions} functions across {flow.files} files, "
-            f"{flow.sites_resolved}/{flow.sites_total} call sites resolved, "
-            f"{len(flow.entries)} hot-path entries"
-        )
-        lines.extend(_verdict_lines(flow, len(CONTROLS)))
+    lines: List[str] = [
+        f"o1 flow: {o1.functions} functions ({o1.declared} declared) across "
+        f"{o1.files} files, {o1.sites_resolved}/{o1.sites_total} call sites "
+        f"resolved, {len(o1.entries)} hot-path entries"
+    ]
+    lines.extend(_verdict_lines(o1, len(CONTROLS)))
     if alloc is not None:
         from repro.lint.alloc import ALLOC_CONTROLS
 

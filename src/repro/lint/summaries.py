@@ -21,10 +21,10 @@ bottom-up in reverse-topological SCC order:
   deliberate optimism; the declaration-coverage gate is what forces
   hot-path code into the resolved world.
 
-``# o1: allow(flow-bounded)`` on a loop or call site line marks it
-bounded (constant iterations / constant-amortized callee), and the
-intra-rule loop allows (``o1-size-loop`` etc.) double as bounded
-markers so one justified comment serves both passes.
+A loop's header (a ``for`` iterable, a comprehension's first iterable)
+runs once, before the first iteration, so it is judged at the loop's
+enclosing depth.  ``# o1: allow(flow-bounded)`` on a loop or call site
+line marks it bounded (constant iterations / constant-amortized callee).
 
 Two checks run on the summaries: ``flow-cost-exceeds-declared`` (a
 declared function's computed summary is worse than its decorator says,
@@ -41,13 +41,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.astcheck import (
-    RULE_CHARGE_IN_LOOP,
-    RULE_NESTED_SIZE_LOOP,
-    RULE_SIZE_LOOP,
     _is_constant_bounded,
     _LOOP_TYPES,
     _LoopNode,
     _SCOPE_TYPES,
+    loop_parts,
 )
 from repro.lint.callgraph import CallGraph, CallSite, FunctionNode
 from repro.lint.decorators import ComplexityClass
@@ -57,16 +55,6 @@ RULE_UNDECLARED = "flow-undeclared"
 #: Suppression-only rule: names a loop or call site proven bounded by
 #: reasoning the AST cannot do.  Never reported, only allowed.
 RULE_BOUNDED = "flow-bounded"
-
-#: Rules whose inline allow marks a loop bounded for the flow pass too:
-#: one inline ``o1-size-loop`` (or sibling) allow comment is a single
-#: justification serving both passes.
-_BOUND_RULES = (
-    RULE_BOUNDED,
-    RULE_SIZE_LOOP,
-    RULE_CHARGE_IN_LOOP,
-    RULE_NESTED_SIZE_LOOP,
-)
 
 
 class Cost(enum.IntEnum):
@@ -124,6 +112,8 @@ class Witness:
     line: int
     detail: str
     callee: Optional[str] = None
+    #: A loop witness's own cost: LINEAR, or UNBOUNDED when nested.
+    cost: Optional[Cost] = None
 
 
 @dataclass
@@ -168,10 +158,7 @@ def _shape_of(graph: CallGraph, func: FunctionNode) -> _Shape:
         if _is_constant_bounded(loop):
             return True
         lines = (loop.lineno, loop.lineno - 1, func.lineno)
-        for rule in _BOUND_RULES:
-            if allowed.allow(lines, rule):
-                return True
-        return False
+        return allowed.allow(lines, RULE_BOUNDED)
 
     def visit(node: ast.AST, depth: int) -> None:
         if isinstance(node, _SCOPE_TYPES):
@@ -181,7 +168,7 @@ def _shape_of(graph: CallGraph, func: FunctionNode) -> _Shape:
         if isinstance(node, _LOOP_TYPES):
             inner = depth
             if not bounded(node):
-                cost = Cost.LINEAR if depth == 0 else Cost.UNBOUNDED
+                cost = _loop_cost(depth)
                 shape.loops.append(
                     Witness(
                         kind="loop",
@@ -191,10 +178,14 @@ def _shape_of(graph: CallGraph, func: FunctionNode) -> _Shape:
                             f" [{cost.label}"
                             + (" — nested in an unbounded loop]" if depth else "]")
                         ),
+                        cost=cost,
                     )
                 )
                 inner = depth + 1
-            for child in ast.iter_child_nodes(node):
+            header, per_iteration = loop_parts(node)
+            if header is not None:
+                visit(header, depth)
+            for child in per_iteration:
                 visit(child, inner)
             return
         for child in ast.iter_child_nodes(node):
@@ -377,10 +368,8 @@ class SummaryTable:
         best_witness: Optional[Witness] = None
         candidates: List[Tuple[Cost, int, Witness]] = []
         for loop in shape.loops:
-            cost = (
-                Cost.UNBOUNDED if "nested" in loop.detail else Cost.LINEAR
-            )
-            candidates.append((cost, loop.line, loop))
+            assert loop.cost is not None
+            candidates.append((loop.cost, loop.line, loop))
         bounded_ids = {
             id(b.site.node) for b in self._bounded_sites if b.caller == fid
         }

@@ -213,7 +213,7 @@ class BuddyAllocator:
         charge_ns = self._costs.frame_free_ns
         freed = merges = 0
         try:
-            # o1: allow(o1-size-loop, o1-charge-in-loop) -- the batch charges one frame_free_ns, at its first block; per-block work 0 ns
+            # o1: allow(flow-bounded) -- the batch charges one frame_free_ns, at its first block; per-block work 0 ns
             for pfn in pfns:
                 if san is not None:
                     if freed:
@@ -236,7 +236,7 @@ class BuddyAllocator:
                     charge_ns = 0
                 freed += 1
                 self._free_frames += 1 << order
-                # o1: allow(o1-size-loop, o1-nested-size-loop) -- merge chain is capped at max_order steps
+                # o1: allow(flow-bounded) -- merge chain is capped at max_order steps
                 while order < max_order:
                     buddy = first + ((pfn - first) ^ (1 << order))
                     if buddy not in free_lists[order]:

@@ -33,7 +33,7 @@ def largest_page_for(
     """
     if remaining < PAGE_SIZE:
         raise ValueError(f"remaining {remaining} is smaller than a base page")
-    # o1: allow(o1-size-loop) -- `allowed` is the hardware page-size menu (three entries)
+    # o1: allow(flow-bounded) -- `allowed` is the hardware page-size menu (three entries)
     for size in sorted(allowed, reverse=True):
         if remaining >= size and vaddr % size == 0 and paddr % size == 0:
             return size

@@ -205,7 +205,7 @@ class PageTable:
     @o1(note="scan of the three supported leaf sizes")
     def _leaf_depth_for(self, page_size: int) -> int:
         """Tree depth at which a leaf of ``page_size`` sits."""
-        # o1: allow(o1-size-loop) -- _LEAF_SIZES is the hardware page-size menu
+        # o1: allow(flow-bounded) -- _LEAF_SIZES is the hardware page-size menu
         for up, size in enumerate(_LEAF_SIZES):
             if size == page_size:
                 depth = self._levels - 1 - up
@@ -310,7 +310,7 @@ class PageTable:
     @o1(note="fixed-depth radix descent")
     def _descend_creating(self, vaddr: int, leaf_depth: int) -> PageTableNode:
         node = self._root
-        # o1: allow(o1-size-loop) -- leaf_depth is bounded by the table's level count
+        # o1: allow(flow-bounded) -- leaf_depth is bounded by the table's level count
         for depth in range(leaf_depth):
             index = (vaddr >> self.shifts[depth]) & INDEX_MASK
             child = node.entries.get(index)
@@ -353,7 +353,7 @@ class PageTable:
         clone.entries = dict(node.entries)
         clone.wp_slots = set(node.wp_slots)
         san = self._counters.sanitize
-        # o1: allow(o1-size-loop) -- one page-table node holds at most 512 entries
+        # o1: allow(flow-bounded) -- one page-table node holds at most 512 entries
         for entry in clone.entries.values():
             if isinstance(entry, PageTableNode):
                 entry.refs += 1
@@ -388,7 +388,7 @@ class PageTable:
         """Remove the leaf at ``leaf_depth`` for ``vaddr``, unsharing the
         path; returns the node that held it and the leaf."""
         node = self._root
-        # o1: allow(o1-size-loop) -- descent depth is fixed by the geometry
+        # o1: allow(flow-bounded) -- descent depth is fixed by the geometry
         for depth in range(leaf_depth):
             index = (vaddr >> self.shifts[depth]) & INDEX_MASK
             child = node.entries.get(index)
@@ -455,7 +455,7 @@ class PageTable:
         """
         node = self._root
         write_protected = shared = False
-        # o1: allow(o1-size-loop) -- the level count is a hardware constant
+        # o1: allow(flow-bounded) -- the level count is a hardware constant
         for shift in self.shifts:
             index = (vaddr >> shift) & INDEX_MASK
             if index in node.wp_slots:
@@ -491,7 +491,7 @@ class PageTable:
         nodes = [self._root]
         node = self._root
         shifts = self.shifts
-        # o1: allow(o1-size-loop) -- the level count is a hardware constant
+        # o1: allow(flow-bounded) -- the level count is a hardware constant
         for depth in range(self._levels - 1):
             entry = node.entries.get((vaddr >> shifts[depth]) & INDEX_MASK)
             if not isinstance(entry, PageTableNode):
@@ -509,7 +509,7 @@ class PageTable:
         if depth < 1 or depth >= self._levels:
             raise ValueError(f"depth must be in 1..{self._levels - 1}, got {depth}")
         node = self._root
-        # o1: allow(o1-size-loop) -- depth is bounded by the table's level count
+        # o1: allow(flow-bounded) -- depth is bounded by the table's level count
         for d in range(depth):
             entry = node.entries.get(self.index_at(vaddr, d))
             if not isinstance(entry, PageTableNode):

@@ -104,7 +104,7 @@ class PageWalker:
         # Line addresses of the walk's references, in visit order.
         lines: List[int] = []
         write_protected = False
-        # o1: allow(o1-size-loop) -- path_nodes is at most the level count
+        # o1: allow(flow-bounded) -- path_nodes is at most the level count
         for node in nodes:
             index = (vaddr >> shifts[node.depth]) & INDEX_MASK
             if index in node.wp_slots:
@@ -115,7 +115,7 @@ class PageWalker:
                 # nested tables, modeled as distinct synthetic lines so
                 # locality behaves (hot nested nodes cache like real ones).
                 host_base = self._ept_base + (node.paddr >> 12 << 6)
-                # o1: allow(o1-size-loop) -- host level count is a hardware constant
+                # o1: allow(flow-bounded) -- host level count is a hardware constant
                 for host_depth in range(host_levels):
                     lines.append((host_base + host_depth * 8) & _LINE_MASK)
             lines.append((node.paddr + index * 8) & _LINE_MASK)  # 8-byte entries
@@ -125,7 +125,7 @@ class PageWalker:
             # The final data address is guest-physical too: one more host
             # walk before the access proper.
             host_base = self._ept_base + (pte.paddr >> 12 << 6)
-            # o1: allow(o1-size-loop) -- host level count is a hardware constant
+            # o1: allow(flow-bounded) -- host level count is a hardware constant
             for host_depth in range(host_levels):
                 lines.append((host_base + host_depth * 8) & _LINE_MASK)
         counters = self._counters

@@ -227,7 +227,7 @@ class QosController:
     @allocfree(note="integer adds on preexisting nodes")
     def on_slab_grow(self, nframes: int) -> None:
         """A slab cache grew: record kernel-memory attribution."""
-        # o1: allow(o1-size-loop) -- lineage length is capped at MAX_DEPTH
+        # o1: allow(flow-bounded) -- lineage length is capped at MAX_DEPTH
         for node in self.current.lineage:
             node.kmem_frames += nframes
 
@@ -235,7 +235,7 @@ class QosController:
     @allocfree(note="integer subtracts on preexisting nodes")
     def on_slab_reap(self, nframes: int) -> None:
         """A slab was reaped: release kernel-memory attribution."""
-        # o1: allow(o1-size-loop) -- lineage length is capped at MAX_DEPTH
+        # o1: allow(flow-bounded) -- lineage length is capped at MAX_DEPTH
         for node in self.current.lineage:
             kmem = node.kmem_frames - nframes
             node.kmem_frames = kmem if kmem > 0 else 0
@@ -244,7 +244,7 @@ class QosController:
     @allocfree(note="integer adds on preexisting nodes")
     def on_nvm_alloc(self, nblocks: int) -> None:
         """A PMFS extent was allocated in this tenant's context."""
-        # o1: allow(o1-size-loop) -- lineage length is capped at MAX_DEPTH
+        # o1: allow(flow-bounded) -- lineage length is capped at MAX_DEPTH
         for node in self.current.lineage:
             node.nvm_blocks += nblocks
 
@@ -252,7 +252,7 @@ class QosController:
     @allocfree(note="integer subtracts on preexisting nodes")
     def on_nvm_free(self, nblocks: int) -> None:
         """A PMFS extent was freed in this tenant's context."""
-        # o1: allow(o1-size-loop) -- lineage length is capped at MAX_DEPTH
+        # o1: allow(flow-bounded) -- lineage length is capped at MAX_DEPTH
         for node in self.current.lineage:
             blocks = node.nvm_blocks - nblocks
             node.nvm_blocks = blocks if blocks > 0 else 0
@@ -290,12 +290,12 @@ class QosController:
         self._counters.bump("qos_watermark_max")
         cg.events["max"] += 1
         self._reap_parked()
-        # o1: allow(o1-size-loop) -- retry count is a small config constant
+        # o1: allow(flow-bounded) -- retry count is a small config constant
         for _attempt in range(self.config.reclaim_retries):
             self.reclaim_batch(cg)
             if not cg.over_max:
                 return
-        # o1: allow(o1-size-loop) -- bounded by live processes in the cgroup; each pass kills one
+        # o1: allow(flow-bounded) -- bounded by live processes in the cgroup; each pass kills one
         while cg.over_max:
             outcome = self._oom_kill(cg)
             if outcome == "killed":
@@ -449,7 +449,7 @@ class QosController:
         under renewed ``max`` pressure the reaper claims it here instead
         (the kill was already audited when it was doomed).
         """
-        # o1: allow(o1-size-loop) -- doomed set is bounded by deferred kills, drained here
+        # o1: allow(flow-bounded) -- doomed set is bounded by deferred kills, drained here
         for pid in [p for p in self._doomed if p != self._current_pid]:
             self._doomed.discard(pid)
             victim = self._kernel.processes.get(pid)

@@ -233,7 +233,7 @@ class MemCg:
         """
         max_breach: Optional[MemCg] = None
         high_breach: Optional[MemCg] = None
-        # o1: allow(o1-size-loop) -- lineage length is capped at MAX_DEPTH
+        # o1: allow(flow-bounded) -- lineage length is capped at MAX_DEPTH
         for node in self.lineage:
             usage = node.usage_frames + nframes
             node.usage_frames = usage
@@ -251,7 +251,7 @@ class MemCg:
     @allocfree(note="integer subtracts on preexisting nodes")
     def uncharge(self, nframes: int) -> None:
         """Remove ``nframes`` along the lineage (floors at zero)."""
-        # o1: allow(o1-size-loop) -- lineage length is capped at MAX_DEPTH
+        # o1: allow(flow-bounded) -- lineage length is capped at MAX_DEPTH
         for node in self.lineage:
             usage = node.usage_frames - nframes
             node.usage_frames = usage if usage > 0 else 0
@@ -299,7 +299,6 @@ class MemCg:
     def contains(self, other: "MemCg") -> bool:
         """True if ``other`` is this node or a descendant of it."""
         node: Optional[MemCg] = other
-        # o1: allow(o1-size-loop) -- ancestor chain capped at MAX_DEPTH
         while node is not None:
             if node is self:
                 return True

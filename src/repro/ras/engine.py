@@ -154,7 +154,7 @@ class RasEngine:
         budget is exhausted.
         """
         attempt = 0
-        # o1: allow(o1-size-loop, o1-charge-in-loop) -- bounded by _MAX_MEDIA_RETRIES
+        # o1: allow(flow-bounded) -- bounded by _MAX_MEDIA_RETRIES
         while attempt < self._MAX_MEDIA_RETRIES:
             if not self.model.transient_fails(pfn, attempt):
                 return True
@@ -311,7 +311,7 @@ class RasEngine:
         holds retired (same boot, or duplicate records from a crash
         between buddy retirement and record append) adopt as no-ops.
         """
-        # o1: allow(o1-size-loop, o1-charge-in-loop) -- cold arming sweep, one visit per persisted record
+        # o1: allow(flow-bounded) -- cold arming sweep, one visit per persisted record
         for pfn in sorted(self.dram_badblock_pfns()):
             if self._kernel.dram_buddy.retire(pfn):
                 self._counters.bump("ras_dram_badblock_adopted")
@@ -368,15 +368,15 @@ class RasEngine:
         the PMFS extent-invalidation callbacks at apply time.
         """
         end_pfn = first_pfn + count
-        # o1: allow(o1-size-loop) -- process-table sweep; migration is the slow path
+        # o1: allow(flow-bounded) -- process-table sweep; migration is the slow path
         for process in self._kernel.processes.values():
             space = process.space
-            # o1: allow(o1-nested-size-loop) -- migration is the slow path
+            # o1: allow(flow-bounded) -- migration is the slow path
             for vma in space.vmas:
                 if vma.backing.inode is not inode:
                     continue
                 dropped = False
-                # o1: allow(o1-nested-size-loop) -- per-PTE teardown sweep
+                # o1: allow(flow-bounded) -- per-PTE teardown sweep
                 for page_va, pte in list(space.page_table.iter_leaves()):
                     if not vma.start <= page_va < vma.end:
                         continue
@@ -443,7 +443,6 @@ class RasEngine:
         with pmfs.open_inode(inode) as handle:
             raw = handle.pread(0, inode.size)
         pfns = set()
-        # o1: allow(o1-size-loop) -- cold audit/recovery sweep over the record file
         for start in range(0, len(raw) - len(raw) % _DRAM_RECORD_BYTES, _DRAM_RECORD_BYTES):
             value = int.from_bytes(raw[start : start + _DRAM_RECORD_BYTES], "big")
             if value:

@@ -48,7 +48,7 @@ class PatrolScrubber:
     def scrub_batch(self) -> int:
         """Probe one batch of frames; returns how many were probed."""
         spans = self._engine.model.spans()
-        # o1: allow(o1-size-loop) -- spans are the two fixed memory regions
+        # o1: allow(flow-bounded) -- spans are the two fixed memory regions
         total = sum(count for _first, count in spans)
         if total == 0:
             return 0
@@ -56,7 +56,7 @@ class PatrolScrubber:
         if chaos is not None:
             chaos.hit("ras.scrub.batch")
         probed = min(self.batch_frames, total)
-        # o1: allow(o1-size-loop) -- bounded patrol batch
+        # o1: allow(flow-bounded) -- bounded patrol batch
         for _ in range(probed):
             pfn = self._pfn_at(spans, self._cursor)
             self._cursor = (self._cursor + 1) % total
@@ -78,7 +78,7 @@ class PatrolScrubber:
     @staticmethod
     def _pfn_at(spans: Sequence[Tuple[int, int]], index: int) -> int:
         """Frame at patrol position ``index`` across the spans."""
-        # o1: allow(o1-size-loop) -- two spans (DRAM + NVM), not data-sized
+        # o1: allow(flow-bounded) -- two spans (DRAM + NVM), not data-sized
         for first, count in spans:
             if index < count:
                 return first + index

@@ -76,7 +76,7 @@ class FrameSan:
         """Buddy handed out a block."""
         end = pfn + (1 << order)
         # Iterate the (small) retired set, not the (possibly huge) block.
-        # o1: allow(o1-size-loop) -- the retired set holds the few frames RAS pulled, not operand data
+        # o1: allow(flow-bounded) -- the retired set holds the few frames RAS pulled, not operand data
         if any(pfn <= retired < end for retired in self._retired):
             self._report(
                 "retired-frame-realloc",
@@ -116,7 +116,7 @@ class FrameSan:
             return True
         first, _, max_order = region
         offset = frame - first
-        # o1: allow(o1-size-loop) -- max_order is a config constant
+        # o1: allow(flow-bounded) -- max_order is a config constant
         for order in range(max_order + 1):
             start = first + ((offset >> order) << order)
             if ledger.get(start) == order:
@@ -141,7 +141,6 @@ class FrameSan:
     def on_nvm_alloc(self, allocator: Any, first_block: int, block_count: int) -> None:
         """PMFS allocated an extent of blocks."""
         end = first_block + block_count
-        # o1: allow(o1-size-loop) -- the retired set holds the few frames RAS pulled, not operand data
         if any(first_block <= retired < end for retired in self._retired):
             self._report(
                 "retired-frame-realloc",
@@ -187,7 +186,7 @@ class FrameSan:
                 {"paddr": paddr, "pfn": frame},
             )
             return
-        # o1: allow(o1-size-loop) -- region list is machine topology, a config constant
+        # o1: allow(flow-bounded) -- region list is machine topology, a config constant
         for key, (first, count, _) in self._dram_regions.items():
             if first <= frame < first + count:
                 if not self.dram_block_allocated(key, frame):
@@ -198,7 +197,7 @@ class FrameSan:
                         {"paddr": paddr, "pfn": frame},
                     )
                 return
-        # o1: allow(o1-size-loop) -- region list is machine topology, a config constant
+        # o1: allow(flow-bounded) -- region list is machine topology, a config constant
         for key, (first, count) in self._nvm_regions.items():
             if first <= frame < first + count:
                 if frame in self._nvm_freed.get(key, set()):

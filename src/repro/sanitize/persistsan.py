@@ -8,10 +8,11 @@ file data may become visible through the VFS write path while the
 inode has an open, uncommitted record: the journal commit must be
 durable before dependent data is.
 
-The dynamic checks here are cross-checked statically by the
-``persist-outside-txn`` rule in :mod:`repro.lint.astcheck`, which flags
-call sites of the ``_apply_*`` family in functions that never issued a
-journal commit beforehand.
+The dynamic checks here are cross-checked statically by the o1 lint
+pass (:mod:`repro.lint.flow`) with two rules: ``persist-outside-txn``
+flags call sites of the ``_apply_*`` family in functions that never
+issued a journal commit beforehand, and ``flow-persist-outside-txn``
+flags an apply that no path from its protocol root commits before.
 """
 
 from __future__ import annotations

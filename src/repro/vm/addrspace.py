@@ -296,13 +296,11 @@ class AddressSpace:
                     va, first_pfn * PAGE_SIZE, run_pages * PAGE_SIZE,
                     allowed=SUPPORTED_PAGE_SIZES,
                 )
-                # o1: allow(o1-size-loop, o1-charge-in-loop, o1-nested-size-loop) -- runs partition the declared n pages
                 for tile_va, tile_pa, size in tiles:
                     pt.map(tile_va, tile_pa // size, page_size=size, writable=writable)
                     advance(populate_ns)
                     written += 1
             else:
-                # o1: allow(o1-size-loop, o1-charge-in-loop, o1-nested-size-loop) -- pages of one run; runs partition the declared n
                 for pfn in range(first_pfn, first_pfn + run_pages):
                     if not window_base <= va < window_end:
                         # The first page in this window: descend once.
@@ -314,7 +312,6 @@ class AddressSpace:
                     va += PAGE_SIZE
                 written += run_pages
             if frame_table is not None:
-                # o1: allow(o1-size-loop, o1-nested-size-loop) -- frames of one run; runs partition the declared n
                 for pfn in range(first_pfn, first_pfn + run_pages):
                     meta = frame_table.scan_meta(pfn)
                     meta.refcount += 1
@@ -367,7 +364,7 @@ class AddressSpace:
         if first < 0 or self._vmas[first].end <= addr:
             first += 1
         last = bisect.bisect_left(self._starts, end)
-        # o1: allow(o1-size-loop) -- the overlapped VMAs partition the declared n pages
+        # o1: allow(flow-bounded) -- the overlapped VMAs partition the declared n pages
         for vma in self._vmas[first:last]:
             if addr > vma.start and end < vma.end:
                 raise MappingError(
@@ -395,7 +392,6 @@ class AddressSpace:
             vma.backing.release(first_page, npages)
         # COW copies for the range were order-0 DRAM frames the VMA owns;
         # return them to the buddy so they do not leak.
-        # o1: allow(o1-size-loop) -- one pop per private copy in the cut, within the declared n
         doomed = [
             vma.private_copies.pop(page_index)
             for page_index in list(vma.private_copies)
@@ -437,7 +433,7 @@ class AddressSpace:
                 else:
                     pt.clear_slot(node, index, pte)
                 if self._frame_table is not None and tracks_meta:
-                    # o1: allow(o1-size-loop, o1-charge-in-loop, o1-nested-size-loop) -- 4 KiB frames of one PTE; pages partition the declared n
+                    # o1: allow(flow-bounded) -- 4 KiB frames of one PTE; pages partition the declared n
                     for pfn4k in range(
                         pte.paddr // PAGE_SIZE,
                         (pte.paddr + pte.page_size) // PAGE_SIZE,
@@ -517,7 +513,7 @@ class AddressSpace:
                 return False
         # ``vma`` appears at most once among the successors, so the first
         # two starting before window_end decide the question — no scan.
-        # o1: allow(o1-size-loop) -- two-element slice of the sorted VMA list
+        # o1: allow(flow-bounded) -- two-element slice of the sorted VMA list
         for probe in self._vmas[index + 1 : index + 3]:
             if probe.start >= window_end:
                 break

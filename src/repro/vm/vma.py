@@ -223,7 +223,6 @@ class AnonBacking(MemoryBacking):
         end = page_index + npages
         doomed = [i for i in self._frames if page_index <= i < end]
         pfns = [self._frames.pop(i) for i in doomed]
-        # o1: allow(flow-bounded) -- the swapped pages number at most the declared n
         for index in [i for i in self._swapped if page_index <= i < end]:
             self._free_swap_slot(index)
         if pfns:

@@ -14,10 +14,12 @@ Hypothesis settings live here, not on individual tests: one
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+import repro
 from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel, MemoryTechnology
 from repro.kernel import Kernel, MachineConfig
@@ -146,3 +148,24 @@ def aligned_kernel() -> Kernel:
             pmfs_extent_align_frames=512,
         )
     )
+
+
+@pytest.fixture(scope="session")
+def real_o1():
+    """The o1 lint pass over the shipped tree, run once per session.
+
+    Every lint test module that judges the real tree shares this one
+    result (and its call graph) instead of parsing the tree again.
+    Treat it as read-only.
+    """
+    from repro.lint.flow import run_flow
+
+    return run_flow(Path(repro.__file__).parent)
+
+
+@pytest.fixture(scope="session")
+def real_alloc(real_o1):
+    """AllocSan over the shipped tree, on the o1 pass's call graph."""
+    from repro.lint.alloc import run_alloc
+
+    return run_alloc(Path(repro.__file__).parent, graph=real_o1.graph)

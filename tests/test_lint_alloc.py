@@ -3,7 +3,7 @@
 Covers the shape classifier, the lattice scaling, interprocedural
 propagation over the call graph, cold-call mechanics, the hot-closure
 gate, the planted-control check, the ``alloc`` section of
-``lint_report.json`` (schema v4) — and the mutants the pass exists to
+``lint_report.json`` (schema v5) — and the mutants the pass exists to
 catch, pinned against the real tree.
 """
 
@@ -24,7 +24,7 @@ from repro.lint.alloc import (
     _scale,
     run_alloc,
 )
-from repro.lint.astcheck import lint_tree
+from repro.lint.flow import run_flow
 from repro.lint.report import REPORT_VERSION, build_report, render_text
 
 REPRO_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -136,6 +136,18 @@ class TestShapes:
         findings = real_findings(alloc(pkg))
         assert [f.rule for f in findings] == [RULE_ALLOC_EXCEEDS]
         assert "function object" in findings[0].chain[-1].note
+
+    def test_comprehension_first_iterable_is_evaluated_once(self, tmp_path):
+        """A generator's first iterable runs once, before the loop: a
+        bounded shape there is not a per-element one."""
+        pkg = make_pkg(tmp_path, {"mod.py": """
+            from repro.lint import allocbound
+
+            @allocbound(2)
+            def total(table):
+                return sum(v for v in table.values())
+        """})
+        assert real_findings(alloc(pkg)) == []
 
     def test_allocbound_tolerates_bounded_shapes(self, tmp_path):
         pkg = make_pkg(tmp_path, {"mod.py": """
@@ -355,7 +367,7 @@ class TestHotClosure:
 
 
 # ---------------------------------------------------------------------------
-# Report: schema v4
+# Report: schema v5
 # ---------------------------------------------------------------------------
 class TestAllocReport:
     def _fixture(self, tmp_path):
@@ -369,12 +381,12 @@ class TestAllocReport:
             def helper(x):
                 return [i for i in x]
         """})
-        return lint_tree(pkg), alloc(pkg)
+        return run_flow(pkg, package="pkg"), alloc(pkg)
 
     def test_alloc_section_schema(self, tmp_path):
-        intra, result = self._fixture(tmp_path)
-        report = build_report(intra, alloc=result)
-        assert report["version"] == REPORT_VERSION == 4
+        o1, result = self._fixture(tmp_path)
+        report = build_report(o1, alloc=result)
+        assert report["version"] == REPORT_VERSION == 5
         section = report["alloc"]
         assert set(section) == {
             "entries", "files", "functions", "hot_reachable",
@@ -392,13 +404,13 @@ class TestAllocReport:
     def test_allocfit_results_serialised(self, tmp_path):
         from repro.lint.allocfit import AllocFitResult
 
-        intra, result = self._fixture(tmp_path)
+        o1, result = self._fixture(tmp_path)
         fit = AllocFitResult(
             name="access.tlb_hit", calls=4096, net_bytes=164,
             per_call_bytes=0.04, gc_delta=(3, 0, 0), expect_growth=False,
             grew=False, uncertified=(), ok=True, note="",
         )
-        report = build_report(intra, alloc=result, allocfit_results=[fit])
+        report = build_report(o1, alloc=result, allocfit_results=[fit])
         (row,) = report["alloc"]["allocfit"]
         assert row["name"] == "access.tlb_hit"
         assert row["ok"] is True
@@ -406,8 +418,8 @@ class TestAllocReport:
         json.dumps(report)  # the whole document must be serialisable
 
     def test_render_text_shows_alloc_section(self, tmp_path):
-        intra, result = self._fixture(tmp_path)
-        text = render_text(intra, alloc=result)
+        o1, result = self._fixture(tmp_path)
+        text = render_text(o1, alloc=result)
         assert "o1 alloc:" in text
         assert "FINDING" in text
         assert "pkg.mod.helper" in text  # the witness hop, not just the root
@@ -417,7 +429,7 @@ class TestAllocReport:
             def fine(x):
                 return x  # alloc: allow(list-display) -- obsolete
         """})
-        text = render_text(lint_tree(pkg), alloc=alloc(pkg))
+        text = render_text(run_flow(pkg, package="pkg"), alloc=alloc(pkg))
         assert "1 stale suppression(s)" in text
         assert "stale suppression # alloc: allow(list-display)" in text
         assert "# o1: allow" not in text
@@ -427,10 +439,6 @@ class TestAllocReport:
 # The real tree: clean gate, verified control, mutant detection
 # ---------------------------------------------------------------------------
 class TestRealTree:
-    @pytest.fixture(scope="class")
-    def real_alloc(self):
-        return run_alloc(REPRO_ROOT)
-
     def test_tree_is_clean_with_empty_baseline(self, real_alloc):
         assert real_alloc.findings == []
 

@@ -1,31 +1,56 @@
-"""AST cost-shape linter on synthetic sources."""
+"""The o1 pass on synthetic one-module packages.
+
+Loop shape is judged by the call-graph cost summaries
+(``flow-cost-exceeds-declared``); recursion and persist ordering by the
+two intraprocedural rules the pass runs on every function.
+"""
 
 import textwrap
 from pathlib import Path
 
-from repro.lint.astcheck import lint_source, lint_tree, module_name_for
+from repro.lint.astcheck import (
+    RULE_PERSIST_OUTSIDE_TXN,
+    RULE_RECURSION,
+    module_name_for,
+)
+from repro.lint.flow import RULE_CONTROL_MISSING, run_flow
+from repro.lint.summaries import RULE_COST_EXCEEDS
 
 
-def lint(source: str):
-    return lint_source(textwrap.dedent(source), module="synthetic")
+def lint(tmp_path: Path, source: str):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "synthetic.py").write_text(textwrap.dedent(source))
+    return run_flow(pkg, package="pkg")
+
+
+def findings(result):
+    """Findings minus the planted-control noise a throwaway tree makes."""
+    return [f for f in result.findings if f.rule != RULE_CONTROL_MISSING]
+
+
+def rules(result):
+    return [f.rule for f in findings(result)]
 
 
 class TestSizeLoops:
-    def test_clean_o1_function_passes(self):
+    def test_clean_o1_function_passes(self, tmp_path):
         result = lint(
+            tmp_path,
             """
             from repro.lint import o1
 
             @o1
             def f(table, key):
                 return table.get(key)
-            """
+            """,
         )
-        assert result.violations == []
-        assert result.functions_checked == 1
+        assert findings(result) == []
+        assert result.declared == 1
 
-    def test_size_loop_in_o1_flags(self):
+    def test_size_loop_in_o1_flags(self, tmp_path):
         result = lint(
+            tmp_path,
             """
             from repro.lint import o1
 
@@ -33,26 +58,27 @@ class TestSizeLoops:
             def f(pages):
                 for page in pages:
                     touch(page)
-            """
+            """,
         )
-        assert len(result.violations) == 1
-        assert result.violations[0].rule == "o1-size-loop"
-        assert result.violations[0].function == "synthetic.f"
+        assert rules(result) == [RULE_COST_EXCEEDS]
+        assert findings(result)[0].function == "pkg.synthetic.f"
 
-    def test_comprehension_flags_too(self):
+    def test_comprehension_flags_too(self, tmp_path):
         result = lint(
+            tmp_path,
             """
             from repro.lint import o1
 
             @o1
             def f(entries):
                 return [e for e in entries if e.live]
-            """
+            """,
         )
-        assert [v.rule for v in result.violations] == ["o1-size-loop"]
+        assert rules(result) == [RULE_COST_EXCEEDS]
 
-    def test_constant_bounded_loop_passes(self):
+    def test_constant_bounded_loop_passes(self, tmp_path):
         result = lint(
+            tmp_path,
             """
             from repro.lint import o1
 
@@ -62,23 +88,25 @@ class TestSizeLoops:
                 for i in range(4):
                     total += i
                 return total
-            """
+            """,
         )
-        assert result.violations == []
+        assert findings(result) == []
 
-    def test_undecorated_function_ignored(self):
+    def test_undecorated_function_ignored(self, tmp_path):
         result = lint(
+            tmp_path,
             """
             def f(pages):
                 for page in pages:
                     touch(page)
-            """
+            """,
         )
-        assert result.violations == []
-        assert result.functions_checked == 0
+        assert findings(result) == []
+        assert result.declared == 0
 
-    def test_linear_class_tolerates_depth_one_loop(self):
+    def test_linear_class_tolerates_depth_one_loop(self, tmp_path):
         result = lint(
+            tmp_path,
             """
             from repro.lint import complexity
 
@@ -86,12 +114,13 @@ class TestSizeLoops:
             def f(pages):
                 for page in pages:
                     touch(page)
-            """
+            """,
         )
-        assert result.violations == []
+        assert findings(result) == []
 
-    def test_linear_class_flags_nested_size_loops(self):
+    def test_linear_class_flags_nested_size_loops(self, tmp_path):
         result = lint(
+            tmp_path,
             """
             from repro.lint import complexity
 
@@ -100,28 +129,31 @@ class TestSizeLoops:
                 for vma in vmas:
                     for page in vma.pages:
                         touch(page)
-            """
+            """,
         )
-        assert [v.rule for v in result.violations] == ["o1-nested-size-loop"]
+        assert rules(result) == [RULE_COST_EXCEEDS]
+        assert "nested in an unbounded loop" in findings(result)[0].chain[0].note
 
 
 class TestChargeAndRecursion:
-    def test_charge_inside_loop_flags(self):
+    def test_charge_inside_loop_flags(self, tmp_path):
         result = lint(
+            tmp_path,
             """
             from repro.lint import o1
 
-            @o1
-            def f(self, items):
-                for item in items:
-                    self.clock.advance(10)
-            """
+            class Walker:
+                @o1
+                def f(self, items):
+                    for item in items:
+                        self.clock.advance(10)
+            """,
         )
-        rules = {v.rule for v in result.violations}
-        assert "o1-charge-in-loop" in rules
+        assert rules(result) == [RULE_COST_EXCEEDS]
 
-    def test_recursion_in_o1_flags(self):
+    def test_recursion_in_o1_flags(self, tmp_path):
         result = lint(
+            tmp_path,
             """
             from repro.lint import o1
 
@@ -130,12 +162,14 @@ class TestChargeAndRecursion:
                 if node.child:
                     return f(node.child)
                 return node
-            """
+            """,
         )
-        assert [v.rule for v in result.violations] == ["o1-recursion"]
+        assert rules(result) == [RULE_RECURSION]
+        assert "recursive call to f()" in findings(result)[0].message
 
-    def test_call_inside_nested_def_is_not_recursion(self):
+    def test_call_inside_nested_def_is_not_recursion(self, tmp_path):
         result = lint(
+            tmp_path,
             """
             from repro.lint import o1
 
@@ -144,58 +178,62 @@ class TestChargeAndRecursion:
                 def helper():
                     return f
                 return helper
-            """
+            """,
         )
-        assert result.violations == []
+        assert findings(result) == []
 
 
 class TestInlineAllows:
-    def test_allow_on_flagged_line(self):
+    def test_allow_on_flagged_line(self, tmp_path):
         result = lint(
+            tmp_path,
             """
             from repro.lint import o1
 
             @o1
             def f(pages):
-                for page in pages:  # o1: allow(o1-size-loop) -- bounded
+                for page in pages:  # o1: allow(flow-bounded) -- bounded
                     touch(page)
-            """
+            """,
         )
-        assert result.violations == []
-        assert result.inline_suppressed == 1
+        assert findings(result) == []
+        assert result.stale_suppressions == []
 
-    def test_allow_on_previous_line(self):
+    def test_allow_on_previous_line(self, tmp_path):
         result = lint(
+            tmp_path,
             """
             from repro.lint import o1
 
             @o1
             def f(pages):
-                # o1: allow(o1-size-loop) -- bounded by geometry
+                # o1: allow(flow-bounded) -- bounded by geometry
                 for page in pages:
                     touch(page)
-            """
+            """,
         )
-        assert result.violations == []
-        assert result.inline_suppressed == 1
+        assert findings(result) == []
+        assert result.stale_suppressions == []
 
-    def test_allow_on_def_line_covers_body(self):
+    def test_allow_on_def_line_covers_body(self, tmp_path):
         result = lint(
+            tmp_path,
             """
             from repro.lint import o1
 
             @o1
-            def f(pages):  # o1: allow(o1-size-loop) -- whole function
+            def f(pages):  # o1: allow(flow-bounded) -- whole function
                 for page in pages:
                     touch(page)
                 stale = [p for p in pages]
-            """
+            """,
         )
-        assert result.violations == []
-        assert result.inline_suppressed == 2
+        assert findings(result) == []
+        assert result.stale_suppressions == []
 
-    def test_allow_for_other_rule_does_not_suppress(self):
+    def test_allow_for_other_rule_does_not_suppress(self, tmp_path):
         result = lint(
+            tmp_path,
             """
             from repro.lint import o1
 
@@ -203,9 +241,11 @@ class TestInlineAllows:
             def f(pages):
                 for page in pages:  # o1: allow(o1-recursion) -- wrong rule
                     touch(page)
-            """
+            """,
         )
-        assert [v.rule for v in result.violations] == ["o1-size-loop"]
+        assert rules(result) == [RULE_COST_EXCEEDS]
+        (stale,) = result.stale_suppressions
+        assert stale.rules == (RULE_RECURSION,)
 
 
 class TestTreeAndBaseline:
@@ -227,13 +267,14 @@ class TestTreeAndBaseline:
             "from repro.lint import o1\n\n@o1\ndef b(pages):\n"
             "    for p in pages:\n        x(p)\n"
         )
-        result = lint_tree(pkg, package="pkg")
-        assert result.files_checked == 2
-        assert result.functions_checked == 2
-        assert [v.function for v in result.violations] == ["pkg.bad.b"]
+        result = run_flow(pkg, package="pkg")
+        assert result.files == 2
+        assert result.declared == 2
+        assert [f.function for f in findings(result)] == ["pkg.bad.b"]
 
-    def test_violation_format_mentions_rule_and_site(self):
+    def test_violation_format_mentions_rule_and_site(self, tmp_path):
         result = lint(
+            tmp_path,
             """
             from repro.lint import o1
 
@@ -241,89 +282,98 @@ class TestTreeAndBaseline:
             def f(pages):
                 for page in pages:
                     touch(page)
-            """
+            """,
         )
-        text = result.violations[0].format()
-        assert "o1-size-loop" in text
-        assert "synthetic.f" in text
+        text = findings(result)[0].format()
+        assert RULE_COST_EXCEEDS in text
+        assert "pkg.synthetic.f" in text
 
 
 class TestPersistOutsideTxn:
-    def test_apply_without_commit_flags(self):
+    def persist(self, result):
+        return [f for f in result.findings if f.rule == RULE_PERSIST_OUTSIDE_TXN]
+
+    def test_apply_without_commit_flags(self, tmp_path):
         result = lint(
+            tmp_path,
             """
             class Fs:
                 def sneaky(self, record):
                     self._apply_alloc(record)
-            """
+            """,
         )
-        assert [v.rule for v in result.violations] == ["persist-outside-txn"]
-        violation = result.violations[0]
-        assert violation.declared is None
-        assert "persist-outside-txn" in violation.format()
-        assert "_apply_alloc" in violation.message
+        (finding,) = self.persist(result)
+        assert finding.function == "pkg.synthetic.Fs.sneaky"
+        assert RULE_PERSIST_OUTSIDE_TXN in finding.format()
+        assert "_apply_alloc" in finding.message
 
-    def test_commit_before_apply_passes(self):
+    def test_commit_before_apply_passes(self, tmp_path):
         result = lint(
+            tmp_path,
             """
             class Fs:
                 def txn(self, record):
                     self._journal_begin(record)
                     self._journal_commit(record)
                     self._apply_shrink(record)
-            """
+            """,
         )
-        assert result.violations == []
+        assert findings(result) == []
 
-    def test_commit_after_apply_still_flags(self):
+    def test_commit_after_apply_still_flags(self, tmp_path):
         result = lint(
+            tmp_path,
             """
             class Fs:
                 def backwards(self, record):
                     self._apply_free(record)
                     self._journal_commit(record)
-            """
+            """,
         )
-        assert [v.rule for v in result.violations] == ["persist-outside-txn"]
+        assert len(self.persist(result)) == 1
 
-    def test_rule_fires_in_undeclared_functions(self):
-        # Unlike the cost-shape rules, no @o1/@complexity declaration is
+    def test_rule_fires_in_undeclared_functions(self, tmp_path):
+        # Unlike the cost rules, no @o1/@complexity declaration is
         # needed: every function is inside the persist contract.
         result = lint(
+            tmp_path,
             """
             def helper(fs, record):
                 fs._apply_alloc(record)
-            """
+            """,
         )
-        assert [v.rule for v in result.violations] == ["persist-outside-txn"]
-        assert result.functions_checked == 0  # not a declared function
+        assert len(self.persist(result)) == 1
+        assert result.declared == 0
 
-    def test_apply_implementations_are_exempt(self):
+    def test_apply_implementations_are_exempt(self, tmp_path):
         result = lint(
+            tmp_path,
             """
             class Fs:
                 def _apply_alloc(self, record):
                     self._apply_alloc_extent(record)
-            """
+            """,
         )
-        assert result.violations == []
+        assert findings(result) == []
 
-    def test_allow_comment_suppresses(self):
+    def test_allow_comment_suppresses(self, tmp_path):
         result = lint(
+            tmp_path,
             """
             class Fs:
                 def crash_redo(self, record):
                     # o1: allow(persist-outside-txn) -- committed redo
                     self._apply_free(record)
-            """
+            """,
         )
-        assert result.violations == []
-        assert result.inline_suppressed == 1
+        assert self.persist(result) == []
+        assert result.stale_suppressions == []
 
-    def test_nested_def_is_its_own_scope(self):
+    def test_nested_def_is_its_own_scope(self, tmp_path):
         # The inner function applies without committing; the outer
         # commit must not excuse it.
         result = lint(
+            tmp_path,
             """
             class Fs:
                 def outer(self, record):
@@ -331,6 +381,8 @@ class TestPersistOutsideTxn:
                     def inner():
                         self._apply_alloc(record)
                     return inner
-            """
+            """,
         )
-        assert [v.rule for v in result.violations] == ["persist-outside-txn"]
+        assert [f.function for f in self.persist(result)] == [
+            "pkg.synthetic.Fs.outer.inner"
+        ]

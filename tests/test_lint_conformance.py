@@ -7,33 +7,22 @@ what the simulated clock actually measures.  There is no baseline file:
 every finding fails.
 """
 
-from pathlib import Path
-
 import pytest
 
-import repro
-from repro.lint.astcheck import lint_tree
 from repro.lint.decorators import ComplexityClass
 from repro.lint.ops import LIGHT_SIZES, OPERATIONS, fit_all
 
-PACKAGE_ROOT = Path(repro.__file__).parent
-
-
-@pytest.fixture(scope="module")
-def result():
-    return lint_tree(PACKAGE_ROOT)
-
 
 class TestAstGate:
-    def test_tree_is_clean_against_baseline(self, result):
-        formatted = "\n".join(v.format() for v in result.violations)
-        assert result.violations == [], (
+    def test_tree_is_clean_against_baseline(self, real_o1):
+        formatted = "\n".join(f.format() for f in real_o1.findings)
+        assert real_o1.findings == [], (
             f"new O(1) conformance findings:\n{formatted}"
         )
 
-    def test_checker_actually_saw_the_tree(self, result):
-        assert result.files_checked >= 60
-        assert result.functions_checked >= 50
+    def test_checker_actually_saw_the_tree(self, real_o1):
+        assert real_o1.files >= 60
+        assert real_o1.declared >= 50
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,8 @@
-"""Interprocedural O(1) conformance: repro.lint.flow and friends.
+"""The o1 conformance pass: repro.lint.flow and friends.
 
 Covers the call-graph builder, the transitive cost summaries, the
 must-call protocol checks, the planted controls, stale-suppression
-detection, the flow section of ``lint_report.json`` — and the two
+detection, the ``o1`` section of ``lint_report.json`` — and the two
 intraprocedural false negatives this pass exists to close, pinned as
 regression tests.
 """
@@ -12,9 +12,7 @@ import shutil
 import textwrap
 from pathlib import Path
 
-import pytest
-
-from repro.lint.astcheck import lint_tree
+from repro.lint.astcheck import RULE_PERSIST_OUTSIDE_TXN
 from repro.lint.callgraph import build_callgraph
 from repro.lint.flow import CONTROLS, RULE_CONTROL_MISSING, run_flow
 from repro.lint.protocols import (
@@ -44,14 +42,8 @@ def make_pkg(tmp_path: Path, files: dict) -> Path:
     return pkg
 
 
-def flow(pkg: Path, with_intra: bool = False):
-    intra_used = None
-    if with_intra:
-        intra_used = {
-            p: set(lines)
-            for p, lines in lint_tree(pkg).used_allows.items()
-        }
-    return run_flow(pkg, package="pkg", intra_used=intra_used)
+def flow(pkg: Path):
+    return run_flow(pkg, package="pkg")
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +228,66 @@ class TestSummaries:
         table = SummaryTable(graph)
         assert table.summaries["pkg.mod.walk"].cost is Cost.LINEARITHMIC
 
+    def test_for_header_call_is_charged_once(self, tmp_path):
+        """A ``for`` iterable runs once, before the first iteration: a
+        linear call there is not a linear call per iteration."""
+        pkg = make_pkg(tmp_path, {"mod.py": """
+            from repro.lint import complexity
+
+            class Store:
+                @complexity("n")
+                def runs(self, n):
+                    return list(range(n))
+
+                @complexity("n")
+                def total(self, n):
+                    total = 0
+                    for run in self.runs(n):
+                        total += run
+                    return total
+        """})
+        table = SummaryTable(build_callgraph(pkg, package="pkg"))
+        assert table.summaries["pkg.mod.Store.total"].cost is Cost.LINEAR
+        assert [
+            f for f in flow(pkg).findings if f.rule == RULE_COST_EXCEEDS
+        ] == []
+
+    def test_comprehension_first_iterable_is_charged_once(self, tmp_path):
+        pkg = make_pkg(tmp_path, {"mod.py": """
+            from repro.lint import complexity
+
+            @complexity("n")
+            def pages(n):
+                return list(range(n))
+
+            @complexity("n")
+            def doubled(n):
+                return [page * 2 for page in pages(n)]
+        """})
+        table = SummaryTable(build_callgraph(pkg, package="pkg"))
+        assert table.summaries["pkg.mod.doubled"].cost is Cost.LINEAR
+
+    def test_iterable_named_nested_is_still_one_loop(self, tmp_path):
+        """The loop's cost is the one the shape pass computed, not a
+        guess from its rendered source text."""
+        pkg = make_pkg(tmp_path, {"mod.py": """
+            from repro.lint import complexity
+
+            @complexity("n")
+            def total(nested_pages):
+                count = 0
+                for page in nested_pages:
+                    count += page
+                return count
+        """})
+        table = SummaryTable(build_callgraph(pkg, package="pkg"))
+        summary = table.summaries["pkg.mod.total"]
+        assert summary.cost is Cost.LINEAR
+        assert "[O(n)]" in summary.witness.detail
+        assert [
+            f for f in flow(pkg).findings if f.rule == RULE_COST_EXCEEDS
+        ] == []
+
     def test_mutual_recursion_is_unbounded(self, tmp_path):
         pkg = make_pkg(tmp_path, {"mod.py": """
             def ping(x):
@@ -255,8 +307,8 @@ class TestSummaries:
 # ---------------------------------------------------------------------------
 class TestIntraFalseNegatives:
     def test_loop_in_undeclared_callee(self, tmp_path):
-        """Intra sees a single call in the @o1 body and stays silent; the
-        flow pass walks into the helper and finds the loop."""
+        """The @o1 body is a single call; the pass walks into the
+        helper and finds the loop."""
         pkg = make_pkg(tmp_path, {"mod.py": """
             from repro.lint import o1
 
@@ -270,8 +322,6 @@ class TestIntraFalseNegatives:
                     total += page
                 return total
         """})
-        intra = lint_tree(pkg)
-        assert intra.violations == []
         result = flow(pkg)
         findings = [f for f in result.findings if f.rule == RULE_COST_EXCEEDS]
         assert [f.function for f in findings] == ["pkg.mod.entry"]
@@ -279,7 +329,8 @@ class TestIntraFalseNegatives:
 
     def test_commit_in_helper_persist(self, tmp_path):
         """The apply site carries the classic "caller commits" allow, so
-        intra is silent — and no caller on the path ever commits."""
+        the intra rule is silent — and no caller on the path ever
+        commits."""
         pkg = make_pkg(tmp_path, {"mod.py": """
             def root_op(fs):
                 _helper_apply(fs)
@@ -287,9 +338,10 @@ class TestIntraFalseNegatives:
             def _helper_apply(fs):
                 fs._apply_alloc(None)  # o1: allow(persist-outside-txn) -- caller commits
         """})
-        intra = lint_tree(pkg)
-        assert intra.violations == []
         result = flow(pkg)
+        assert [
+            f for f in result.findings if f.rule == RULE_PERSIST_OUTSIDE_TXN
+        ] == []
         findings = [f for f in result.findings if f.rule == RULE_FLOW_PERSIST]
         assert any(f.function == "pkg.mod.root_op" for f in findings)
 
@@ -366,23 +418,14 @@ class TestStaleTranslationProtocol:
 # The real tree: clean gate, verified controls, mutant detection
 # ---------------------------------------------------------------------------
 class TestRealTree:
-    @pytest.fixture(scope="class")
-    def real_flow(self):
-        intra = lint_tree(REPRO_ROOT)
-        used = {p: set(lines) for p, lines in intra.used_allows.items()}
-        return intra, run_flow(REPRO_ROOT, intra_used=used)
+    def test_tree_is_clean_with_empty_baseline(self, real_o1):
+        assert real_o1.findings == []
 
-    def test_tree_is_clean_with_empty_baseline(self, real_flow):
-        intra, result = real_flow
-        assert intra.violations == []
-        assert result.findings == []
+    def test_no_stale_suppressions(self, real_o1):
+        assert real_o1.stale_suppressions == []
 
-    def test_no_stale_suppressions(self, real_flow):
-        _, result = real_flow
-        assert result.stale_suppressions == []
-
-    def test_planted_controls_fire_with_chains(self, real_flow):
-        _, result = real_flow
+    def test_planted_controls_fire_with_chains(self, real_o1):
+        result = real_o1
         fired = {(f.function, f.rule) for f in result.controls_verified}
         assert fired == set(CONTROLS)
         for finding in result.controls_verified:
@@ -405,7 +448,7 @@ class TestRealTree:
         )
         assert {f.path for f in missing} == {"<flow>"}
 
-    def test_resolution_ratio_floor(self, real_flow):
+    def test_resolution_ratio_floor(self, real_o1):
         """Pin the call-site resolution ratio so regressions in the
         resolver (attribute typing, module globals, IfExp arms) show up
         as a number going down, not as silently thinner coverage.
@@ -414,18 +457,17 @@ class TestRealTree:
         skew toward builtins and container methods (deliberately
         unresolvable), measuring 0.3874 with the resolver unchanged.
         """
-        _, result = real_flow
+        result = real_o1
         ratio = result.sites_resolved / result.sites_total
         assert ratio >= 0.385, (
             f"resolution ratio fell to {ratio:.4f} "
             f"({result.sites_resolved}/{result.sites_total})"
         )
 
-    def test_cpu_tlb_attributes_are_typed(self, real_flow):
+    def test_cpu_tlb_attributes_are_typed(self, real_o1):
         """The hot-path certificate depends on these exact attribute
         types: Cpu._translate's tlb calls must resolve."""
-        _, result = real_flow
-        graph = result.graph
+        graph = real_o1.graph
         cpu = next(
             cid for cid in graph.classes if cid == "repro.hw.cpu.Cpu"
         )
@@ -433,11 +475,10 @@ class TestRealTree:
         assert attrs.get("_tlb") == "repro.hw.tlb.Tlb"
         assert attrs.get("_rtlb") == "repro.hw.rtlb.RangeTlb"
 
-    def test_backing_calls_reach_every_override(self, real_flow):
+    def test_backing_calls_reach_every_override(self, real_o1):
         """Every backing subclasses ``MemoryBacking``, so a call through
         ``vma.backing`` reaches each backing's own body, not a stub."""
-        _, result = real_flow
-        graph = result.graph
+        graph = real_o1.graph
         backings = (
             "repro.vm.vma.AnonBacking",
             "repro.fs.tmpfs._TmpfsBacking",
@@ -461,9 +502,8 @@ class TestRealTree:
                 override = graph.lookup_method(backing, method)
                 assert override in targets, (caller, override)
 
-    def test_entries_cover_syscalls_and_kernel(self, real_flow):
-        _, result = real_flow
-        names = set(result.entries)
+    def test_entries_cover_syscalls_and_kernel(self, real_o1):
+        names = set(real_o1.entries)
         assert "repro.kernel.kernel.Kernel.fork" in names
         assert "repro.kernel.syscalls.Syscalls.mmap" in names
 
@@ -503,13 +543,13 @@ class TestStaleSuppressions:
 
             @o1
             def fine():
-                # o1: allow(o1-size-loop) -- obsolete: the loop is long gone
+                # o1: allow(flow-bounded) -- obsolete: the loop is long gone
                 return 1
         """})
-        result = flow(pkg, with_intra=True)
+        result = flow(pkg)
         assert len(result.stale_suppressions) == 1
         stale = result.stale_suppressions[0]
-        assert stale.rules == ("o1-size-loop",)
+        assert stale.rules == ("flow-bounded",)
         assert stale.path.endswith("mod.py")
 
     def test_used_allow_not_reported(self, tmp_path):
@@ -519,12 +559,30 @@ class TestStaleSuppressions:
             @o1
             def clamp(entries):
                 total = 0
-                # o1: allow(o1-size-loop) -- bounded table by construction
+                # o1: allow(flow-bounded) -- bounded table by construction
                 for entry in entries:
                     total += entry
                 return total
         """})
-        result = flow(pkg, with_intra=True)
+        result = flow(pkg)
+        assert result.stale_suppressions == []
+
+    def test_allow_text_in_a_string_is_not_a_comment(self, tmp_path):
+        """Only comment tokens suppress: allow text inside a string
+        literal neither silences the loop below it nor goes stale."""
+        pkg = make_pkg(tmp_path, {"mod.py": """
+            from repro.lint import o1
+
+            @o1
+            def walk(pages):
+                note = "# o1: allow(flow-bounded) -- not a comment"
+                for page in pages:
+                    touch(page, note)
+        """})
+        result = flow(pkg)
+        assert [
+            f.function for f in result.findings if f.rule == RULE_COST_EXCEEDS
+        ] == ["pkg.mod.walk"]
         assert result.stale_suppressions == []
 
 
@@ -546,17 +604,19 @@ class TestFlowReport:
                     total += page
                 return total
         """})
-        return lint_tree(pkg), flow(pkg)
+        return flow(pkg)
 
     def test_flow_section_schema(self, tmp_path):
-        intra, result = self._fixture_result(tmp_path)
-        report = build_report(intra, flow=result)
-        assert report["version"] == REPORT_VERSION == 4
-        section = report["flow"]
+        result = self._fixture_result(tmp_path)
+        report = build_report(result)
+        assert report["version"] == REPORT_VERSION == 5
+        assert "lint" not in report and "flow" not in report
+        section = report["o1"]
         assert set(section) == {
-            "entries", "files", "functions", "call_sites", "findings",
-            "controls_verified", "stale_suppressions",
+            "entries", "files", "functions", "declared", "call_sites",
+            "findings", "controls_verified", "stale_suppressions",
         }
+        assert section["declared"] == 1
         assert section["call_sites"]["resolved"] <= section["call_sites"]["total"]
         (finding,) = [
             f for f in section["findings"]
@@ -568,17 +628,18 @@ class TestFlowReport:
         assert set(hop) == {"function", "path", "line", "note"}
 
     def test_render_text_shows_chain(self, tmp_path):
-        intra, result = self._fixture_result(tmp_path)
-        text = render_text(intra, flow=result)
+        result = self._fixture_result(tmp_path)
+        text = render_text(result)
         assert "o1 flow:" in text
         assert "FINDING" in text
         assert "pkg.mod.helper" in text  # the witness hop, not just the root
 
     def test_render_text_spells_dead_allow_in_o1_namespace(self, tmp_path):
+        # A retired rule name is an allow no rule consumes.
         pkg = make_pkg(tmp_path, {"mod.py": """
             def fine():
                 return 1  # o1: allow(o1-size-loop) -- obsolete
         """})
-        text = render_text(lint_tree(pkg), flow=flow(pkg, with_intra=True))
+        text = render_text(flow(pkg))
         assert "1 stale suppression(s)" in text
         assert "stale suppression # o1: allow(o1-size-loop)" in text
