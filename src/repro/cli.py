@@ -511,6 +511,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     kernel = _demo_kernel()
     profiler = kernel.arm_profiler()
     demand, o1, _app = _run_demo_workload(kernel, args.mib, trace=True)
+    # Done tracing: take the span wrappers out; the attributions stay.
+    kernel.tracer.disable()
     total_sim = demand.elapsed_ns + o1.elapsed_ns
     print(f"profile: demo workload ({args.mib} MiB), "
           f"{profiler.spans} spans sampled on the wall clock")

@@ -147,9 +147,6 @@ class FileOnlyMemory:
         """
         if size <= 0:
             raise MappingError(f"size must be positive, got {size}")
-        tracer = self._kernel.tracer
-        if tracer.enabled:
-            tracer.current_pid = process.pid
         strategy = strategy or self.default_strategy
         path = name or f"/.fom/anon{next(self._anon_ids)}"
         extent_bytes = self.policy.extent_bytes_for(size)

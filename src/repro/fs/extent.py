@@ -60,12 +60,9 @@ class ExtentTree:
     design — that is the whole point); lookup is a binary search.
     """
 
-    def __init__(self, tracer: Optional[object] = None) -> None:
+    def __init__(self) -> None:
         self._extents: List[Extent] = []
         self._logicals: List[int] = []
-        #: Optional :class:`repro.obs.trace.Tracer`; inserts and merges
-        #: emit instant trace events when it is enabled.
-        self.tracer = tracer
 
     @property
     def extent_count(self) -> int:
@@ -93,16 +90,6 @@ class ExtentTree:
             nxt = self._extents[index]
             if extent.logical_end > nxt.logical:
                 raise FileSystemError(f"{extent!r} overlaps {nxt!r}")
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.instant(
-                "extent_insert",
-                "fs",
-                args={
-                    "logical": extent.logical,
-                    "pfn": extent.pfn,
-                    "count": extent.count,
-                },
-            )
         # Merge with the predecessor when physically contiguous.
         if index > 0 and self._extents[index - 1].abuts(extent):
             prev = self._extents[index - 1]

@@ -74,17 +74,6 @@ class BlockAllocator:
         """
         if nblocks <= 0:
             raise ValueError(f"nblocks must be positive, got {nblocks}")
-        tracer = self._counters.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.begin("extent_alloc", "fs", args={"nblocks": nblocks})
-            try:
-                return self._alloc_extent(nblocks, align_frames)
-            finally:
-                tracer.end()
-        return self._alloc_extent(nblocks, align_frames)
-
-    @o1(note="one bitmap run update; the run search is the priced slow path")
-    def _alloc_extent(self, nblocks: int, align_frames: int) -> Extent:
         chaos = self._counters.chaos
         if chaos is not None and chaos.hit("pmfs.extent.alloc") == "error":
             raise NoSpaceError(
@@ -410,9 +399,7 @@ class Pmfs(FileSystem):
     def _tree_of(self, inode: Inode) -> ExtentTree:
         tree = self._trees.get(inode.ino)
         if tree is None:
-            tree = self._trees[inode.ino] = ExtentTree(
-                tracer=self._counters.tracer
-            )
+            tree = self._trees[inode.ino] = ExtentTree()
         return tree
 
     # ------------------------------------------------------------------
@@ -428,23 +415,6 @@ class Pmfs(FileSystem):
         commit is undone (bitmap frees); after commit it is redone (tree
         inserts) — see :meth:`crash`.
         """
-        tracer = self._counters.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.begin(
-                "fs_alloc_blocks",
-                "fs",
-                args={"ino": inode.ino, "nblocks": nblocks},
-            )
-            try:
-                # o1: allow(flow-bounded) -- one extent in the common case; pieces only under fragmentation
-                return self._allocate_blocks(inode, nblocks)
-            finally:
-                tracer.end()
-        # o1: allow(flow-bounded) -- one extent in the common case; pieces only under fragmentation
-        return self._allocate_blocks(inode, nblocks)
-
-    @complexity("n", note="journaled extent allocation; pieces only under fragmentation")
-    def _allocate_blocks(self, inode: Inode, nblocks: int) -> None:
         tree = self._tree_of(inode)
         logical = tree.block_count
         record = self._journal_begin("alloc", inode.ino)
@@ -455,6 +425,7 @@ class Pmfs(FileSystem):
             pieces = [extent]
         except NoSpaceError:
             try:
+                # o1: allow(flow-bounded) -- pieces only under fragmentation; one extent in the common case
                 pieces = self.allocator.alloc_best_effort(nblocks)
             except NoSpaceError:
                 san = self._counters.sanitize
@@ -463,6 +434,7 @@ class Pmfs(FileSystem):
                     # epoch so later writes to this inode aren't blamed.
                     san.on_journal_abort(self, record)
                 raise
+        # o1: allow(flow-bounded) -- one piece in the common case; more only under fragmentation
         for piece in pieces:
             record.extents.append(
                 Extent(logical=logical, pfn=piece.pfn, count=piece.count)
@@ -470,6 +442,7 @@ class Pmfs(FileSystem):
             logical += piece.count
             self._tick()
         self._journal_commit(record)
+        # o1: allow(flow-bounded) -- one tree insert per piece, as above
         self._apply_alloc(record)
 
     @complexity("n", note="one tree insert per journaled extent")
@@ -479,9 +452,7 @@ class Pmfs(FileSystem):
             san.on_journal_apply(self, record)
         tree = self._trees.get(record.ino)
         if tree is None:
-            tree = self._trees[record.ino] = ExtentTree(
-                tracer=self._counters.tracer
-            )
+            tree = self._trees[record.ino] = ExtentTree()
         for extent in record.extents:
             if tree.lookup(extent.logical) is None:
                 tree.insert(extent)
@@ -541,20 +512,12 @@ class Pmfs(FileSystem):
         tree = self._trees.get(inode.ino)
         if tree is None:
             return
-        tracer = self._counters.tracer
-        traced = tracer is not None and tracer.enabled
-        if traced:
-            tracer.begin("fs_free_blocks", "fs", args={"ino": inode.ino})
-        try:
-            record = self._journal_begin("free", inode.ino)
-            record.extents = tree.extents()
-            self._journal_commit(record)
-            # o1: allow(flow-bounded) -- one free per extent; the extent design keeps those few
-            self._apply_free(record)
-            inode.payload.clear()
-        finally:
-            if traced:
-                tracer.end()
+        record = self._journal_begin("free", inode.ino)
+        record.extents = tree.extents()
+        self._journal_commit(record)
+        # o1: allow(flow-bounded) -- one free per extent; the extent design keeps those few
+        self._apply_free(record)
+        inode.payload.clear()
 
     @complexity("n", note="one free per journaled extent")
     def _apply_free(self, record: "JournalRecord") -> None:
@@ -706,9 +669,7 @@ class Pmfs(FileSystem):
         # reallocated.
         bad_tree = self._trees.get(record.badblock_ino)
         if bad_tree is None:
-            bad_tree = self._trees[record.badblock_ino] = ExtentTree(
-                tracer=self._counters.tracer
-            )
+            bad_tree = self._trees[record.badblock_ino] = ExtentTree()
         if not self._tree_claims(bad_tree, old.pfn):
             next_logical = max(
                 (extent.logical_end for extent in bad_tree.extents()),
@@ -772,12 +733,6 @@ class Pmfs(FileSystem):
             # Power was lost: volatile shadow state (translations, open
             # journal epochs) is gone before any replay runs.
             san.on_fs_crash(self)
-        tracer = self._counters.tracer
-        traced = tracer is not None and tracer.enabled
-        if traced:
-            tracer.begin(
-                "journal_replay", "fs", args={"records": len(self.journal)}
-            )
         corrupted_seen = False
         for record in self.journal:
             self._clock.advance(self._costs.journal_record_ns // 2)
@@ -815,8 +770,6 @@ class Pmfs(FileSystem):
         self.journal.clear()
         if corrupted_seen:
             self._scrub()
-        if traced:
-            tracer.end()
 
     @complexity("n", note="one pass over the trees and the block bitmap")
     def _scrub(self) -> None:

@@ -17,7 +17,7 @@ in without circular imports.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol, runtime_checkable
 
 from repro.errors import ProtectionError
 from repro.hw.cache import CacheModel
@@ -28,9 +28,6 @@ from repro.hw.tlb import Tlb, TlbEntry
 from repro.lint.decorators import allocbound, allocfree, complexity, o1
 from repro.obs.metrics import MetricsRegistry
 from repro.units import CACHE_LINE
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.trace import Tracer
 
 
 @runtime_checkable
@@ -106,7 +103,7 @@ class Cpu:
     # Access path
     # ------------------------------------------------------------------
     @o1(note="TLB hit or one fault round-trip; the retry cap is a constant")
-    @allocfree(note="the hit path constructs nothing; traced and fault worlds are cold")
+    @allocfree(note="the hit path constructs nothing; the fault world is cold")
     def access(self, space: TranslationContext, vaddr: int, write: bool = False) -> int:
         """Perform one 1-line memory access at ``vaddr``.
 
@@ -116,45 +113,16 @@ class Cpu:
         """
         if vaddr < 0:
             raise ProtectionError(f"negative virtual address {vaddr:#x}")
-        tracer = self._counters.tracer
-        if tracer is not None and tracer.enabled:
-            # alloc: allow(cold-call) -- tracer-armed runs only
-            return self._access_traced(space, vaddr, write, tracer)
         paddr = self._translate(space, vaddr, write)
         if paddr is not None:
             return self._finish_access(paddr, write)
         # alloc: allow(cold-call) -- fault path; the trap world charges itself
         return self._access_fault(space, vaddr, write)
 
-    @o1(note="traced mirror of access(); same bounded retry and charges")
-    def _access_traced(
-        self, space: TranslationContext, vaddr: int, write: bool, tracer: "Tracer"
-    ) -> int:
-        """Access with span bookkeeping; charge sequence matches access()."""
-        tracer.begin("access", "cpu")
-        try:
-            # o1: allow(flow-bounded) -- fault retries capped at _MAX_FAULT_RETRIES
-            for _ in range(self._MAX_FAULT_RETRIES):
-                paddr = self._translate(space, vaddr, write)
-                if paddr is not None:
-                    return self._finish_access(paddr, write)
-                # No translation (or a permission upgrade needed): fault to OS.
-                tracer.begin("fault", "fault", args={"vaddr": hex(vaddr)})
-                try:
-                    self._fault_round_trip(space, vaddr, write)
-                finally:
-                    tracer.end()
-            raise ProtectionError(
-                f"fault handler failed to map {vaddr:#x} after "
-                f"{self._MAX_FAULT_RETRIES} retries"
-            )
-        finally:
-            tracer.end()
-
     @o1(note="bounded fault retry; every charge lives in the round-trip helper")
     @allocbound(1, note="fault world: handler-side state is charged to the OS path")
     def _access_fault(self, space: TranslationContext, vaddr: int, write: bool) -> int:
-        """Untraced slow path, entered after one failed translation.
+        """Slow path, entered after one failed translation.
 
         The charge sequence is identical to the pre-split retry loop:
         success after ``k`` faults costs ``k + 1`` translations and ``k``

@@ -78,12 +78,6 @@ class Tlb:
     42
     """
 
-    #: Optional :class:`repro.obs.trace.Tracer`; when set and enabled,
-    #: structural events (insert evictions, invalidations, flushes) are
-    #: recorded as instant trace events.  Hit/miss accounting stays in
-    #: the CPU front-end, which owns the costs.
-    tracer = None
-
     def __init__(self, geometry: Optional[Dict[int, Tuple[int, int]]] = None) -> None:
         self._geometry = dict(geometry or DEFAULT_GEOMETRY)
         for size, (sets, ways) in self._geometry.items():
@@ -149,8 +143,6 @@ class Tlb:
         entry_set.move_to_end(key)
         if len(entry_set) > ways:
             _, evicted = entry_set.popitem(last=False)
-            # alloc: allow(cold-call) -- tracer-armed runs only
-            self._trace_evict(evicted)
             return evicted
         return None
 
@@ -158,7 +150,7 @@ class Tlb:
     # Invalidation
     # ------------------------------------------------------------------
     @o1(note="one probe per fixed page-size array")
-    @allocfree(note="int-keyed pops; the trace world is cold")
+    @allocfree(note="int-keyed pops of preallocated sets")
     def invalidate(self, vaddr: int, asid: int = 0) -> int:
         """Drop any entry covering ``vaddr`` (invlpg); returns count dropped."""
         dropped = 0
@@ -168,8 +160,6 @@ class Tlb:
             entry_set = sets[vpn % nsets]
             if entry_set and entry_set.pop((vpn << _ASID_BITS) | asid, None) is not None:
                 dropped += 1
-        # alloc: allow(cold-call) -- tracer-armed runs only
-        self._trace_invalidate("tlb_invalidate", dropped, vaddr=vaddr)
         return dropped
 
     @o1(
@@ -217,7 +207,6 @@ class Tlb:
                 for key in stale:
                     del entry_set[key]
                     dropped += 1
-        self._trace_invalidate("tlb_invalidate_range", dropped, vaddr=vaddr)
         return dropped
 
     def flush_asid(self, asid: int) -> int:
@@ -242,29 +231,7 @@ class Tlb:
                 # Clear in place: the preallocated sets (and the probe
                 # tuple that aliases them) must survive a full flush.
                 entry_set.clear()
-        self._trace_invalidate("tlb_flush_all", dropped)
         return dropped
-
-    @allocbound(3, note="one instant-event argument dict; tracer-armed runs only")
-    def _trace_evict(self, evicted: TlbEntry) -> None:
-        if self.tracer is None or not self.tracer.enabled:
-            return
-        self.tracer.instant(
-            "tlb_evict",
-            "cpu",
-            args={"vaddr": hex(evicted.vaddr), "page_size": evicted.page_size},
-        )
-
-    @allocbound(3, note="one instant-event argument dict; tracer-armed runs only")
-    def _trace_invalidate(
-        self, name: str, dropped: int, vaddr: Optional[int] = None
-    ) -> None:
-        if self.tracer is None or not self.tracer.enabled:
-            return
-        args: Dict[str, object] = {"dropped": dropped}
-        if vaddr is not None:
-            args["vaddr"] = hex(vaddr)
-        self.tracer.instant(name, "cpu", args=args)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -136,7 +136,6 @@ class Kernel:
             self.clock, self.costs, self.counters, tech_of=self.physmem.tech_of
         )
         self.tlb = Tlb()
-        self.tlb.tracer = self.tracer
         self.rtlb = RangeTlb(cfg.range_tlb_entries) if cfg.range_hardware else None
         self.cpu = Cpu(
             self.clock, self.costs, self.counters, self.cache, self.tlb, self.rtlb
@@ -297,21 +296,15 @@ class Kernel:
             if parent_cg is not None:
                 qos.attach(child, parent_cg)
         self.counters.bump("fork_call")
-        tracer = self.tracer
-        traced = tracer.enabled
-        if traced:
-            tracer.begin("fork", "kernel", pid=parent.pid)
-        return child, tracer, traced
+        return child
 
     @complexity("n", note="one dup per open descriptor")
-    def _fork_finish(self, parent: Process, child: Process, tracer, traced) -> None:
+    def _fork_finish(self, parent: Process, child: Process) -> None:
         # Duplicate the descriptor table (shared offsets are not modeled).
         for _fd, handle in parent.fds():
             dup = handle.inode.fs.open_inode(handle.inode)
             dup.pos = handle.pos
             child.install_fd(dup)
-        if traced:
-            tracer.end(args={"child_pid": child.pid})
 
     @complexity("n", note="one duplicate frame per pre-fork private copy (rare)")
     def _fork_clone_vma(self, child: Process, vma: Vma) -> tuple:
@@ -344,7 +337,7 @@ class Kernel:
     @complexity("n", note="the per-resident-PTE baseline the paper fixes")
     def _fork_eager(self, parent: Process) -> Process:
         """Per-resident-PTE fork: the baseline the paper fixes."""
-        child, tracer, traced = self._fork_begin(parent)
+        child = self._fork_begin(parent)
         for vma in parent.space.vmas:
             # o1: allow(flow-bounded) -- the VMAs partition the declared n pages
             child_vma, cow = self._fork_clone_vma(child, vma)
@@ -369,7 +362,7 @@ class Kernel:
                 self.cpu.invalidate_space_range(
                     vma.start, vma.length, asid=parent.space.asid
                 )
-        self._fork_finish(parent, child, tracer, traced)
+        self._fork_finish(parent, child)
         return child
 
     @complexity("n", note="per VMA and per resident 2 MiB window, not per page")
@@ -384,7 +377,7 @@ class Kernel:
         bottom level cannot be shared by node reference and are copied
         directly (rare).
         """
-        child, tracer, traced = self._fork_begin(parent)
+        child = self._fork_begin(parent)
         self.counters.bump("fork_cow")
         cow_vmas = []
         child_vmas = {}
@@ -444,7 +437,7 @@ class Kernel:
             self.cpu.invalidate_space_range(
                 vma.start, vma.length, asid=parent.space.asid
             )
-        self._fork_finish(parent, child, tracer, traced)
+        self._fork_finish(parent, child)
         return child
 
     @complexity("n", note="per-leaf copy of one unshareable window")
@@ -508,8 +501,6 @@ class Kernel:
     def access(self, process: Process, vaddr: int, write: bool = False) -> int:
         """One user-mode memory access; returns the physical address."""
         self._ensure_current(process)
-        if self.tracer.enabled:
-            self.tracer.current_pid = process.pid
         ras = self.counters.ras
         if ras is None:
             return self.cpu.access(process.space, vaddr, write=write)
@@ -525,7 +516,7 @@ class Kernel:
             return self.cpu.access(process.space, vaddr, write=write)
 
     @complexity("n", note="one access per stride step")
-    @allocbound(2, note="one trace-span argument dict when the tracer is armed")
+    @allocbound(1, note="one range object for the stride walk")
     def access_range(
         self,
         process: Process,
@@ -540,24 +531,7 @@ class Kernel:
         "access one byte of each page".
         """
         self._ensure_current(process)
-        tracer = self.tracer
-        if not tracer.enabled:
-            self.cpu.access_range(
-                process.space, vaddr, size, write=write, stride=stride
-            )
-            return
-        tracer.current_pid = process.pid
-        # alloc: allow(cold-call) -- tracer-armed runs only
-        tracer.begin(
-            "access_range", "cpu", args={"vaddr": hex(vaddr), "size": size}
-        )
-        try:
-            self.cpu.access_range(
-                process.space, vaddr, size, write=write, stride=stride
-            )
-        finally:
-            # alloc: allow(cold-call) -- tracer-armed runs only
-            tracer.end()
+        self.cpu.access_range(process.space, vaddr, size, write=write, stride=stride)
 
     def warm_file(self, inode) -> None:
         """Install a file's data lines in the LLC, as if just written.
@@ -647,12 +621,14 @@ class Kernel:
 
         The profiler lives in one slot, ``kernel.tracer.profiler``: the
         tracer checks it inside ``begin``/``end``, and those only run
-        while tracing is enabled — an unarmed machine's hot paths are
-        untouched and its golden figures bit-identical.  Arming enables
-        the tracer (spans carry the wall-clock samples); the profiler
-        itself reads ``time.perf_counter_ns`` and **never** touches the
-        simulated clock, so even an armed machine's simulated results
-        are unchanged.  Returns the armed profiler.
+        while tracing is enabled.  Arming enables the tracer, which
+        installs the span table's wrappers (:mod:`repro.obs.spans`), so
+        every table span carries a wall-clock sample; an unarmed,
+        untraced machine runs none of that code and its golden figures
+        stay bit-identical.  The profiler itself reads
+        ``time.perf_counter_ns`` and **never** touches the simulated
+        clock, so even an armed machine's simulated results are
+        unchanged.  Returns the armed profiler.
         """
         if profiler is None:
             from repro.perf import WallProfiler
@@ -736,7 +712,10 @@ class Kernel:
         a root ``measure`` span, and the result additionally carries the
         trace events, the per-(pid, subsystem) cost :attr:`attribution
         <_Measurement.attribution>` (whose values sum to ``elapsed_ns``
-        exactly), and a :meth:`~_Measurement.write_trace` helper.
+        exactly), and a :meth:`~_Measurement.write_trace` helper.  The
+        spans come from the table in :mod:`repro.obs.spans`, whose
+        wrappers are in place while any tracer is enabled; a measure
+        that enabled the tracer disables it on exit.
 
         >>> kernel = Kernel.standard()
         >>> with kernel.measure() as m:

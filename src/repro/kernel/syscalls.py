@@ -44,15 +44,9 @@ class Syscalls:
             # Kernel work done on this call bills the caller's cgroup.
             qos.enter_pid(self._process.pid)
         self._kernel.counters.bump(f"sys_{name}")
-        tracer = self._kernel.tracer
-        if tracer.enabled:
-            tracer.current_pid = self._process.pid
-            tracer.begin(f"sys_{name}", "kernel", pid=self._process.pid)
 
     def _exit(self) -> None:
         self._kernel.clock.advance(self._kernel.costs.syscall_exit_ns)
-        if self._kernel.tracer.enabled:
-            self._kernel.tracer.end()
 
     # ------------------------------------------------------------------
     # Files

@@ -182,8 +182,10 @@ def _untraced_machine() -> Kernel:
 
     The certificates describe the untraced access path.  A caller that
     arms a profiler on every Kernel (the ``REPRO_PROFILE`` suite) also
-    enables the tracer, which sends ``Cpu.access`` down its traced
-    path — declared a cold call, so outside what the ops measure.
+    enables the tracer; with this machine's tracer off, the span
+    wrappers the other kernels keep installed pass its calls straight
+    through to the plain methods, and their argument packing is freed
+    on return, so it adds nothing net per call.
     """
     from repro.perf.bench import _machine
 

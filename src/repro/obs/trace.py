@@ -14,9 +14,12 @@ over a window that was covered by one root span reproduces the window's
 elapsed nanoseconds exactly — the invariant
 ``Kernel.measure(trace=True)`` exposes and tests assert.
 
-The tracer is *disabled* by default; every instrumentation hook in the
-hot paths guards on :attr:`Tracer.enabled` (one attribute check), so an
-untraced run pays nothing measurable.
+The tracer is *disabled* by default, and the simulator's modules hold
+no span code: :mod:`repro.obs.spans` names every traced method in one
+table and wraps those methods on their classes only while some tracer
+is enabled, so an untraced run executes no tracing code at all.  The
+cold-path instants (machine crash, chaos, sanitizer, QoS, RAS, journal
+commit) check :attr:`Tracer.enabled` where they fire.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ class TraceEvent:
     ts_ns: int
     pid: int
     subsystem: str
+    #: Instants only; spans carry no arguments.
     args: Optional[Dict[str, object]] = None
 
 
@@ -62,26 +66,6 @@ class _OpenSpan:
     pid: int
     start_ns: int
     child_ns: int = 0
-    args: Optional[Dict[str, object]] = None
-
-
-class _SpanContext:
-    """Context manager closing one tracer span (or nothing, if disabled)."""
-
-    __slots__ = ("_tracer",)
-
-    def __init__(self, tracer: Optional["Tracer"]) -> None:
-        self._tracer = tracer
-
-    def __enter__(self) -> "_SpanContext":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._tracer is not None:
-            self._tracer.end()
-
-
-_NULL_SPAN = _SpanContext(None)
 
 
 class Tracer:
@@ -103,12 +87,11 @@ class Tracer:
         #: Armed :class:`repro.perf.profiler.WallProfiler` mirroring the
         #: span stack on the wall clock; ``None`` (the default) costs one
         #: attribute check per begin/end — and begin/end themselves only
-        #: run while tracing is enabled, so unarmed hot paths are
-        #: untouched.  Set by ``Kernel.arm_profiler``.
+        #: run while tracing is enabled.  Set by ``Kernel.arm_profiler``.
         self.profiler = None
         self.enabled = False
         #: Pid stamped on spans/instants that don't pass one explicitly;
-        #: kernel entry points set it on context switch.
+        #: the span table's kernel entry points set it on every call.
         self.current_pid = 0
         self._stack: List[_OpenSpan] = []
         #: Simulated ns attributed per (pid, subsystem): span self times.
@@ -124,12 +107,27 @@ class Tracer:
     # Lifecycle
     # ------------------------------------------------------------------
     def enable(self) -> None:
-        """Start recording events (idempotent)."""
-        self.enabled = True
+        """Start recording events (idempotent).
+
+        The first tracer enabled installs the span table's wrappers
+        (:mod:`repro.obs.spans`).
+        """
+        if not self.enabled:
+            from repro.obs import spans
+
+            self.enabled = True
+            spans.attach(self)
 
     def disable(self) -> None:
-        """Stop recording; open spans stay on the stack until ended."""
-        self.enabled = False
+        """Stop recording; open spans stay on the stack until ended.
+
+        Disabling the last enabled tracer removes the span wrappers.
+        """
+        if self.enabled:
+            from repro.obs import spans
+
+            self.enabled = False
+            spans.detach(self)
 
     def clear(self) -> None:
         """Drop all buffered events and attribution (keeps enablement)."""
@@ -158,27 +156,19 @@ class Tracer:
         self._ring.append(event)
         self.total_events += 1
 
-    def begin(
-        self,
-        name: str,
-        subsystem: str,
-        pid: Optional[int] = None,
-        args: Optional[Dict[str, object]] = None,
-    ) -> None:
+    def begin(self, name: str, subsystem: str, pid: Optional[int] = None) -> None:
         """Open a span; every ``begin`` must be matched by one ``end``."""
         if not self.enabled:
             return
         if pid is None:
             pid = self.current_pid
         now = self._clock.now
-        self._stack.append(_OpenSpan(name, subsystem, pid, now, 0, args))
-        self._append(
-            TraceEvent(EventKind.SPAN_BEGIN, name, now, pid, subsystem, args)
-        )
+        self._stack.append(_OpenSpan(name, subsystem, pid, now))
+        self._append(TraceEvent(EventKind.SPAN_BEGIN, name, now, pid, subsystem))
         if self.profiler is not None:
             self.profiler.on_begin(name, subsystem, pid)
 
-    def end(self, args: Optional[Dict[str, object]] = None) -> None:
+    def end(self) -> None:
         """Close the innermost open span, attributing its self time."""
         if not self._stack:
             return
@@ -193,25 +183,10 @@ class Tracer:
         if self._metrics is not None:
             self._metrics.observe(span.name, elapsed)
         self._append(
-            TraceEvent(
-                EventKind.SPAN_END, span.name, now, span.pid, span.subsystem, args
-            )
+            TraceEvent(EventKind.SPAN_END, span.name, now, span.pid, span.subsystem)
         )
         if self.profiler is not None:
             self.profiler.on_end()
-
-    def span(
-        self,
-        name: str,
-        subsystem: str,
-        pid: Optional[int] = None,
-        args: Optional[Dict[str, object]] = None,
-    ) -> _SpanContext:
-        """``with tracer.span("page_walk", "paging"): ...`` convenience."""
-        if not self.enabled:
-            return _NULL_SPAN
-        self.begin(name, subsystem, pid=pid, args=args)
-        return _SpanContext(self)
 
     def instant(
         self,

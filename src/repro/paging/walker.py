@@ -82,18 +82,6 @@ class PageWalker:
         nested references when virtualized), whether or not the walk
         succeeds — hardware pays for failed walks too.
         """
-        tracer = self._counters.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.begin("page_walk", "paging")
-            try:
-                return self._walk(table, vaddr, asid)
-            finally:
-                tracer.end()
-        return self._walk(table, vaddr, asid)
-
-    @o1(note="visits the fixed radix levels, nested or not")
-    @allocbound(3, note="one node-path list, one line list and one TlbEntry per walk")
-    def _walk(self, table: PageTable, vaddr: int, asid: int) -> Optional[TlbEntry]:
         # path_nodes stops at the node whose slot holds the leaf (or
         # nothing), so every node it returns is read, and only the last
         # one's slot can hold the Pte.

@@ -19,10 +19,13 @@ Arming follows the chaos/sanitize/ras pattern::
     profiler.write_collapsed("profile.folded")   # flamegraph.pl input
     profiler.write_pstats("profile.pstats")      # pstats.Stats input
 
-Unarmed, the only residue is one attribute check inside the tracer's
-``begin``/``end`` — which themselves only run when tracing is enabled —
-so the plain hot paths are untouched and golden figures stay
-bit-identical (``tests/test_perf_profiler.py`` pins this).
+The spans come from the table in :mod:`repro.obs.spans`, whose wrappers
+are installed while a tracer is enabled, so the wall samples time the
+same method bodies an untraced run executes, plus the wrappers' own
+cost.  Unarmed, the only residue is one attribute check inside the
+tracer's ``begin``/``end`` — which themselves only run when tracing is
+enabled — so golden figures stay bit-identical
+(``tests/test_perf_profiler.py`` pins this).
 
 The profiler reads :func:`time.perf_counter_ns` and **never** touches
 the simulated clock: arming it cannot change a single simulated

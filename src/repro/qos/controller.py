@@ -16,7 +16,7 @@ Charge sites (all O(1) per event):
   billed to whichever tenant happened to trigger it;
 * ``SlabCache._grow`` / ``_reap`` — kernel-memory side ledger
   (``kmem_frames``), informational like cgroup v2's kmem counters;
-* ``BlockAllocator._alloc_extent`` / ``free_extent`` — PMFS block side
+* ``BlockAllocator.alloc_extent`` / ``free_extent`` — PMFS block side
   ledger (``nvm_blocks``).
 
 Watermark policy (cgroup-v2 semantics):

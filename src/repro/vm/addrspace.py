@@ -20,13 +20,13 @@ all.
 The simulated clock pays those costs per page; the host does its share
 of the work coarser where the model allows.  A 4 KiB populate descends
 the page table once per 2 MiB window and writes each PTE into that
-window's node; the first store into a fork-shared window looks up one
-VMA per run of leaves, not per leaf; and a COW fault rewrites its leaf
-from one descent.  A fault, an eviction and each page of the per-page
-munmap descend the page table once (:meth:`PageTable.descend`), and a
-fault descends again only after a COW break rewrote the window: a leaf
-on an unshared path is written into, or cleared from, the node that
-descent reached.  Every charge, counter and hook still comes per page,
+window's node; and the first store into a fork-shared window looks up
+one VMA per run of leaves, not per leaf.  A fault, an eviction and each
+page of the per-page munmap descend the page table once
+(:meth:`PageTable.descend`), and a fault descends again only after a COW
+break rewrote the window: a leaf on an unshared path is written into,
+cleared from, or (on a COW fault) replaced in the node that descent
+reached.  Every charge, counter and hook still comes per page,
 in the same order and at the same clock.
 """
 
@@ -247,20 +247,8 @@ class AddressSpace:
         The baseline linear loop: one frame lookup/allocation, one
         metadata touch, and one PTE write per 4 KiB page (or fewer with
         huge pages when the VMA allows them and alignment cooperates).
+        On the host it descends once per 2 MiB window.
         """
-        tracer = self._counters.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.begin(
-                "populate", "vm", args={"addr": hex(addr), "length": length}
-            )
-            try:
-                return self._populate(addr, length)
-            finally:
-                tracer.end()
-        return self._populate(addr, length)
-
-    @complexity("n", note="a frame, PTE write and metadata touch per page; a descent per window")
-    def _populate(self, addr: int, length: int) -> int:
         vma = self.find_vma(addr)
         if vma is None or addr + length > vma.end:
             raise MappingError(
@@ -340,19 +328,6 @@ class AddressSpace:
         Only whole-VMA and prefix/suffix unmaps are supported (enough for
         every path in the paper); a mid-VMA hole raises.
         """
-        tracer = self._counters.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.begin(
-                "munmap", "vm", args={"addr": hex(addr), "length": length}
-            )
-            try:
-                return self._munmap(addr, length)
-            finally:
-                tracer.end()
-        return self._munmap(addr, length)
-
-    @complexity("n", note="teardown of every page (or window) the cut covers")
-    def _munmap(self, addr: int, length: int) -> int:
         length = align_up(length, PAGE_SIZE)
         end = addr + length
         self._clock.advance(self._costs.mmap_lock_ns)
@@ -577,16 +552,6 @@ class AddressSpace:
     # ------------------------------------------------------------------
     def handle_fault(self, vaddr: int, write: bool) -> None:
         """Resolve a page fault at ``vaddr`` or raise ProtectionError."""
-        tracer = self._counters.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.begin("fault_handle", "fault")
-            try:
-                return self._handle_fault(vaddr, write)
-            finally:
-                tracer.end()
-        return self._handle_fault(vaddr, write)
-
-    def _handle_fault(self, vaddr: int, write: bool) -> None:
         self._clock.advance(self._costs.vma_find_ns)
         vma = self.find_vma(vaddr)
         if vma is None:
@@ -615,7 +580,9 @@ class AddressSpace:
             private = not shared and node.depth == pt.bottom_depth
             self._minor_fault(vma, page_va, write, node if private else None)
         elif write and (write_protected or not leaf.writable):
-            self._cow_fault(vma, page_va, leaf)
+            # On an unshared path the copy replaces the leaf in the node
+            # this descent reached; a shared path unshares on the way.
+            self._cow_fault(vma, page_va, leaf, None if shared else node)
         # Otherwise spurious — the translation is already valid.
 
     def _cow_break_window(self, page_va: int) -> None:
@@ -699,8 +666,17 @@ class AddressSpace:
         self.fault_stats[kind] += 1
         self._counters.bump(FAULT_COUNTERS[kind])
 
-    def _cow_fault(self, vma: Vma, page_va: int, old: Pte) -> None:
-        """Copy the read-only leaf ``old`` that a store at ``page_va`` hit."""
+    def _cow_fault(
+        self, vma: Vma, page_va: int, old: Pte, node: Optional[PageTableNode]
+    ) -> None:
+        """Copy the read-only leaf ``old`` that a store at ``page_va`` hit.
+
+        ``node`` holds ``old`` on a path this table owns alone, or is None
+        when :meth:`PageTable.replace_leaf` must descend (and unshare)
+        itself.  Either way the old leaf's clear and the new leaf's write
+        charge and hook in that order, and the new leaf lands last in the
+        node's entry order.
+        """
         if not vma.is_private():
             raise ProtectionError(
                 f"write to read-only shared mapping at {page_va:#x}"
@@ -717,7 +693,15 @@ class AddressSpace:
             return
         page_index = vma.backing_page(page_va)
         new_pfn = self._make_private_copy(vma, page_index, old.pfn)
-        self._pt.replace_leaf(page_va, new_pfn, writable=True)
+        pt = self._pt
+        index = pt.index_at(page_va, pt.bottom_depth)
+        if node is not None and node.entries.get(index) is old:
+            pt.clear_slot(node, index, old)
+            pt.write_leaf(node, page_va, new_pfn, PAGE_SIZE, True)
+        else:
+            # A shared path, or reclaim run by the copy's allocation
+            # evicted the leaf: replace_leaf unshares, or raises, as ever.
+            pt.replace_leaf(page_va, new_pfn, writable=True)
         if self._frame_table is not None:
             self._frame_table.get_ref(new_pfn)
         self.fault_stats[FaultType.COW] += 1

@@ -13,7 +13,7 @@ On the host the same sum is charged per pass or per run: an aging pass
 charges its whole list at once, and a scan counts the pages it examines
 and charges them (``reclaim_scanned`` plus ``FrameTable.scan_charge``)
 right before each eviction — the only call that leaves the reclaimer —
-and before returning.  Every hook, chaos site and tracer span an eviction
+and before returning.  Every hook, chaos site and trace span an eviction
 reaches therefore sees the clock and counters a per-page charge leaves.
 """
 
@@ -170,20 +170,8 @@ class ClockReclaimer:
         controller passes a batch-proportional cap); the default is the
         kswapd-style few-passes-over-everything budget.  The cap does not
         cover aging: a pass that refills an empty inactive list moves the
-        whole active list.
+        whole active list.  Examined pages are charged per run.
         """
-        tracer = self._counters.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.begin("reclaim", "reclaim", args={"requested": nr_pages})
-            try:
-                reclaimed = self._reclaim(nr_pages, max_scan)
-            finally:
-                tracer.end()
-            return reclaimed
-        return self._reclaim(nr_pages, max_scan)
-
-    @complexity("n", note="scan-budgeted clock hand; examined pages charged per run")
-    def _reclaim(self, nr_pages: int, max_scan: Optional[int] = None) -> int:
         lru = self._lru
         scan_meta = self._frame_table.scan_meta
         reclaimed = 0
@@ -259,17 +247,6 @@ class TwoQueueReclaimer:
 
     def reclaim(self, nr_pages: int) -> int:
         """Try to evict ``nr_pages``; returns pages actually reclaimed."""
-        tracer = self._counters.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.begin("reclaim", "reclaim", args={"requested": nr_pages})
-            try:
-                reclaimed = self._reclaim(nr_pages)
-            finally:
-                tracer.end()
-            return reclaimed
-        return self._reclaim(nr_pages)
-
-    def _reclaim(self, nr_pages: int) -> int:
         lru = self._lru
         scan_meta = self._frame_table.scan_meta
         reclaimed = 0

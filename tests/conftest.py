@@ -25,6 +25,7 @@ from repro.hw.costmodel import CostModel, MemoryTechnology
 from repro.kernel import Kernel, MachineConfig
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.physical import MemoryRegion, PhysicalMemory
+from repro.obs import spans
 from repro.obs.metrics import MetricsRegistry
 from repro.perf import WallProfiler
 from repro.ras import MediaFaultModel
@@ -86,6 +87,25 @@ if _ARMING:
             arm(self)
 
     Kernel.__init__ = _armed_kernel_init  # type: ignore[method-assign]
+
+#: The span table's methods as they are with no tracer enabled.
+_UNWRAPPED = spans.installed_state()
+
+
+@pytest.fixture(autouse=True)
+def _span_wrappers_removed():
+    """Fail a test that leaves a tracer enabled.
+
+    An enabled tracer keeps the span table's wrappers installed on their
+    classes, so every later test would run through them.  A leak is
+    undone before failing, so it fails one test only.  Not checked under
+    ``REPRO_PROFILE``, which enables the tracer of every Kernel.
+    """
+    yield
+    if os.environ.get("REPRO_PROFILE") or spans.installed_state() == _UNWRAPPED:
+        return
+    spans.uninstall()
+    pytest.fail("a tracer was left enabled: its span wrappers were still installed")
 
 
 @pytest.fixture

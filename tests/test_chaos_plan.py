@@ -164,8 +164,9 @@ class TestObsIntegration:
         kernel.disarm_chaos()
         assert kernel.counters.chaos is None
 
-    def test_injection_emits_trace_event(self, kernel):
+    def test_injection_emits_trace_event(self, kernel, request):
         kernel.tracer.enable()
+        request.addfinalizer(kernel.tracer.disable)
         plan = FaultPlan.fault_at_site("buddy.alloc", "error")
         kernel.arm_chaos(plan)
         plan.hit("buddy.alloc")

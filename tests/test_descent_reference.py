@@ -111,7 +111,7 @@ def _ref_handle_fault(self, vaddr, write):
         self._cow_break_window(page_va)
     existing = _ref_lookup(self._pt, page_va)
     if existing is not None and write and not existing.writable:
-        self._cow_fault(vma, page_va, existing)
+        self._cow_fault(vma, page_va, existing, None)
         return
     if existing is not None:
         return
@@ -171,7 +171,7 @@ def _references():
     """Patch every reference in (the twin that runs the old code)."""
     return mock.patch.multiple(
         AddressSpace,
-        _handle_fault=_ref_handle_fault,
+        handle_fault=_ref_handle_fault,
         evict_page=_ref_evict_page,
         _teardown_pages=_ref_teardown_pages,
     )

@@ -90,9 +90,9 @@ def _ref_cow_break_window(self, page_va):
 _COW_FAULT = AddressSpace._cow_fault
 
 
-def _ref_cow_fault(self, vma, page_va, leaf):
+def _ref_cow_fault(self, vma, page_va, leaf, _node):
     if leaf.page_size != PAGE_SIZE:
-        return _COW_FAULT(self, vma, page_va, leaf)
+        return _COW_FAULT(self, vma, page_va, leaf, None)
     if not vma.is_private():
         raise ProtectionError(
             f"write to read-only shared mapping at {page_va:#x}"
@@ -223,7 +223,7 @@ def _references():
     """Patch every reference loop in (the twin that runs the old code)."""
     space = mock.patch.multiple(
         AddressSpace,
-        _populate=_ref_populate,
+        populate=_ref_populate,
         _cow_break_window=_ref_cow_break_window,
         _cow_fault=_ref_cow_fault,
         _minor_fault=_ref_minor_fault,

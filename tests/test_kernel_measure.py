@@ -1,8 +1,12 @@
 """Kernel.measure semantics: nesting, tracing state, crash boundaries."""
 
+import pytest
+
+from repro.chaos import FaultPlan
+from repro.errors import OutOfMemoryError
 from repro.kernel import Kernel, MachineConfig
 from repro.obs.trace import EventKind
-from repro.units import GIB, KIB, MIB
+from repro.units import GIB, KIB, MIB, PAGE_SIZE
 
 
 def fresh_kernel():
@@ -124,3 +128,21 @@ class TestTracedMeasureResults:
         hist = kernel.counters.histogram("fault")
         assert hist.count > 0
         assert hist.p50 > 0
+
+
+class TestSpanClosesOnError:
+    @pytest.mark.parametrize("nth", [1, 2])
+    def test_fork_that_raises_closes_its_span(self, nth):
+        """A fork whose frame allocation fails ends its own span, so the
+        measure closes its root and the window still balances."""
+        kernel = fresh_kernel()
+        parent = touch(kernel, "parent", size=64 * PAGE_SIZE)
+        kernel.arm_chaos(FaultPlan.fault_at_site("buddy.alloc", "error", nth=nth))
+        with pytest.raises(OutOfMemoryError):
+            with kernel.measure(trace=True) as m:
+                kernel.fork(parent)
+        assert kernel.tracer.open_spans == 0
+        assert sum(m.attribution.values()) == m.elapsed_ns
+        names = [(e.kind, e.name) for e in m.events]
+        assert names[-1] == (EventKind.SPAN_END, "measure")
+        assert names.count((EventKind.SPAN_END, "fork")) == 1

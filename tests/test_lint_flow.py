@@ -489,7 +489,7 @@ class TestRealTree:
         space = "repro.vm.addrspace.AddressSpace"
         for caller, method in (
             ("_minor_fault", "frame_for"),
-            ("_populate", "frame_runs"),
+            ("populate", "frame_runs"),
             ("_unmap_vma_range", "release"),
         ):
             targets = {
@@ -508,7 +508,7 @@ class TestRealTree:
         assert "repro.kernel.syscalls.Syscalls.mmap" in names
 
     def test_munmap_without_invalidation_caught(self, tmp_path):
-        """Mutant: drop the TLB shootdown from AddressSpace._munmap and
+        """Mutant: drop the TLB shootdown from AddressSpace.munmap and
         the stale-translation protocol must go red statically."""
         mutant_root = tmp_path / "repro"
         shutil.copytree(REPRO_ROOT, mutant_root)

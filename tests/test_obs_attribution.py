@@ -69,9 +69,20 @@ class TestAttributionInvariant:
         kernel = fresh_kernel()
         m, process = fig1a_populate(kernel, 64 * KIB)
         assert kernel.tracer.process_names[process.pid] == "fig1a"
-        pids = {pid for pid, _subsystem in m.attribution}
-        # the measure root runs as the kernel, the workload as the process
-        assert 0 in pids
+        # The window is one mmap: its sys_mmap span, the syscall's entry
+        # and exit charges included, runs as the calling process.
+        assert {pid for pid, _subsystem in m.attribution} == {process.pid}
+        assert m.attribution[(process.pid, "kernel")] >= (
+            kernel.costs.syscall_entry_ns + kernel.costs.syscall_exit_ns
+        )
+        # The measure root runs as the kernel (pid 0) and keeps exactly
+        # what no span covers.
+        sys_calls = kernel.syscalls(process)
+        with kernel.measure(trace=True) as m:
+            kernel.clock.advance(7)
+            sys_calls.mmap(64 * KIB)
+        assert m.attribution[(0, "kernel")] == 7
+        assert sum(m.attribution.values()) == m.elapsed_ns
 
     @pytest.mark.skipif(
         bool(os.environ.get("REPRO_PROFILE")),

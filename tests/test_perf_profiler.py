@@ -29,8 +29,22 @@ class FakeClock:
         return self.now
 
 
+#: Kernels the running test built.  Arming a profiler enables the
+#: tracer, so each is disabled when the test ends.
+_built = []
+
+
+@pytest.fixture(autouse=True)
+def _disable_tracers():
+    yield
+    while _built:
+        _built.pop().tracer.disable()
+
+
 def make_kernel() -> Kernel:
-    return Kernel(MachineConfig(dram_bytes=64 * MIB, nvm_bytes=64 * MIB))
+    kernel = Kernel(MachineConfig(dram_bytes=64 * MIB, nvm_bytes=64 * MIB))
+    _built.append(kernel)
+    return kernel
 
 
 def run_workload(kernel: Kernel) -> int:

@@ -186,7 +186,7 @@ class _PerPageClock(ClockReclaimer):
     reference: one ``reclaim_scanned`` bump and one charged
     ``FrameTable.touch`` per examined page."""
 
-    def _reclaim(self, nr_pages, max_scan=None):
+    def reclaim(self, nr_pages, max_scan=None):
         reclaimed = 0
         scanned = 0
         scan_budget = (
@@ -228,7 +228,7 @@ class _PerPageClock(ClockReclaimer):
 class _PerPageTwoQueue(TwoQueueReclaimer):
     """The 2Q loop as it was before per-run charging (the reference)."""
 
-    def _reclaim(self, nr_pages):
+    def reclaim(self, nr_pages):
         reclaimed = 0
         scan_budget = 4 * max(1, self._lru.resident_count)
         max_protected = int(self._protected_fraction * self._lru.resident_count)
