@@ -92,6 +92,18 @@ def fig2_workload(seed: int = 0) -> Tuple[Kernel, Callable[[], None]]:
         cow_child.exit()
         sys_calls.munmap(cow_va, 6 * PAGE_SIZE)
 
+        # -- private DAX mapping: each store takes a private DRAM copy
+        #    of a PMFS page, so crash points (and fsck) land while copies
+        #    are live, before and after a fork shares them with a child.
+        dax_fd = sys_calls.open(fs, paths[1])
+        dax_va = sys_calls.mmap(2 * PAGE_SIZE, fd=dax_fd, flags=MapFlags.PRIVATE)
+        kernel.access(process, dax_va, write=True)
+        dax_child = sys_calls.fork()
+        kernel.access(process, dax_va, write=True)
+        dax_child.exit()
+        sys_calls.munmap(dax_va, 2 * PAGE_SIZE)
+        sys_calls.close(dax_fd)
+
         # -- FOM regions: a persistent premapped heap and volatile
         #    extent scratch (premap.attach + recovery inputs).
         fom = FileOnlyMemory(kernel)

@@ -506,31 +506,33 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.perf import correlation_report
+    from repro.perf import correlation_report, write_collapsed, write_pstats
 
     kernel = _demo_kernel()
-    profiler = kernel.arm_profiler()
+    tracer = kernel.tracer
+    # Trace the whole run, setup included, not just the measured phases.
+    tracer.enable()
     demand, o1, _app = _run_demo_workload(kernel, args.mib, trace=True)
     # Done tracing: take the span wrappers out; the attributions stay.
-    kernel.tracer.disable()
+    tracer.disable()
     total_sim = demand.elapsed_ns + o1.elapsed_ns
+    spans = sum(row[0] for row in tracer.paths.values())
     print(f"profile: demo workload ({args.mib} MiB), "
-          f"{profiler.spans} spans sampled on the wall clock")
+          f"{spans} spans sampled on the wall clock")
     print()
     print("sim-cost vs wall-cost correlation:")
     print(correlation_report(
-        kernel.tracer.attribution, profiler.attribution,
-        kernel.tracer.process_names,
+        tracer.attribution, tracer.wall_attribution, tracer.process_names,
     ))
     print()
-    print(f"simulated total: {fmt_ns(total_sim)}; "
-          f"wall total attributed: {fmt_ns(profiler.total_ns)}")
+    print(f"simulated total: {fmt_ns(total_sim)}; wall total attributed: "
+          f"{fmt_ns(sum(tracer.wall_attribution.values()))}")
     if args.folded is not None:
-        count = profiler.write_collapsed(args.folded)
+        count = write_collapsed(tracer, args.folded)
         print(f"wrote {count} collapsed stacks to {args.folded} "
               "(feed to flamegraph.pl or speedscope)")
     if args.pstats is not None:
-        count = profiler.write_pstats(args.pstats)
+        count = write_pstats(tracer, args.pstats)
         print(f"wrote {count} pstats entries to {args.pstats} "
               "(load with python -m pstats)")
     return 0

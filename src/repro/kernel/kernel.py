@@ -614,39 +614,6 @@ class Kernel:
         self.counters.ras = None
 
     # ------------------------------------------------------------------
-    # Wall-clock profiling
-    # ------------------------------------------------------------------
-    def arm_profiler(self, profiler=None):
-        """Arm a :class:`~repro.perf.profiler.WallProfiler` here.
-
-        The profiler lives in one slot, ``kernel.tracer.profiler``: the
-        tracer checks it inside ``begin``/``end``, and those only run
-        while tracing is enabled.  Arming enables the tracer, which
-        installs the span table's wrappers (:mod:`repro.obs.spans`), so
-        every table span carries a wall-clock sample; an unarmed,
-        untraced machine runs none of that code and its golden figures
-        stay bit-identical.  The profiler itself reads
-        ``time.perf_counter_ns`` and **never** touches the simulated
-        clock, so even an armed machine's simulated results are
-        unchanged.  Returns the armed profiler.
-        """
-        if profiler is None:
-            from repro.perf import WallProfiler
-
-            profiler = WallProfiler()
-        self.tracer.profiler = profiler
-        self.tracer.enable()
-        return profiler
-
-    def disarm_profiler(self) -> None:
-        """Detach the profiler (it keeps its attributions).
-
-        Tracing stays in whatever state it is in — disarming only stops
-        the wall-clock sampling.
-        """
-        self.tracer.profiler = None
-
-    # ------------------------------------------------------------------
     # Per-tenant memory QoS
     # ------------------------------------------------------------------
     def arm_qos(self, controller=None, config=None):
@@ -768,13 +735,6 @@ class _Measurement:
             self.events = tracer.events_since(self._events_before)
             if not self._was_enabled:
                 tracer.disable()
-
-    def subsystem_totals(self) -> Dict[str, int]:
-        """Attributed self time per subsystem (trace=True only)."""
-        totals: Dict[str, int] = {}
-        for (_pid, subsystem), ns in self.attribution.items():
-            totals[subsystem] = totals.get(subsystem, 0) + ns
-        return totals
 
     def write_trace(self, path: str) -> int:
         """Write the region's events as Chrome-trace JSON; returns count."""

@@ -319,8 +319,8 @@ class _Classifier:
         """
         if _is_constant_bounded(loop):
             return True
-        lines = (loop.lineno, loop.lineno - 1, self.func.lineno)
         o1_map = self.graph.allow_maps[self.func.path]
+        lines = [*o1_map.lines_for(loop.lineno), self.func.lineno]
         return o1_map.match(lines, RULE_BOUNDED) is not None
 
     def _visit_loop(self, loop: _LoopNode, depth: int, cold: bool) -> None:

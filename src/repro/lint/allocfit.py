@@ -178,19 +178,18 @@ def run_alloc_op(op: AllocOp) -> AllocFitResult:
 # steady state rather than timer granularity.
 # ---------------------------------------------------------------------------
 def _untraced_machine() -> Kernel:
-    """A bench machine with no profiler and the tracer off.
+    """A bench machine with the tracer off.
 
-    The certificates describe the untraced access path.  A caller that
-    arms a profiler on every Kernel (the ``REPRO_PROFILE`` suite) also
-    enables the tracer; with this machine's tracer off, the span
-    wrappers the other kernels keep installed pass its calls straight
-    through to the plain methods, and their argument packing is freed
-    on return, so it adds nothing net per call.
+    The certificates describe the untraced access path.  A caller may
+    enable the tracer of every Kernel (the ``REPRO_PROFILE`` suite);
+    with this machine's tracer off, the span wrappers the other kernels
+    keep installed pass its calls straight through to the plain
+    methods, and their argument packing is freed on return, so it adds
+    nothing net per call.
     """
     from repro.perf.bench import _machine
 
     kernel = _machine()
-    kernel.disarm_profiler()
     kernel.tracer.disable()
     return kernel
 

@@ -94,11 +94,16 @@ class AllowMap:
     reported as stale afterwards.  ``match()`` is the same lookup
     without the usage side effect, for callers that only commit to the
     suppression later (e.g. a ``flow-bounded`` call-site allow is *used*
-    only if the callee was actually non-constant).
+    only if the callee was actually non-constant).  ``own_lines`` are
+    the lines that hold nothing but a comment: only an allow on such a
+    line speaks for the line below it.
     """
 
-    def __init__(self, rules_by_line: Dict[int, Set[str]]) -> None:
+    def __init__(
+        self, rules_by_line: Dict[int, Set[str]], own_lines: Set[int]
+    ) -> None:
         self.rules_by_line = rules_by_line
+        self.own_lines = own_lines
         self.used: Set[int] = set()
 
     def match(self, lines: Iterable[int], rule: str) -> Optional[int]:
@@ -120,14 +125,24 @@ class AllowMap:
     def mark_used(self, lineno: int) -> None:
         self.used.add(lineno)
 
+    def lines_for(self, lineno: int) -> List[int]:
+        """The allow lines that speak for code on ``lineno``: its own,
+        and the line above when that line holds only a comment."""
+        if lineno - 1 in self.own_lines:
+            return [lineno, lineno - 1]
+        return [lineno]
+
 
 def allow_maps(source: str) -> Tuple[AllowMap, AllowMap]:
     """The ``# o1: allow`` and ``# alloc: allow`` maps of one module,
     read from its comment tokens in one tokenize pass."""
     found: Tuple[Dict[int, Set[str]], Dict[int, Set[str]]] = ({}, {})
+    own_lines: Set[int] = set()
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
         if token.type != tokenize.COMMENT:
             continue
+        if not token.line[: token.start[1]].strip():
+            own_lines.add(token.start[0])
         for pattern, rules_by_line in zip((_ALLOW_RE, _ALLOC_ALLOW_RE), found):
             match = pattern.search(token.string)
             if match is not None:
@@ -137,7 +152,7 @@ def allow_maps(source: str) -> Tuple[AllowMap, AllowMap]:
                     if part.strip()
                 }
                 rules_by_line[token.start[0]] = rules or {"*"}
-    return AllowMap(found[0]), AllowMap(found[1])
+    return AllowMap(found[0], own_lines), AllowMap(found[1], own_lines)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,10 @@ bottom-up in reverse-topological SCC order:
 A loop's header (a ``for`` iterable, a comprehension's first iterable)
 runs once, before the first iteration, so it is judged at the loop's
 enclosing depth.  ``# o1: allow(flow-bounded)`` on a loop or call site
-line marks it bounded (constant iterations / constant-amortized callee).
+line, or alone on the line above it, marks it bounded (constant
+iterations / constant-amortized callee).  An allow for a ``for`` or
+``while`` loop bounds the loop only: a call in its header keeps its own
+cost.
 
 Two checks run on the summaries: ``flow-cost-exceeds-declared`` (a
 declared function's computed summary is worse than its decorator says,
@@ -132,6 +135,8 @@ class Summary:
 class _Shape:
     loops: List[Witness]
     call_depth: Dict[int, int]  # id(ast.Call) -> enclosing unbounded loops
+    #: id(ast.Call) in a ``for``/``while`` header -> the loop's line.
+    header_loop: Dict[int, int]
 
 
 def _loop_detail(loop: _LoopNode) -> str:
@@ -152,13 +157,14 @@ def _loop_detail(loop: _LoopNode) -> str:
 
 def _shape_of(graph: CallGraph, func: FunctionNode) -> _Shape:
     allowed = graph.allow_maps[func.path]
-    shape = _Shape(loops=[], call_depth={})
+    shape = _Shape(loops=[], call_depth={}, header_loop={})
 
     def bounded(loop: _LoopNode) -> bool:
         if _is_constant_bounded(loop):
             return True
-        lines = (loop.lineno, loop.lineno - 1, func.lineno)
-        return allowed.allow(lines, RULE_BOUNDED)
+        return allowed.allow(
+            [*allowed.lines_for(loop.lineno), func.lineno], RULE_BOUNDED
+        )
 
     def visit(node: ast.AST, depth: int) -> None:
         if isinstance(node, _SCOPE_TYPES):
@@ -182,6 +188,11 @@ def _shape_of(graph: CallGraph, func: FunctionNode) -> _Shape:
                     )
                 )
                 inner = depth + 1
+            if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+                header_expr = node.test if isinstance(node, ast.While) else node.iter
+                for child in ast.walk(header_expr):
+                    if isinstance(child, ast.Call):
+                        shape.header_loop[id(child)] = node.lineno
             header, per_iteration = loop_parts(node)
             if header is not None:
                 visit(header, depth)
@@ -294,7 +305,11 @@ class SummaryTable:
     # -- propagation ---------------------------------------------------
     def _site_bound_line(self, func: FunctionNode, site: CallSite) -> Optional[int]:
         allowed = self.graph.allow_maps[func.path]
-        lines = (site.line, site.line - 1)
+        lines = allowed.lines_for(site.line)
+        loop_line = self.shapes[func.fid].header_loop.get(id(site.node))
+        if loop_line is not None:
+            # The loop's allow bounds the loop, not a call in its header.
+            lines = [line for line in lines if line not in (loop_line, loop_line - 1)]
         return allowed.match(lines, RULE_BOUNDED)
 
     def _compute(self) -> None:

@@ -3,8 +3,8 @@
 The instrument panel for the simulator — see DESIGN.md §Observability.
 
 * :class:`~repro.obs.trace.Tracer` — span/instant events in a bounded
-  ring, stamped with simulated ns, attributing self time per
-  (process, subsystem);
+  ring, stamped with simulated ns, attributing each span's self time
+  per (process, subsystem) on both the simulated and the wall clock;
 * :class:`~repro.obs.metrics.MetricsRegistry` — the one counter class:
   event counters (``bump()`` is a dict increment with no strict mode;
   the source audit in ``tests/test_obs_names.py`` enforces names) plus
@@ -30,6 +30,7 @@ from repro.obs.trace import (
     EventKind,
     TraceEvent,
     Tracer,
+    subsystem_totals,
 )
 
 __all__ = [
@@ -48,5 +49,6 @@ __all__ = [
     "is_canonical",
     "load_chrome_trace",
     "subsystem_self_times",
+    "subsystem_totals",
     "write_chrome_trace",
 ]

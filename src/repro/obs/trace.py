@@ -14,6 +14,17 @@ over a window that was covered by one root span reproduces the window's
 elapsed nanoseconds exactly — the invariant
 ``Kernel.measure(trace=True)`` exposes and tests assert.
 
+Each open span also carries the **wall column**: its start and child
+time on the host clock (:func:`time.perf_counter_ns`), which the tracer
+reads but never feeds back into the simulation.  Ending a span charges
+its wall self time to :attr:`Tracer.wall_attribution`, under the same
+``(pid, subsystem)`` key as the simulated charge, and to the per-path
+table :attr:`Tracer.paths` (``"subsystem:name;..."`` root to self ->
+``[calls, wall self ns, wall cumulative ns]``), which the flamegraph and
+pstats exports in :mod:`repro.perf.profiler` read.  The wall column is
+what the simulator pays to produce the simulated one; one stack decides
+a span's cost on both clocks.
+
 The tracer is *disabled* by default, and the simulator's modules hold
 no span code: :mod:`repro.obs.spans` names every traced method in one
 table and wraps those methods on their classes only while some tracer
@@ -25,9 +36,10 @@ commit) check :attr:`Tracer.enabled` where they fire.
 from __future__ import annotations
 
 import enum
+import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.hw.clock import SimClock
 from repro.obs.metrics import MetricsRegistry
@@ -59,13 +71,25 @@ class TraceEvent:
 
 @dataclass
 class _OpenSpan:
-    """Bookkeeping for a span on the tracer's stack."""
+    """A span on the tracer's stack, on both clocks."""
 
     name: str
     subsystem: str
     pid: int
+    #: ``"subsystem:name"`` labels from the root span to this one.
+    path: str
     start_ns: int
+    wall_start_ns: int
     child_ns: int = 0
+    wall_child_ns: int = 0
+
+
+def subsystem_totals(attribution: Dict[Tuple[int, str], int]) -> Dict[str, int]:
+    """A ``(pid, subsystem)`` attribution summed over pids, on either clock."""
+    totals: Dict[str, int] = {}
+    for (_pid, subsystem), ns in attribution.items():
+        totals[subsystem] = totals.get(subsystem, 0) + ns
+    return totals
 
 
 class Tracer:
@@ -76,19 +100,18 @@ class Tracer:
         clock: SimClock,
         capacity: int = DEFAULT_RING_CAPACITY,
         metrics: Optional[MetricsRegistry] = None,
+        wall_clock_ns: Optional[Callable[[], int]] = None,
     ) -> None:
         if capacity <= 0:
             raise ValueError(f"ring capacity must be positive, got {capacity}")
         self._clock = clock
+        #: Host clock of the wall column; injectable so tests can drive
+        #: a fake one and assert exact wall attributions.
+        self._wall_ns = wall_clock_ns or time.perf_counter_ns
         self._ring: Deque[TraceEvent] = deque(maxlen=capacity)
         #: Registry receiving one latency sample per finished span
         #: (``observe(span_name, elapsed_ns)``); optional.
         self._metrics = metrics
-        #: Armed :class:`repro.perf.profiler.WallProfiler` mirroring the
-        #: span stack on the wall clock; ``None`` (the default) costs one
-        #: attribute check per begin/end — and begin/end themselves only
-        #: run while tracing is enabled.  Set by ``Kernel.arm_profiler``.
-        self.profiler = None
         self.enabled = False
         #: Pid stamped on spans/instants that don't pass one explicitly;
         #: the span table's kernel entry points set it on every call.
@@ -96,6 +119,10 @@ class Tracer:
         self._stack: List[_OpenSpan] = []
         #: Simulated ns attributed per (pid, subsystem): span self times.
         self.attribution: Dict[Tuple[int, str], int] = {}
+        #: Wall ns attributed per (pid, subsystem): span self times.
+        self.wall_attribution: Dict[Tuple[int, str], int] = {}
+        #: Span path -> [calls, wall self ns, wall cumulative ns].
+        self.paths: Dict[str, List[int]] = {}
         #: Events recorded over the tracer's lifetime (including dropped).
         self.total_events = 0
         #: Events lost to ring overflow.
@@ -134,6 +161,8 @@ class Tracer:
         self._ring.clear()
         self._stack.clear()
         self.attribution.clear()
+        self.wall_attribution.clear()
+        self.paths.clear()
         self.total_events = 0
         self.dropped_events = 0
 
@@ -163,30 +192,44 @@ class Tracer:
         if pid is None:
             pid = self.current_pid
         now = self._clock.now
-        self._stack.append(_OpenSpan(name, subsystem, pid, now))
+        stack = self._stack
+        path = f"{subsystem}:{name}"
+        if stack:
+            path = f"{stack[-1].path};{path}"
         self._append(TraceEvent(EventKind.SPAN_BEGIN, name, now, pid, subsystem))
-        if self.profiler is not None:
-            self.profiler.on_begin(name, subsystem, pid)
+        stack.append(_OpenSpan(name, subsystem, pid, path, now, self._wall_ns()))
 
     def end(self) -> None:
-        """Close the innermost open span, attributing its self time."""
+        """Close the innermost open span, attributing its self time on
+        both clocks."""
         if not self._stack:
             return
+        wall_now = self._wall_ns()
         span = self._stack.pop()
         now = self._clock.now
         elapsed = now - span.start_ns
         self_ns = elapsed - span.child_ns
+        wall_elapsed = wall_now - span.wall_start_ns
+        wall_self = wall_elapsed - span.wall_child_ns
         key = (span.pid, span.subsystem)
         self.attribution[key] = self.attribution.get(key, 0) + self_ns
+        self.wall_attribution[key] = self.wall_attribution.get(key, 0) + wall_self
+        row = self.paths.get(span.path)
+        if row is None:
+            self.paths[span.path] = [1, wall_self, wall_elapsed]
+        else:
+            row[0] += 1
+            row[1] += wall_self
+            row[2] += wall_elapsed
         if self._stack:
-            self._stack[-1].child_ns += elapsed
+            parent = self._stack[-1]
+            parent.child_ns += elapsed
+            parent.wall_child_ns += wall_elapsed
         if self._metrics is not None:
             self._metrics.observe(span.name, elapsed)
         self._append(
             TraceEvent(EventKind.SPAN_END, span.name, now, span.pid, span.subsystem)
         )
-        if self.profiler is not None:
-            self.profiler.on_end()
 
     def instant(
         self,
@@ -234,13 +277,6 @@ class Tracer:
             if change:
                 out[key] = change
         return out
-
-    def subsystem_totals(self) -> Dict[str, int]:
-        """Attributed self time per subsystem, summed over pids."""
-        totals: Dict[str, int] = {}
-        for (_pid, subsystem), ns in self.attribution.items():
-            totals[subsystem] = totals.get(subsystem, 0) + ns
-        return totals
 
     @property
     def open_spans(self) -> int:

@@ -1,15 +1,16 @@
-"""Performance observability: wall-clock profiling + microbench gates.
+"""Performance observability: wall-clock profiles + microbench gates.
 
-PR 1's tracer answers "where did the *simulated* nanoseconds go"; this
-package answers the orthogonal question the ROADMAP's scale work needs:
-"where does the simulator's *wall-clock* time go, and is it getting
-slower?"  Three pieces:
+The tracer answers "where did the *simulated* nanoseconds go" and, in
+its wall column, what each span cost on the host; this package answers
+the question the ROADMAP's performance work needs: "where does the
+simulator's *wall-clock* time go, and is it getting slower?"  Three
+pieces:
 
-* :class:`WallProfiler` (:mod:`repro.perf.profiler`) — armed via
-  ``kernel.arm_profiler()``, attributes wall nanoseconds per
-  ``(pid, subsystem)`` over the tracer's span structure, with
-  flamegraph (collapsed-stack) and :mod:`pstats` export and a
-  sim-vs-wall correlation report (:mod:`repro.perf.report`).
+* Profile exports (:mod:`repro.perf.profiler`) — flamegraph
+  (collapsed-stack) and :mod:`pstats` files from an enabled tracer's
+  per-path wall table, and a sim-vs-wall correlation report
+  (:mod:`repro.perf.report`) over its two ``(pid, subsystem)``
+  attributions.
 * The tier-1 microbenchmark registry (:mod:`repro.perf.bench`) — the
   hot operations the lint fitter covers, measured on the wall clock and
   committed as the ``BENCH_tier1.json`` trajectory.
@@ -17,9 +18,9 @@ slower?"  Three pieces:
   tolerances over calibration-scaled baselines; CI runs it as
   ``repro-o1 bench --quick --compare BENCH_tier1.json``.
 
-Like chaos/sanitize/ras, everything here is **opt-in and invisible when
-unarmed**: no import of this package, and no unarmed code path, changes
-a single simulated nanosecond — golden figures stay bit-identical.
+Everything here is **opt-in and invisible when off**: no import of this
+package, and no untraced code path, changes a single simulated
+nanosecond — golden figures stay bit-identical.
 """
 
 from repro.perf.bench import (
@@ -50,7 +51,12 @@ from repro.perf.compare import (
     compare_to_baseline,
     tolerance_for,
 )
-from repro.perf.profiler import SpanStat, WallProfiler
+from repro.perf.profiler import (
+    collapsed_lines,
+    pstats_dict,
+    write_collapsed,
+    write_pstats,
+)
 from repro.perf.report import correlation_report, correlation_rows
 
 __all__ = [
@@ -78,8 +84,10 @@ __all__ = [
     "compare_documents",
     "compare_to_baseline",
     "tolerance_for",
-    "SpanStat",
-    "WallProfiler",
+    "collapsed_lines",
+    "pstats_dict",
+    "write_collapsed",
+    "write_pstats",
     "correlation_report",
     "correlation_rows",
 ]

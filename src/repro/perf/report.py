@@ -1,9 +1,10 @@
 """The sim-cost vs wall-cost correlation report.
 
-Joins the tracer's simulated-ns attribution with the profiler's wall-ns
-attribution over their shared ``(pid, subsystem)`` keys and reports, per
-row, the *simulation rate*: simulated nanoseconds produced per wall
-microsecond spent producing them.  A subsystem whose rate is far below
+Joins the tracer's two columns, ``tracer.attribution`` (simulated ns)
+and ``tracer.wall_attribution`` (wall ns), over their shared
+``(pid, subsystem)`` keys and reports, per row, the *simulation rate*:
+simulated nanoseconds produced per wall microsecond spent producing
+them.  A subsystem whose rate is far below
 the others is where the simulator's own implementation — not the model —
 is burning real time; that is the row the batched-access-engine work
 (ROADMAP direction 2) needs to move.

@@ -1,6 +1,6 @@
 """Per-tenant memory QoS: cgroup-style limits, reclaim backpressure, OOM.
 
-The fifth armable subsystem (after chaos, sanitize, ras, profiler):
+The fourth armable subsystem (after chaos, sanitize, ras):
 ``kernel.arm_qos()`` stores a :class:`~repro.qos.controller.QosController`
 in the registry's one ``counters.qos`` slot; unarmed machines pay one
 attribute read per charge site and stay bit-identical to the baseline.

@@ -675,7 +675,9 @@ class AddressSpace:
         when :meth:`PageTable.replace_leaf` must descend (and unshare)
         itself.  Either way the old leaf's clear and the new leaf's write
         charge and hook in that order, and the new leaf lands last in the
-        node's entry order.
+        node's entry order.  Reclaim run by the copy's allocation may
+        evict ``old`` first (a shared path is pinned, so only from
+        ``node``); the copy then maps into the emptied slot.
         """
         if not vma.is_private():
             raise ProtectionError(
@@ -694,14 +696,13 @@ class AddressSpace:
         page_index = vma.backing_page(page_va)
         new_pfn = self._make_private_copy(vma, page_index, old.pfn)
         pt = self._pt
-        index = pt.index_at(page_va, pt.bottom_depth)
-        if node is not None and node.entries.get(index) is old:
-            pt.clear_slot(node, index, old)
-            pt.write_leaf(node, page_va, new_pfn, PAGE_SIZE, True)
-        else:
-            # A shared path, or reclaim run by the copy's allocation
-            # evicted the leaf: replace_leaf unshares, or raises, as ever.
+        if node is None:
             pt.replace_leaf(page_va, new_pfn, writable=True)
+        else:
+            index = pt.index_at(page_va, pt.bottom_depth)
+            if node.entries.get(index) is old:
+                pt.clear_slot(node, index, old)
+            pt.write_leaf(node, page_va, new_pfn, PAGE_SIZE, True)
         if self._frame_table is not None:
             self._frame_table.get_ref(new_pfn)
         self.fault_stats[FaultType.COW] += 1

@@ -27,7 +27,6 @@ from repro.mem.buddy import BuddyAllocator
 from repro.mem.physical import MemoryRegion, PhysicalMemory
 from repro.obs import spans
 from repro.obs.metrics import MetricsRegistry
-from repro.perf import WallProfiler
 from repro.ras import MediaFaultModel
 from repro.sanitize import SanitizerSuite
 from repro.units import GIB, MIB
@@ -46,8 +45,8 @@ settings.load_profile("dev")
 #: Armed tier-1 modes: environment variable -> the arming call that every
 #: Kernel built anywhere in the suite gets while it is set.  When several
 #: are set they arm in table order.  Each armed subsystem lives in one
-#: slot (``counters.sanitize``/``.ras``/``.qos``, ``tracer.profiler``);
-#: the plain run, with none set, measures the unarmed hot paths.
+#: slot (``counters.sanitize``/``.ras``/``.qos``); the plain run, with
+#: none set, measures the unarmed hot paths.
 #:
 #: * ``REPRO_SANITIZE`` — the full shadow-state sanitizer suite in halt
 #:   mode, so any translation/frame/persist incoherence fails the test
@@ -59,8 +58,8 @@ settings.load_profile("dev")
 #: * ``REPRO_QOS`` — the memory controller with only the limitless root
 #:   cgroup: the armed charge/uncharge hooks run and no watermark can
 #:   ever breach.
-#: * ``REPRO_PROFILE`` — a WallProfiler, which also enables tracing so
-#:   spans carry wall-time samples.
+#: * ``REPRO_PROFILE`` — every kernel's tracer enabled, so every span
+#:   records both columns, simulated and wall.
 #:
 #: None of them touches the simulated clock, so every simulated figure —
 #: the goldens included — must come out bit-identical to the plain run;
@@ -74,7 +73,7 @@ _ARMED_MODES = (
         ),
     ),
     ("REPRO_QOS", lambda kernel: kernel.arm_qos()),
-    ("REPRO_PROFILE", lambda kernel: kernel.arm_profiler(WallProfiler())),
+    ("REPRO_PROFILE", lambda kernel: kernel.tracer.enable()),
 )
 _ARMING = [arm for variable, arm in _ARMED_MODES if os.environ.get(variable)]
 

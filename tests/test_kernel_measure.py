@@ -141,7 +141,17 @@ class TestSpanClosesOnError:
         with pytest.raises(OutOfMemoryError):
             with kernel.measure(trace=True) as m:
                 kernel.fork(parent)
-        assert kernel.tracer.open_spans == 0
+        # One stack carries both columns, so neither leaves a span open:
+        # the fork closed once under the root, and the wall self times
+        # charged under the root add up to its wall elapsed exactly.
+        tracer = kernel.tracer
+        assert tracer.open_spans == 0
+        assert tracer.paths["kernel:measure;kernel:fork"][0] == 1
+        under_root = [
+            row[1] for path, row in tracer.paths.items()
+            if path.split(";")[0] == "kernel:measure"
+        ]
+        assert sum(under_root) == tracer.paths["kernel:measure"][2]
         assert sum(m.attribution.values()) == m.elapsed_ns
         names = [(e.kind, e.name) for e in m.events]
         assert names[-1] == (EventKind.SPAN_END, "measure")

@@ -252,6 +252,80 @@ class TestSummaries:
             f for f in flow(pkg).findings if f.rule == RULE_COST_EXCEEDS
         ] == []
 
+    def test_loop_allow_leaves_its_header_call_charged(self, tmp_path):
+        """An allow above a ``for``/``while`` bounds the loop; the call
+        in the loop's header keeps its own cost."""
+        pkg = make_pkg(tmp_path, {"mod.py": """
+            from repro.lint import complexity, o1
+
+            class Tree:
+                @complexity("n")
+                def walk(self):
+                    return list(range(8))
+
+                @complexity("n")
+                def pending(self):
+                    return bool(self.walk())
+
+                @o1
+                def first(self):
+                    # o1: allow(flow-bounded) -- returns on the first node
+                    for node in self.walk():
+                        return node
+
+                @o1
+                def drain(self):
+                    # o1: allow(flow-bounded) -- runs at most twice
+                    while self.pending():
+                        return
+        """})
+        table = SummaryTable(build_callgraph(pkg, package="pkg"))
+        assert table.summaries["pkg.mod.Tree.first"].cost is Cost.LINEAR
+        assert table.summaries["pkg.mod.Tree.drain"].cost is Cost.LINEAR
+        result = flow(pkg)
+        assert sorted(
+            f.function for f in result.findings if f.rule == RULE_COST_EXCEEDS
+        ) == ["pkg.mod.Tree.drain", "pkg.mod.Tree.first"]
+        assert result.stale_suppressions == []
+
+    def test_inline_loop_allow_does_not_reach_the_first_body_line(self, tmp_path):
+        """Only an allow alone on its line speaks for the line below."""
+        pkg = make_pkg(tmp_path, {"mod.py": """
+            from repro.lint import complexity, o1
+
+            @complexity("n")
+            def sweep(pages):
+                total = 0
+                for page in pages:
+                    total += page
+                return total
+
+            @o1
+            def touch_all(batch, pages):
+                for entry in batch:  # o1: allow(flow-bounded) -- at most 4 entries
+                    sweep(pages)
+
+            @o1
+            def scan_all(batch, pages):
+                for entry in batch:  # o1: allow(flow-bounded) -- at most 4 entries
+                    for page in pages:
+                        entry += page
+
+            @o1
+            def touch_once(pages):
+                # o1: allow(flow-bounded) -- pages is one cache line here
+                sweep(pages)
+        """})
+        table = SummaryTable(build_callgraph(pkg, package="pkg"))
+        assert table.summaries["pkg.mod.touch_all"].cost is Cost.LINEAR
+        assert table.summaries["pkg.mod.scan_all"].cost is Cost.LINEAR
+        assert table.summaries["pkg.mod.touch_once"].cost is Cost.CONSTANT
+        result = flow(pkg)
+        assert sorted(
+            f.function for f in result.findings if f.rule == RULE_COST_EXCEEDS
+        ) == ["pkg.mod.scan_all", "pkg.mod.touch_all"]
+        assert result.stale_suppressions == []
+
     def test_comprehension_first_iterable_is_charged_once(self, tmp_path):
         pkg = make_pkg(tmp_path, {"mod.py": """
             from repro.lint import complexity

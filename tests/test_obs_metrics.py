@@ -105,7 +105,7 @@ class TestMetricsRegistry:
     def test_bare_registry_reads_none_from_every_hook_slot(self):
         # The registry is the one home of every armed subsystem: each
         # instance carries all five slots, unarmed, and no profiler slot
-        # (the profiler lives on the tracer).
+        # (wall time is a column of the tracer's own span record).
         reg = MetricsRegistry()
         slots = {name: value for name, value in vars(reg).items() if not name.startswith("_")}
         assert slots == dict.fromkeys(("tracer", "chaos", "sanitize", "ras", "qos"))

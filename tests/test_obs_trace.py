@@ -10,7 +10,7 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import EventKind, Tracer
+from repro.obs.trace import EventKind, Tracer, subsystem_totals
 
 
 #: Tracers made by the test running now, disabled when it ends.
@@ -150,7 +150,7 @@ class TestAttribution:
             tracer.begin("access", "cpu", pid=pid)
             clock.advance(10)
             tracer.end()
-        assert tracer.subsystem_totals() == {"cpu": 20}
+        assert subsystem_totals(tracer.attribution) == {"cpu": 20}
 
     def test_attribution_since_reports_only_growth(self):
         clock, tracer = make_tracer()
@@ -248,7 +248,7 @@ class TestChromeExport:
         assert [e.kind for e in loaded] == [e.kind for e in tracer.events()]
         assert [e.ts_ns for e in loaded] == [e.ts_ns for e in tracer.events()]
         assert subsystem_self_times(loaded) == {"cpu": 15, "paging": 30}
-        assert subsystem_self_times(loaded) == tracer.subsystem_totals()
+        assert subsystem_self_times(loaded) == subsystem_totals(tracer.attribution)
 
     def test_self_times_skip_unmatched_end(self):
         tracer = self.build_events()

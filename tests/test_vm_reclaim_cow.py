@@ -148,3 +148,31 @@ class TestTargetedReclaim:
         assert reclaimer.reclaim(8, max_scan=4) == 0
         assert kernel.counters.get("reclaim_scanned") - scanned_before <= 4
         assert reclaimer.scanned == 4
+
+
+class TestCowFaultUnderReclaim:
+    """A COW copy whose allocation reclaims the very page being copied."""
+
+    def test_store_completes_when_reclaim_evicts_the_source_leaf(self):
+        # The copy's buddy allocation runs the cgroup's direct reclaim,
+        # which evicts the read-only file leaf the fault is replacing;
+        # the copy must still land, writable, in the emptied slot.
+        kernel = Kernel(MachineConfig(dram_bytes=64 * MIB, nvm_bytes=1 * GIB))
+        cg = kernel.arm_qos().cgroup("t", high=40)
+        process = kernel.spawn("t", track_lru=True, cgroup=cg)
+        sys_calls = kernel.syscalls(process)
+        pages = 32
+        fd = sys_calls.open(kernel.tmpfs, "/f", create=True, size=pages * PAGE_SIZE)
+        va = sys_calls.mmap(pages * PAGE_SIZE, fd=fd, flags=MapFlags.PRIVATE)
+        for i in range(pages):
+            kernel.access(process, va + i * PAGE_SIZE)
+        vma = process.space.find_vma(va)
+        evicted_before = kernel.counters.get("vm_page_evict")
+        for i in range(pages):
+            page_va = va + i * PAGE_SIZE
+            kernel.access(process, page_va, write=True)
+            pte = process.space.page_table.lookup(page_va)
+            assert pte is not None and pte.writable, f"store {i}"
+            assert pte.pfn == vma.private_copies[i]
+        assert kernel.counters.get("cow_copy") == pages
+        assert kernel.counters.get("vm_page_evict") > evicted_before
