@@ -760,13 +760,13 @@ class Pmfs(FileSystem):
             # durable before the crash, so applying here is inside the
             # original transaction's fence.
             if record.op == "alloc":
-                self._apply_alloc(record)  # o1: allow(persist-outside-txn, flow-bounded) -- committed redo; records partition the replay
+                self._apply_alloc(record)  # o1: allow(persist-outside-txn, flow-persist-outside-txn, flow-bounded) -- committed redo; records partition the replay
             elif record.op == "shrink":
-                self._apply_shrink(record)  # o1: allow(persist-outside-txn, flow-bounded) -- committed redo; records partition the replay
+                self._apply_shrink(record)  # o1: allow(persist-outside-txn, flow-persist-outside-txn, flow-bounded) -- committed redo; records partition the replay
             elif record.op == "free":
-                self._apply_free(record)  # o1: allow(persist-outside-txn, flow-bounded) -- committed redo; records partition the replay
+                self._apply_free(record)  # o1: allow(persist-outside-txn, flow-persist-outside-txn, flow-bounded) -- committed redo; records partition the replay
             elif record.op == "migrate":
-                self._apply_migrate(record)  # o1: allow(persist-outside-txn, flow-bounded) -- committed redo; records partition the replay
+                self._apply_migrate(record)  # o1: allow(persist-outside-txn, flow-persist-outside-txn, flow-bounded) -- committed redo; records partition the replay
         self.journal.clear()
         if corrupted_seen:
             self._scrub()

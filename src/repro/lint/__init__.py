@@ -22,9 +22,10 @@ finding.
   summaries bottom-up over SCCs so a declaration is judged against
   everything it can reach, requires every function reachable from a
   hot-path entry to be declared or constant-shaped, and checks two
-  must-call protocols across call boundaries (page-table mutation must
-  reach a TLB invalidation before the syscall returns; journal commit
-  must precede apply).  Two rules judge each function body alone:
+  must-call protocols across call boundaries with one statement walker
+  (page-table mutation must reach a TLB invalidation before the
+  syscall returns; a journal commit must precede every apply on every
+  path).  Two rules judge each function body alone:
   self-recursion in an O(1)/O(log n) function, and a journal apply
   with no earlier commit in its function.  Known-O(n)-by-design loops
   carry inline ``# o1: allow(flow-bounded)`` comments, and stale
@@ -32,8 +33,9 @@ finding.
 * :mod:`repro.lint.alloc` + :mod:`repro.lint.allocfit` — AllocSan: an
   AST allocation-shape classifier (displays, comprehensions, f-strings,
   closures, star-args, materializing builtins) whose per-function shapes
-  propagate over the same call graph as transitive allocation summaries
-  (none < bounded < per-element < unbounded), judged against
+  propagate through the cost pass's own propagation
+  (:class:`repro.lint.summaries.Propagation`) as transitive allocation
+  summaries (none < bounded < per-element < unbounded), judged against
   ``@allocfree`` / ``@allocbound`` declarations; every function
   reachable from the four hot access entries must be declared or
   allocation-free.  ``allocfit`` then re-runs the certified hot ops

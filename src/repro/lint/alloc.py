@@ -8,7 +8,8 @@ comprehensions, generator expressions, nested ``def`` / ``lambda``
 ``*args`` / ``**kwargs`` call sites, materializing builtins
 (``sorted``, ``zip``, ``list``, ``.items()``, ``.to_bytes()``, ...),
 and resolved in-package constructor calls — and the shapes propagate
-bottom-up over the same SCC condensation the cost pass uses, into the
+bottom-up through the same propagation as the cost summaries
+(:class:`repro.lint.summaries.Propagation`, one subclass each), into the
 lattice
 
     NONE < BOUNDED < PER_ELEMENT < UNBOUNDED
@@ -40,18 +41,19 @@ re-runs the certified ops under ``tracemalloc`` and fails on net
 steady-state growth, so a static certificate cannot quietly lie.
 
 Every finding fails the gate; a justified inline ``# alloc: allow``
-comment plus the parenthesized rule is the only escape — a separate
-namespace from ``# o1: allow`` so one pass's suppressions never mask
-the other's.  Shape-kind names double as rules,
-``cold-call`` marks a call site off the steady
-state (fault recovery, TLB refill, traced mode) and excludes it from
-both the caller's summary and the hot-closure walk, and stale alloc
-suppressions are findings like stale o1 ones.  Shapes inside
-``raise`` statements and ``except`` handler bodies are excused
+comment plus the parenthesized rule, on the flagged line or alone on
+the line above it, is the only escape — a separate namespace from
+``# o1: allow`` so one pass's suppressions never mask the other's.
+Shape-kind names double as rules, ``cold-call`` marks a call site off
+the steady state (fault recovery, TLB refill, traced mode) and
+excludes it from both the caller's summary and the hot-closure walk,
+and stale alloc suppressions are findings like stale o1 ones.  Shapes
+inside ``raise`` statements and ``except`` handler bodies are excused
 automatically: error paths are terminal, not steady state.
 
-Findings, stale suppressions, the planted-control split and the
-hot-closure walk are :mod:`repro.lint.flow`'s, shared with that pass.
+Findings, stale suppressions, the planted-control split and both
+verdicts (a declaration exceeded, an undeclared function in the hot
+closure) are :mod:`repro.lint.flow`'s, shared with that pass.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ import ast
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.lint.astcheck import (
     AllowMap,
@@ -76,13 +78,14 @@ from repro.lint.callgraph import (
     resolve_class_name,
 )
 from repro.lint.flow import (
-    EntryClosure,
     Finding,
     StaleSuppression,
+    closure_findings,
+    exceeds_findings,
     split_controls,
     stale_suppressions,
 )
-from repro.lint.summaries import RULE_BOUNDED, Hop, Witness, strongly_connected
+from repro.lint.summaries import RULE_BOUNDED, Propagation, Walk, Witness
 
 RULE_ALLOC_EXCEEDS = "alloc-exceeds-declared"
 RULE_ALLOC_HOT = "alloc-undeclared-hot"
@@ -90,6 +93,12 @@ RULE_ALLOC_CONTROL_MISSING = "alloc-control-missing"
 #: Suppression-only: marks a call site cold (fault / refill / traced
 #: path) — excluded from the caller's summary and the hot-closure walk.
 RULE_COLD_CALL = "cold-call"
+
+_ALLOC_EXCEEDS = "declared {declared} but the call graph reaches {level}"
+_ALLOC_HOT = (
+    "reachable from hot access entry {entry} with {level} but no "
+    "@allocfree/@allocbound declaration"
+)
 
 #: Planted controls the pass must flag on every run (function, rule).
 ALLOC_CONTROLS: Tuple[Tuple[str, str], ...] = (
@@ -254,23 +263,6 @@ def alloc_declared_bound(func: FunctionNode) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # Per-function shape classification
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class AllocShape:
-    """One allocation site, already scaled by its loop nesting."""
-
-    kind: str
-    line: int
-    detail: str
-    klass: AllocClass
-
-
-@dataclass
-class _AllocShapeSet:
-    shapes: List[AllocShape]
-    call_depth: Dict[int, int]  # id(ast.Call) -> enclosing unbounded loops
-    cold_calls: Set[int]  # id(ast.Call) inside except handlers
-
-
 def _render(node: ast.AST, limit: int = 48) -> str:
     try:
         return ast.unparse(node)[:limit]
@@ -288,9 +280,9 @@ class _Classifier:
         self.func = func
         self.allowed = allowed
         self.info = graph.modules.get(func.module)
-        self.out = _AllocShapeSet(shapes=[], call_depth={}, cold_calls=set())
+        self.out: Walk[AllocClass] = Walk()
 
-    def run(self) -> _AllocShapeSet:
+    def run(self) -> Walk[AllocClass]:
         for stmt in self.func.node.body:
             self._visit(stmt, depth=0, cold=False)
         return self.out
@@ -300,14 +292,12 @@ class _Classifier:
         self, kind: str, node: ast.AST, detail: str, depth: int, klass: AllocClass
     ) -> None:
         line = getattr(node, "lineno", self.func.lineno)
-        if self.allowed.allow((line, line - 1), kind):
+        if self.allowed.allow(self.allowed.lines_for(line), kind):
             return
         scaled = _scale(klass, depth)
         if depth and scaled is not klass:
             detail += " inside an unbounded loop"
-        self.out.shapes.append(
-            AllocShape(kind=kind, line=line, detail=detail, klass=scaled)
-        )
+        self.out.own.append((scaled, Witness("shape", line, detail)))
 
     def _loop_bounded(self, loop: _LoopNode) -> bool:
         """Constant-bounded for scaling purposes.
@@ -390,19 +380,14 @@ class _Classifier:
             )
 
     # -- walk ----------------------------------------------------------
-    def _visit_fstring_calls(self, node: ast.AST, depth: int, cold: bool) -> None:
+    def _visit_fstring_calls(self, node: ast.AST, depth: int) -> None:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call):
-                if cold:
-                    self.out.cold_calls.add(id(sub))
-                else:
-                    self.out.call_depth[id(sub)] = depth
+                self.out.call_depth[id(sub)] = depth
 
     def _visit(self, node: ast.AST, depth: int, cold: bool) -> None:
         if isinstance(node, (ast.Raise, ast.Assert)):
-            # Terminal error paths; still register calls so the graph
-            # edges they carry are treated as cold, not missing.
-            self._visit_fstring_calls(node, depth, cold=True)
+            # Terminal error paths: the calls they carry are cold.
             return
         if isinstance(node, ast.ExceptHandler):
             for child in node.body:
@@ -421,9 +406,7 @@ class _Classifier:
             # the closure does, which this pass does not model.
             return
         if isinstance(node, ast.Call):
-            if cold:
-                self.out.cold_calls.add(id(node))
-            else:
+            if not cold:
                 self.out.call_depth[id(node)] = depth
                 self._classify_call(node, depth)
             for child in ast.iter_child_nodes(node):
@@ -465,7 +448,7 @@ class _Classifier:
                     depth,
                     AllocClass.BOUNDED,
                 )
-            self._visit_fstring_calls(node, depth, cold)
+                self._visit_fstring_calls(node, depth)
             return
         if not cold:
             if isinstance(node, ast.List) and isinstance(node.ctx, ast.Load):
@@ -529,233 +512,44 @@ class _Classifier:
 # ---------------------------------------------------------------------------
 # Interprocedural propagation
 # ---------------------------------------------------------------------------
-@dataclass
-class AllocSummary:
-    """Computed allocation class of one function (own declaration aside)."""
+class AllocTable(Propagation[AllocClass]):
+    """Allocation summaries; ``cold-call`` allows cut call sites, and
+    calls on error paths are never charged (cold by construction)."""
 
-    fid: str
-    klass: AllocClass
-    witness: Optional[Witness] = None
-
-
-@dataclass
-class _ColdSite:
-    """A call site excused by ``cold-call``; usage judged after the fact."""
-
-    caller: str
-    site: CallSite
-    allow_line: int
-
-
-class AllocTable:
-    """Allocation summaries plus the edge sets findings are built from."""
+    bottom = AllocClass.NONE
+    top = AllocClass.UNBOUNDED
+    cycle_note = "alloc-undeclared"
 
     def __init__(self, graph: CallGraph) -> None:
-        self.graph = graph
         self.declared: Dict[str, int] = {}
-        self.shapes: Dict[str, _AllocShapeSet] = {}
-        self.summaries: Dict[str, AllocSummary] = {}
-        #: Non-cold resolved edges including through declared callees,
-        #: for the hot-closure walk: fid -> [(target, line)].
-        self.hot_edges: Dict[str, List[Tuple[str, int]]] = {}
-        self._cold_sites: List[_ColdSite] = []
-        self._scc_of: Dict[str, int] = {}
-        self._compute()
-
-    def _site_cold_line(
-        self, func: FunctionNode, site: CallSite
-    ) -> Optional[int]:
-        allowed = self.graph.alloc_allow_maps[func.path]
-        return allowed.match((site.line, site.line - 1), RULE_COLD_CALL)
-
-    def _compute(self) -> None:
-        graph = self.graph
         for fid, func in graph.functions.items():
             bound = alloc_declared_bound(func)
             if bound is not None:
                 self.declared[fid] = bound
-            self.shapes[fid] = _Classifier(
-                graph, func, graph.alloc_allow_maps[func.path]
-            ).run()
-        edges: Dict[str, List[str]] = {}
-        for fid, func in graph.functions.items():
-            out: List[str] = []
-            hot_out: List[Tuple[str, int]] = []
-            shape = self.shapes[fid]
-            for site in graph.calls.get(fid, ()):
-                if id(site.node) in shape.cold_calls:
-                    continue
-                if id(site.node) not in shape.call_depth:
-                    # Decorator, annotation or default-arg call: runs
-                    # at import/definition time, not per invocation.
-                    continue
-                cold_line = self._site_cold_line(func, site)
-                if cold_line is not None:
-                    self._cold_sites.append(
-                        _ColdSite(caller=fid, site=site, allow_line=cold_line)
-                    )
-                    continue
-                for target in site.targets:
-                    if target not in graph.functions:
-                        continue
-                    hot_out.append((target, site.line))
-                    if target not in self.declared:
-                        out.append(target)
-            edges[fid] = out
-            self.hot_edges[fid] = hot_out
-        components = strongly_connected(list(graph.functions), edges)
-        for number, component in enumerate(components):
-            for member in component:
-                self._scc_of[member] = number
-        for component in components:
-            cyclic = len(component) > 1 or (
-                component[0] in edges.get(component[0], ())
-            )
-            if cyclic:
-                for member in component:
-                    self.summaries[member] = self._recursive_summary(
-                        member, set(component)
-                    )
-                continue
-            fid = component[0]
-            self.summaries[fid] = self._combine(fid)
-        for cold in self._cold_sites:
-            if self._cold_site_was_needed(cold):
-                caller = self.graph.functions[cold.caller]
-                self.graph.alloc_allow_maps[caller.path].mark_used(
-                    cold.allow_line
-                )
+        super().__init__(graph, graph.alloc_allow_maps)
 
-    def _recursive_summary(self, fid: str, component: Set[str]) -> AllocSummary:
-        witness: Optional[Witness] = None
-        for site in self.graph.calls.get(fid, ()):
-            for target in site.targets:
-                if target in component:
-                    witness = Witness(
-                        kind="recursion",
-                        line=site.line,
-                        detail=(
-                            f"recursive call {site.raw} "
-                            "(cycle of alloc-undeclared functions)"
-                        ),
-                    )
-                    break
-            if witness is not None:
-                break
-        return AllocSummary(fid=fid, klass=AllocClass.UNBOUNDED, witness=witness)
+    def label(self, level: AllocClass) -> str:
+        return level.label
 
-    def effective_alloc(self, fid: str) -> AllocClass:
-        """What a call to ``fid`` contributes: declared cut or summary."""
+    def scale(self, level: AllocClass, depth: int) -> AllocClass:
+        return _scale(level, depth)
+
+    def declared_level(self, fid: str) -> Optional[AllocClass]:
         bound = self.declared.get(fid)
-        if bound is not None:
-            return AllocClass.NONE if bound == 0 else AllocClass.BOUNDED
-        summary = self.summaries.get(fid)
-        return summary.klass if summary is not None else AllocClass.NONE
+        if bound is None:
+            return None
+        return AllocClass.NONE if bound == 0 else AllocClass.BOUNDED
 
-    def _combine(self, fid: str) -> AllocSummary:
-        shape = self.shapes[fid]
-        candidates: List[Tuple[AllocClass, int, Witness]] = []
-        for item in shape.shapes:
-            candidates.append(
-                (
-                    item.klass,
-                    item.line,
-                    Witness(kind="shape", line=item.line, detail=item.detail),
-                )
-            )
-        for site in self.graph.calls.get(fid, ()):
-            if id(site.node) not in shape.call_depth:
-                continue  # cold, decorator, or definition-time call
-            if any(
-                cold.caller == fid and id(cold.site.node) == id(site.node)
-                for cold in self._cold_sites
-            ):
-                continue
-            depth = shape.call_depth[id(site.node)]
-            for target in site.targets:
-                raw = self.effective_alloc(target)
-                klass = _scale(raw, depth)
-                if klass is AllocClass.NONE:
-                    continue
-                label = raw.label
-                bound = self.declared.get(target)
-                if bound is not None:
-                    label = (
-                        "declared @allocfree"
-                        if bound == 0
-                        else f"declared @allocbound({bound})"
-                    )
-                detail = f"calls {site.raw} [{label}]"
-                if depth:
-                    detail += " inside an unbounded loop"
-                candidates.append(
-                    (
-                        klass,
-                        site.line,
-                        Witness(
-                            kind="call",
-                            line=site.line,
-                            detail=detail,
-                            callee=target,
-                        ),
-                    )
-                )
-        best = AllocClass.NONE
-        best_witness: Optional[Witness] = None
-        for klass, _line, witness in sorted(
-            candidates, key=lambda item: (-item[0], item[1])
-        ):
-            best = klass
-            best_witness = witness
-            break
-        return AllocSummary(fid=fid, klass=best, witness=best_witness)
+    def declared_text(self, fid: str) -> str:
+        bound = self.declared[fid]
+        return "@allocfree" if bound == 0 else f"@allocbound({bound})"
 
-    def _cold_site_was_needed(self, cold: _ColdSite) -> bool:
-        """A cold-call allow is *used* iff it changed anything."""
-        caller_scc = self._scc_of.get(cold.caller)
-        for target in cold.site.targets:
-            if self.effective_alloc(target) > AllocClass.NONE:
-                return True
-            if (
-                self._scc_of.get(target) is not None
-                and self._scc_of.get(target) == caller_scc
-            ):
-                return True
-        return False
+    def _walk(self, func: FunctionNode) -> Walk[AllocClass]:
+        return _Classifier(self.graph, func, self.allows[func.path]).run()
 
-    # -- diagnostics ---------------------------------------------------
-    def witness_chain(self, fid: str, limit: int = 12) -> List[Hop]:
-        """Follow worst-allocation witnesses down from ``fid``."""
-        hops: List[Hop] = []
-        current: Optional[str] = fid
-        while current is not None and len(hops) < limit:
-            node = self.graph.functions[current]
-            summary = self.summaries[current]
-            witness = summary.witness
-            if witness is None:
-                hops.append(
-                    Hop(
-                        fid=current,
-                        path=node.path,
-                        line=node.lineno,
-                        note=f"[{summary.klass.label}]",
-                    )
-                )
-                break
-            hops.append(
-                Hop(
-                    fid=current,
-                    path=node.path,
-                    line=witness.line,
-                    note=witness.detail,
-                )
-            )
-            if witness.kind != "call" or witness.callee is None:
-                break
-            if witness.callee in self.declared:
-                break
-            current = witness.callee
-        return hops
+    def _excuse_line(self, func: FunctionNode, site: CallSite) -> Optional[int]:
+        allowed = self.allows[func.path]
+        return allowed.match(allowed.lines_for(site.line), RULE_COLD_CALL)
 
 
 # ---------------------------------------------------------------------------
@@ -789,66 +583,6 @@ def hot_entry_points(graph: CallGraph) -> List[str]:
     return entries
 
 
-def _declared_findings(table: AllocTable) -> List[Finding]:
-    graph = table.graph
-    findings: List[Finding] = []
-    for fid in sorted(table.declared):
-        func = graph.functions[fid]
-        bound = table.declared[fid]
-        permitted = AllocClass.NONE if bound == 0 else AllocClass.BOUNDED
-        summary = table.summaries[fid]
-        if summary.klass <= permitted:
-            continue
-        allowed = graph.alloc_allow_maps[func.path]
-        if allowed.allow((func.lineno,), RULE_ALLOC_EXCEEDS):
-            continue
-        chain = tuple(table.witness_chain(fid))
-        decorator = "@allocfree" if bound == 0 else f"@allocbound({bound})"
-        findings.append(
-            Finding.on(
-                func,
-                RULE_ALLOC_EXCEEDS,
-                f"declared {decorator} but the call graph reaches "
-                f"{summary.klass.label}",
-                line=chain[0].line if chain else None,
-                chain=chain,
-            )
-        )
-    return findings
-
-
-def _hot_findings(
-    table: AllocTable, entries: Sequence[str]
-) -> Tuple[List[Finding], int]:
-    graph = table.graph
-    closure = EntryClosure(
-        graph, entries, lambda fid: table.hot_edges.get(fid, ())
-    )
-    findings: List[Finding] = []
-    for fid in closure.order:
-        if fid in table.declared:
-            continue
-        summary = table.summaries[fid]
-        if summary.klass is AllocClass.NONE:
-            continue
-        func = graph.functions[fid]
-        allowed = graph.alloc_allow_maps[func.path]
-        if allowed.allow((func.lineno,), RULE_ALLOC_HOT):
-            continue
-        chain = closure.chain(fid, summary.witness)
-        findings.append(
-            Finding.on(
-                func,
-                RULE_ALLOC_HOT,
-                f"reachable from hot access entry {chain[0].fid} with "
-                f"{summary.klass.label} but no @allocfree/@allocbound "
-                "declaration",
-                chain=chain,
-            )
-        )
-    return findings, len(closure.order)
-
-
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
@@ -868,8 +602,10 @@ def run_alloc(
     table = AllocTable(graph)
     entries = hot_entry_points(graph)
     declared_free = sum(1 for b in table.declared.values() if b == 0)
-    hot_findings, hot_reachable = _hot_findings(table, entries)
-    findings = _declared_findings(table) + hot_findings
+    hot_findings, hot_reachable = closure_findings(
+        table, entries, RULE_ALLOC_HOT, _ALLOC_HOT
+    )
+    findings = exceeds_findings(table, RULE_ALLOC_EXCEEDS, _ALLOC_EXCEEDS) + hot_findings
     findings, verified = split_controls(
         findings, ALLOC_CONTROLS, RULE_ALLOC_CONTROL_MISSING, "alloc"
     )

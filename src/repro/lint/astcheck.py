@@ -20,7 +20,8 @@ graph and reports what they return as findings:
 ========================  ==================================================
 
 The one escape hatch is an inline ``# o1: allow(rule) -- reason``
-comment on the flagged line, the line above it, or the ``def`` line.
+comment on the flagged line, alone on the line above it, or on the
+``def`` line.
 """
 
 from __future__ import annotations

@@ -21,8 +21,9 @@ of the graph, and turns the results into findings:
     a syscall-boundary entry can return with a page-table mutation no
     invalidation ever covers.
 ``flow-persist-outside-txn``
-    a journal apply can execute with no commit anywhere on the path
-    from its protocol root.
+    a journal apply can execute on a path from its protocol root that
+    has made no commit before it (a commit on only some paths does not
+    count).
 ``flow-control-missing``
     a planted control (:mod:`repro.lint.controls`) was *not* flagged —
     the pass itself is broken.
@@ -35,7 +36,10 @@ consumed is reported, with unused-``noqa`` semantics.
 AllocSan (:mod:`repro.lint.alloc`) judges a different lattice over the
 same graph and reuses this module's verdict plumbing: :class:`Finding`,
 :class:`StaleSuppression`, :func:`split_controls`,
-:func:`stale_suppressions` and the :class:`EntryClosure` walk.
+:func:`stale_suppressions`, and the two verdicts over any
+:class:`~repro.lint.summaries.Propagation`, :func:`exceeds_findings`
+and :func:`closure_findings` (the latter over the
+:class:`EntryClosure` walk).
 """
 
 from __future__ import annotations
@@ -65,11 +69,11 @@ from repro.lint.protocols import (
 from repro.lint.summaries import (
     RULE_COST_EXCEEDS,
     RULE_UNDECLARED,
-    Cost,
     Hop,
+    L,
+    Propagation,
     SummaryTable,
     Witness,
-    declared_cost,
 )
 
 RULE_CONTROL_MISSING = "flow-control-missing"
@@ -84,6 +88,12 @@ CONTROLS: Tuple[Tuple[str, str], ...] = (
 #: public ``Syscalls`` method.
 _KERNEL_ENTRY_NAMES = frozenset(
     {"spawn", "fork", "access", "access_range", "crash"}
+)
+
+_COST_EXCEEDS = "declared {declared} but the call graph reaches {level} work"
+_UNDECLARED = (
+    "reachable from hot-path entry {entry} with {level} shape but no "
+    "@o1/@complexity declaration"
 )
 
 
@@ -316,6 +326,60 @@ def stale_suppressions(
     return stale
 
 
+def exceeds_findings(
+    table: Propagation[L], rule: str, message: str
+) -> List[Finding]:
+    """Declared functions whose computed summary is above their
+    declaration, each with its witness chain.  ``message`` is formatted
+    with the ``declared`` text and the summary's ``level``."""
+    graph = table.graph
+    findings: List[Finding] = []
+    for fid in sorted(graph.functions):
+        declared = table.declared_level(fid)
+        if declared is None:
+            continue
+        summary = table.summaries[fid]
+        if summary.cost <= declared:
+            continue
+        func = graph.functions[fid]
+        if table.allows[func.path].allow((func.lineno,), rule):
+            continue
+        chain = tuple(table.witness_chain(fid))
+        text = message.format(
+            declared=table.declared_text(fid), level=table.label(summary.cost)
+        )
+        findings.append(
+            Finding.on(
+                func, rule, text, line=chain[0].line if chain else None, chain=chain
+            )
+        )
+    return findings
+
+
+def closure_findings(
+    table: Propagation[L], entries: Sequence[str], rule: str, message: str
+) -> Tuple[List[Finding], int]:
+    """Undeclared functions above the lattice's bottom that a hot entry
+    reaches over ``table.successors``, and the closure's size.
+    ``message`` is formatted with the ``entry`` and the ``level``."""
+    graph = table.graph
+    closure = EntryClosure(graph, entries, table.successors)
+    findings: List[Finding] = []
+    for fid in closure.order:
+        if table.declared_level(fid) is not None:
+            continue
+        summary = table.summaries[fid]
+        if summary.cost == table.bottom:
+            continue
+        func = graph.functions[fid]
+        if table.allows[func.path].allow((func.lineno,), rule):
+            continue
+        chain = closure.chain(fid, summary.witness)
+        text = message.format(entry=chain[0].fid, level=table.label(summary.cost))
+        findings.append(Finding.on(func, rule, text, chain=chain))
+    return findings, len(closure.order)
+
+
 # ---------------------------------------------------------------------------
 # Checks
 # ---------------------------------------------------------------------------
@@ -345,74 +409,9 @@ def _intra_findings(graph: CallGraph) -> List[Finding]:
             )
         allowed = graph.allow_maps[func.path]
         for rule, call, message in flagged:
-            lines = (call.lineno, call.lineno - 1, func.lineno)
+            lines = [*allowed.lines_for(call.lineno), func.lineno]
             if not allowed.allow(lines, rule):
                 findings.append(Finding.on(func, rule, message, line=call.lineno))
-    return findings
-
-
-def _cost_findings(table: SummaryTable) -> List[Finding]:
-    graph = table.graph
-    findings: List[Finding] = []
-    for fid in sorted(graph.functions):
-        func = graph.functions[fid]
-        if func.declared is None:
-            continue
-        summary = table.summaries[fid]
-        if summary.cost <= declared_cost(func.declared):
-            continue
-        allowed = graph.allow_maps[func.path]
-        if allowed.allow((func.lineno,), RULE_COST_EXCEEDS):
-            continue
-        chain = tuple(table.witness_chain(fid))
-        findings.append(
-            Finding.on(
-                func,
-                RULE_COST_EXCEEDS,
-                f"declared {func.declared} but the call graph reaches "
-                f"{summary.cost.label} work",
-                line=chain[0].line if chain else None,
-                chain=chain,
-            )
-        )
-    return findings
-
-
-def _coverage_findings(
-    table: SummaryTable, entries: Sequence[str]
-) -> List[Finding]:
-    graph = table.graph
-    closure = EntryClosure(
-        graph,
-        entries,
-        lambda fid: (
-            (target, site.line)
-            for site in graph.calls.get(fid, ())
-            for target in site.targets
-        ),
-    )
-    findings: List[Finding] = []
-    for fid in closure.order:
-        func = graph.functions[fid]
-        if func.declared is not None:
-            continue
-        summary = table.summaries[fid]
-        if summary.cost is Cost.CONSTANT:
-            continue
-        allowed = graph.allow_maps[func.path]
-        if allowed.allow((func.lineno,), RULE_UNDECLARED):
-            continue
-        chain = closure.chain(fid, summary.witness)
-        findings.append(
-            Finding.on(
-                func,
-                RULE_UNDECLARED,
-                f"reachable from hot-path entry {chain[0].fid} with "
-                f"{summary.cost.label} shape but no @o1/@complexity "
-                "declaration",
-                chain=chain,
-            )
-        )
     return findings
 
 
@@ -477,10 +476,11 @@ def run_flow(root: Path, package: str = "repro") -> FlowResult:
     table = SummaryTable(graph)
     protocols = compute_protocols(graph)
     entries = entry_points(graph)
+    coverage, _ = closure_findings(table, entries, RULE_UNDECLARED, _UNDECLARED)
     findings = (
         _intra_findings(graph)
-        + _cost_findings(table)
-        + _coverage_findings(table, entries)
+        + exceeds_findings(table, RULE_COST_EXCEEDS, _COST_EXCEEDS)
+        + coverage
         + _protocol_findings(graph, protocols, entries)
     )
     findings, verified = split_controls(

@@ -9,10 +9,10 @@ inode has an open, uncommitted record: the journal commit must be
 durable before dependent data is.
 
 The dynamic checks here are cross-checked statically by the o1 lint
-pass (:mod:`repro.lint.flow`) with two rules: ``persist-outside-txn``
-flags call sites of the ``_apply_*`` family in functions that never
-issued a journal commit beforehand, and ``flow-persist-outside-txn``
-flags an apply that no path from its protocol root commits before.
+pass (:mod:`repro.lint.flow`) with two rules, each catching what the
+other misses: ``persist-outside-txn`` flags an ``_apply_*`` call with
+no journal commit earlier in its function, ``flow-persist-outside-txn``
+one that some path from its protocol root reaches before any commit.
 """
 
 from __future__ import annotations

@@ -199,6 +199,28 @@ class TestShapes:
         assert real_findings(result) == []
         assert result.stale_suppressions == []
 
+    @pytest.mark.parametrize("rule,first,second", [
+        ("list-display", "x = [x]", "return [x, x]"),
+        ("cold-call", "x = refill(x)", "return refill(x)"),
+    ], ids=["list-display", "cold-call"])
+    def test_trailing_allow_does_not_excuse_the_next_line(
+        self, tmp_path, rule, first, second
+    ):
+        pkg = make_pkg(tmp_path, {"mod.py": f"""
+            from repro.lint import allocfree
+
+            @allocfree
+            def hot(x):
+                {first}  # alloc: allow({rule}) -- speaks for this line only
+                {second}
+
+            def refill(x):
+                return [i for i in x]
+        """})
+        findings = real_findings(alloc(pkg))
+        assert [f.rule for f in findings] == [RULE_ALLOC_EXCEEDS]
+        assert findings[0].line == 7
+
     def test_dead_allow_is_a_stale_suppression(self, tmp_path):
         pkg = make_pkg(tmp_path, {"mod.py": """
             from repro.lint import allocfree

@@ -8,12 +8,15 @@ two intraprocedural rules the pass runs on every function.
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.lint.astcheck import (
     RULE_PERSIST_OUTSIDE_TXN,
     RULE_RECURSION,
     module_name_for,
 )
 from repro.lint.flow import RULE_CONTROL_MISSING, run_flow
+from repro.lint.protocols import RULE_FLOW_PERSIST, RULE_STALE_TRANSLATION
 from repro.lint.summaries import RULE_COST_EXCEEDS
 
 
@@ -183,6 +186,57 @@ class TestChargeAndRecursion:
         assert findings(result) == []
 
 
+#: (rule, module) pairs: the line above ``# second`` commits the same
+#: violation and carries a trailing allow for ``rule``.
+_TRAILING_ALLOWS = (
+    (
+        RULE_PERSIST_OUTSIDE_TXN,
+        """
+        class Fs:
+            def op(self, record):
+                self._apply_alloc(record)  # o1: allow(persist-outside-txn) -- redo
+                self._apply_free(record)  # second
+        """,
+    ),
+    (
+        RULE_RECURSION,
+        """
+        from repro.lint import o1
+
+        @o1
+        def f(node):
+            left = f(node.left)  # o1: allow(o1-recursion) -- two levels at most
+            return f(node.right)  # second
+        """,
+    ),
+    (
+        RULE_STALE_TRANSLATION,
+        """
+        class PageTable:
+            def unmap(self, va):
+                return va
+
+        class Syscalls:
+            def __init__(self, pt: PageTable) -> None:
+                self._pt = pt
+
+            def munmap(self, va):
+                self._pt.unmap(va)  # o1: allow(flow-stale-translation) -- fresh hole
+                self._pt.unmap(va + 1)  # second
+                return 0
+        """,
+    ),
+    (
+        RULE_FLOW_PERSIST,
+        """
+        def op(fs):
+            fs._apply_alloc(None)  # o1: allow(persist-outside-txn, flow-persist-outside-txn) -- redo
+            fs._apply_free(None)  # second
+        """,
+    ),
+)
+
+
 class TestInlineAllows:
     def test_allow_on_flagged_line(self, tmp_path):
         result = lint(
@@ -246,6 +300,21 @@ class TestInlineAllows:
         assert rules(result) == [RULE_COST_EXCEEDS]
         (stale,) = result.stale_suppressions
         assert stale.rules == (RULE_RECURSION,)
+
+    @pytest.mark.parametrize(
+        "rule,source", _TRAILING_ALLOWS, ids=[rule for rule, _ in _TRAILING_ALLOWS]
+    )
+    def test_trailing_allow_does_not_excuse_the_next_line(self, tmp_path, rule, source):
+        """An allow after code speaks for its own line only; the same
+        violation on the line below stays a finding."""
+        source = textwrap.dedent(source)
+        (second,) = [
+            number
+            for number, text in enumerate(source.splitlines(), start=1)
+            if text.rstrip().endswith("# second")
+        ]
+        result = lint(tmp_path, source)
+        assert (rule, second) in {(f.rule, f.line) for f in findings(result)}
 
 
 class TestTreeAndBaseline:

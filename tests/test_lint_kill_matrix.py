@@ -5,7 +5,7 @@ stop, planted in its own module of one throwaway package.  The matrix
 records, per mutant, the exact set of rules whose findings name the
 function where the bug surfaces.  A rule that no row needs catches
 nothing unique; a row whose set comes up empty is a bug the gate lets
-through.  The two controls at the bottom are clean code that must stay
+through.  The controls at the bottom are clean code that must stay
 unflagged.
 """
 
@@ -14,6 +14,23 @@ import textwrap
 import pytest
 
 from repro.lint.flow import run_flow
+
+#: A syscall layer over a page table and a TLB; ``body`` is munmap's.
+_SYSCALLS = """
+class PageTable:
+    def unmap(self, va):
+        return va
+
+class Tlb:
+    def flush_all(self):
+        return 0
+
+class Syscalls:
+    def __init__(self, pt: PageTable, tlb: Tlb) -> None:
+        self._pt = pt
+        self._tlb = tlb
+
+    def munmap(self, va, quick):{body}"""
 
 #: (mutant, module source, function the finding lands on, rules).
 MATRIX = (
@@ -142,6 +159,36 @@ MATRIX = (
                 self._apply_alloc(record)
         """,
         "Fs.op",
+        {"persist-outside-txn", "flow-persist-outside-txn"},
+    ),
+    (
+        "apply_after_branch_that_may_commit",
+        """
+        class Fs:
+            def op(self, record):
+                if record.dirty:
+                    self._journal_commit(record)
+                self._apply_alloc(record)
+        """,
+        "Fs.op",
+        {"flow-persist-outside-txn"},
+    ),
+    (
+        # Both persist rules stay: only the intra rule sees an apply
+        # that precedes its own function's commit when every caller
+        # has already committed something else.
+        "apply_before_own_commit_in_callee",
+        """
+        class Fs:
+            def _helper(self, record):
+                self._apply_alloc(record)
+                self._journal_commit(record)
+
+            def op(self, first, second):
+                self._journal_commit(first)
+                self._helper(second)
+        """,
+        "Fs._helper",
         {"persist-outside-txn"},
     ),
     (
@@ -155,6 +202,20 @@ MATRIX = (
         """,
         "op",
         {"flow-persist-outside-txn"},
+    ),
+    (
+        "invalidate_skipped_by_early_return",
+        _SYSCALLS.format(
+            body="""
+                self._pt.unmap(va)
+                if quick:
+                    return 0
+                self._tlb.flush_all()
+                return 0
+            """
+        ),
+        "Syscalls.munmap",
+        {"flow-stale-translation"},
     ),
     (
         "control_constant_loop_in_o1",
@@ -180,6 +241,19 @@ MATRIX = (
                 self._apply_alloc(record)
         """,
         "Fs.op",
+        set(),
+    ),
+    (
+        "control_guarded_invalidate",
+        _SYSCALLS.format(
+            body="""
+                self._pt.unmap(va)
+                if quick is not None:
+                    self._tlb.flush_all()
+                return 0
+            """
+        ),
+        "Syscalls.munmap",
         set(),
     ),
 )

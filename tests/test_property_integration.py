@@ -188,7 +188,7 @@ class TestChaosProperties:
         sys = kernel.syscalls(process)
         live_maps = []  # (va, size)
         regions = []
-        for _ in range(data.draw(st.integers(2, 12))):
+        for step in range(data.draw(st.integers(2, 12))):
             action = data.draw(
                 st.sampled_from(
                     ["create", "mmap", "touch", "pwrite", "munmap",
@@ -237,7 +237,9 @@ class TestChaosProperties:
                         process,
                         pages * PAGE_SIZE,
                         strategy=strategy,
-                        name=f"/r{len(regions)}",
+                        # Unique per step: after a release, a name
+                        # counted from the live regions can be taken.
+                        name=f"/r{step}",
                     )
                 )
             elif action == "release" and regions:
