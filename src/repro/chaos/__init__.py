@@ -1,13 +1,13 @@
 """Deterministic fault injection (`repro.chaos`).
 
-The chaos engine generalizes PMFS's private crash ticks into named,
-kernel-wide fault sites.  A :class:`FaultPlan` — explicit schedule or
-seeded RNG — is armed on a machine with ``kernel.arm_chaos(plan)``, which
-stores it in the registry's one ``counters.chaos`` slot; the instrumented
-hot paths read that attribute, so unarmed machines pay one attribute
-read per site.  :func:`~repro.chaos.explore.explore` turns the
-plan's hit census into exhaustive crash-at-any-point coverage with
-recovery oracles.
+The chaos engine injects faults at named, kernel-wide fault sites, and
+is the simulator's only crash injector.  A :class:`FaultPlan` — explicit
+schedule or seeded RNG — is armed on a machine with
+``kernel.arm_chaos(plan)``, which stores it in the registry's one
+``counters.chaos`` slot; the instrumented hot paths read that
+attribute, so unarmed machines pay one attribute read per site.
+:func:`~repro.chaos.explore.explore` turns the plan's hit census into
+exhaustive crash-at-any-point coverage with recovery oracles.
 
 Import layout: :class:`FaultPlan`/:class:`FaultSpec` and the site
 registry are import-light and exported eagerly; ``explore``, ``oracles``

@@ -36,7 +36,9 @@ ACTIONS: FrozenSet[str] = frozenset({"crash", "error", "torn", "corrupt"})
 #: site -> extra (non-crash) actions it supports.  ``crash`` is valid at
 #: every site and therefore implied.
 SITE_ACTIONS: Dict[str, FrozenSet[str]] = {
-    # PMFS durable metadata steps (journal undo/redo protocol)
+    # PMFS durable metadata steps (journal undo/redo protocol); the
+    # extent site is hit before each extent is taken, every piece of a
+    # fragmented allocation included
     "pmfs.journal.begin": frozenset(),
     "pmfs.extent.alloc": frozenset({"error"}),
     "pmfs.journal.commit.pre": frozenset({"corrupt"}),

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import FileSystemError, NoSpaceError, SimulatedCrashError
+from repro.errors import FileSystemError, NoSpaceError
 from repro.fs.extent import Extent, ExtentTree
 from repro.fs.vfs import FileSystem, Inode
 from repro.hw.clock import SimClock
@@ -89,17 +89,23 @@ class BlockAllocator:
                 f"(align {align_frames}) in {self._region.name or 'nvm'}: "
                 f"{self.free_blocks} free but fragmented"
             )
+        return Extent(logical=0, pfn=self._take_run(start, nblocks), count=nblocks)
+
+    def _take_run(self, start: int, nblocks: int) -> int:
+        """Mark ``nblocks`` clear blocks from bitmap index ``start``
+        allocated, tell the armed ledgers, and return the first pfn."""
         self._bitmap.set_range(start, nblocks)
         self._hint = start + nblocks
+        pfn = self._region.first_pfn + start
         san = self._counters.sanitize
         if san is not None:
-            san.on_nvm_alloc(self, self._region.first_pfn + start, nblocks)
+            san.on_nvm_alloc(self, pfn, nblocks)
         qos = self._counters.qos
         if qos is not None:
             # PMFS block charging: billed to the calling tenant's cgroup
             # (an informational side ledger; no watermark actions).
             qos.on_nvm_alloc(nblocks)
-        return Extent(logical=0, pfn=self._region.first_pfn + start, count=nblocks)
+        return pfn
 
     @complexity("n", note="next-fit bitmap scan for an aligned run")
     def _find_aligned_run(self, nblocks: int, align_frames: int) -> Optional[int]:
@@ -125,13 +131,25 @@ class BlockAllocator:
         return None
 
     @complexity("n", note="few extents when contiguity exists; the scan is the fragmentation fallback")
-    def alloc_best_effort(self, nblocks: int) -> List[Extent]:
+    def alloc_best_effort(self, nblocks: int, into: List[Extent], logical: int) -> None:
         """Allocate ``nblocks`` as few extents as possible (fragmentation
-        fallback): repeatedly grab the largest run available."""
-        extents: List[Extent] = []
+        fallback): repeatedly grab the largest run available.
+
+        Each piece is appended to ``into`` (a journal record's extent
+        list), at file block ``logical`` onward, as soon as it is taken,
+        and ``pmfs.extent.alloc`` is hit before each piece: a crash
+        between pieces leaves every taken block on the record for undo.
+        Out of space, or on an injected error, the pieces taken here are
+        freed and removed from ``into`` again, so the record has nothing
+        left to undo.
+        """
+        first = len(into)
         remaining = nblocks
         while remaining > 0:
-            run = remaining
+            chaos = self._counters.chaos
+            injected = chaos is not None and chaos.hit("pmfs.extent.alloc") == "error"
+            # An injected error fails the allocation as exhaustion does.
+            run = 0 if injected else remaining
             start = None
             # o1: allow(flow-bounded) -- run halves each probe, a log-bounded search
             while run > 0:
@@ -142,8 +160,9 @@ class BlockAllocator:
                 run //= 2
             if start is None or run == 0:
                 # o1: allow(flow-bounded) -- error-path rollback of the few extents grabbed
-                for extent in extents:
+                for extent in into[first:]:
                     self.free_extent(extent)
+                del into[first:]
                 raise NoSpaceError(
                     f"cannot allocate {nblocks} blocks even fragmented"
                 )
@@ -151,16 +170,9 @@ class BlockAllocator:
                 self._costs.extent_alloc_ns + self._costs.bitmap_run_ns
             )
             self._counters.bump("extent_alloc")
-            self._bitmap.set_range(start, run)
-            self._hint = start + run
-            san = self._counters.sanitize
-            if san is not None:
-                san.on_nvm_alloc(self, self._region.first_pfn + start, run)
-            extents.append(
-                Extent(logical=0, pfn=self._region.first_pfn + start, count=run)
-            )
+            into.append(Extent(logical=logical, pfn=self._take_run(start, run), count=run))
+            logical += run
             remaining -= run
-        return extents
 
     @o1(note="one bitmap test")
     def block_is_free(self, pfn: int) -> bool:
@@ -291,9 +303,6 @@ class Pmfs(FileSystem):
         #: Undo/redo journal records (they live in NVM, so they survive
         #: crashes and drive :meth:`crash` recovery).
         self.journal: List[JournalRecord] = []
-        #: Crash-injection countdown: raises SimulatedCrashError when a
-        #: journal tick point is reached with the counter at zero.
-        self._crash_countdown: Optional[int] = None
         #: ``callback(ino, first_pfn, count)`` hooks run whenever file
         #: extents stop being valid (free, shrink, migration) so shared
         #: translation caches can drop entries for the vacated media.
@@ -318,42 +327,6 @@ class Pmfs(FileSystem):
     # ------------------------------------------------------------------
     # Journal — undo log for allocations, redo log for frees
     # ------------------------------------------------------------------
-    def schedule_crash(self, ticks: int) -> None:
-        """Inject a power failure ``ticks`` journal steps from now.
-
-        Tick points sit between every durable metadata step, so tests can
-        crash the file system in every interesting window and verify
-        recovery.  The countdown decrements *at* each tick point and the
-        crash fires when a tick point is reached with the counter already
-        at zero — so for a one-extent allocation:
-
-        * ``ticks=0`` fires **after** the first extent is allocated from
-          the bitmap and recorded in the (uncommitted) journal entry —
-          i.e. after the first journaled write, not before it (the
-          pre-first-write window has no tick point; nothing durable has
-          happened yet, so there is nothing to recover);
-        * ``ticks=1`` fires at commit-pre: all extents recorded,
-          ``committed`` still False (undo window);
-        * ``ticks=2`` fires at commit-post: committed but not applied
-          (redo window).
-
-        A multi-extent allocation inserts one extra tick per additional
-        extent between 0 and commit-pre.  ``tests/test_fs_pmfs_crash.py::
-        TestTickSemantics`` nails this mapping down.  For kernel-wide,
-        named injection points prefer :mod:`repro.chaos`.
-        """
-        if ticks < 0:
-            raise ValueError(f"ticks must be >= 0, got {ticks}")
-        self._crash_countdown = ticks
-
-    def _tick(self) -> None:
-        if self._crash_countdown is None:
-            return
-        if self._crash_countdown == 0:
-            self._crash_countdown = None
-            raise SimulatedCrashError(f"{self.name}: injected power failure")
-        self._crash_countdown -= 1
-
     def _journal_begin(self, op: str, ino: int) -> "JournalRecord":
         self._clock.advance(self._costs.journal_record_ns)
         self._counters.bump("journal_record")
@@ -368,7 +341,6 @@ class Pmfs(FileSystem):
         return record
 
     def _journal_commit(self, record: "JournalRecord") -> None:
-        self._tick()
         chaos = self._counters.chaos
         if chaos is not None and chaos.hit("pmfs.journal.commit.pre") == "corrupt":
             # The commit write is torn: the record is unreadable and the
@@ -388,7 +360,6 @@ class Pmfs(FileSystem):
         san = self._counters.sanitize
         if san is not None:
             san.on_journal_commit(self, record)
-        self._tick()
         if chaos is not None:
             chaos.hit("pmfs.journal.commit.post")
 
@@ -410,23 +381,25 @@ class Pmfs(FileSystem):
         """Grow a file by ``nblocks``, crash-safely.
 
         Protocol: journal-begin, allocate extents from the bitmap (each
-        recorded in the journal entry *after* it is durably allocated),
+        recorded in the journal entry as soon as it is taken, so a crash
+        between the pieces of a fragmented allocation undoes every one),
         commit, then apply (insert into the extent tree).  A crash before
         commit is undone (bitmap frees); after commit it is redone (tree
         inserts) — see :meth:`crash`.
         """
-        tree = self._tree_of(inode)
-        logical = tree.block_count
+        logical = self._tree_of(inode).block_count
         record = self._journal_begin("alloc", inode.ino)
         try:
             extent = self.allocator.alloc_extent(
                 nblocks, align_frames=self.extent_align_frames
             )
-            pieces = [extent]
+            record.extents.append(
+                Extent(logical=logical, pfn=extent.pfn, count=extent.count)
+            )
         except NoSpaceError:
             try:
                 # o1: allow(flow-bounded) -- pieces only under fragmentation; one extent in the common case
-                pieces = self.allocator.alloc_best_effort(nblocks)
+                self.allocator.alloc_best_effort(nblocks, record.extents, logical)
             except NoSpaceError:
                 san = self._counters.sanitize
                 if san is not None:
@@ -434,15 +407,8 @@ class Pmfs(FileSystem):
                     # epoch so later writes to this inode aren't blamed.
                     san.on_journal_abort(self, record)
                 raise
-        # o1: allow(flow-bounded) -- one piece in the common case; more only under fragmentation
-        for piece in pieces:
-            record.extents.append(
-                Extent(logical=logical, pfn=piece.pfn, count=piece.count)
-            )
-            logical += piece.count
-            self._tick()
         self._journal_commit(record)
-        # o1: allow(flow-bounded) -- one tree insert per piece, as above
+        # o1: allow(flow-bounded) -- one tree insert per piece; one piece in the common case
         self._apply_alloc(record)
 
     @complexity("n", note="one tree insert per journaled extent")
@@ -574,7 +540,6 @@ class Pmfs(FileSystem):
         record = self._journal_begin("alloc", badblock_inode.ino)
         self.allocator.claim_block(pfn)
         record.extents.append(Extent(logical=next_logical, pfn=pfn, count=1))
-        self._tick()
         self._journal_commit(record)
         # o1: allow(flow-bounded) -- the record holds one single-block extent
         self._apply_alloc(record)
@@ -619,7 +584,6 @@ class Pmfs(FileSystem):
             raise
         record.extents.append(Extent(logical=logical, pfn=new.pfn, count=1))
         record.migrate_from = Extent(logical=logical, pfn=bad_pfn, count=1)
-        self._tick()
         # Copy the data off the failing media before commit: if power
         # dies here, undo releases the new block and the old data — still
         # the only durable copy — is untouched.
@@ -727,7 +691,6 @@ class Pmfs(FileSystem):
         frees any blocks they leaked, so replay stays idempotent even
         under journal corruption.  After recovery, :func:`fsck` holds.
         """
-        self._crash_countdown = None
         san = self._counters.sanitize
         if san is not None:
             # Power was lost: volatile shadow state (translations, open

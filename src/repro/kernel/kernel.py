@@ -65,7 +65,6 @@ class MachineConfig:
     #: Install a range TLB + range-table support (the paper's proposed
     #: hardware, §3.2/§4.3).
     range_hardware: bool = False
-    range_tlb_entries: int = 32
     #: Align PMFS extents to this many frames (512 = 2 MiB) so file-only
     #: memory can use huge mappings / linked subtrees.
     pmfs_extent_align_frames: int = 1
@@ -74,8 +73,6 @@ class MachineConfig:
     #: Pre-zeroed pool target (frames); 0 = no pool (baseline zeroes
     #: on allocation).
     zeropool_frames: int = 0
-    #: Buddy max order; 18 allows 1 GiB contiguous DRAM blocks.
-    buddy_max_order: int = 18
     #: Cores in the machine; invalidations broadcast IPIs to cpus - 1
     #: remote cores (one simulated core executes, the rest cost).
     cpus: int = 1
@@ -136,7 +133,7 @@ class Kernel:
             self.clock, self.costs, self.counters, tech_of=self.physmem.tech_of
         )
         self.tlb = Tlb()
-        self.rtlb = RangeTlb(cfg.range_tlb_entries) if cfg.range_hardware else None
+        self.rtlb = RangeTlb(32) if cfg.range_hardware else None
         self.cpu = Cpu(
             self.clock, self.costs, self.counters, self.cache, self.tlb, self.rtlb
         )
@@ -152,9 +149,10 @@ class Kernel:
         )
 
         # --- allocators & metadata -------------------------------------------
+        # Max order 18 allows 1 GiB contiguous DRAM blocks.
         self.dram_buddy = BuddyAllocator(
             self.dram_region,
-            max_order=cfg.buddy_max_order,
+            max_order=18,
             clock=self.clock,
             costs=self.costs,
             counters=self.counters,
@@ -343,21 +341,9 @@ class Kernel:
             child_vma, cow = self._fork_clone_vma(child, vma)
             # Copy resident translations, downgrading COW pages.
             # o1: allow(flow-bounded) -- the VMAs partition the declared n leaves
-            leaves = list(self._leaves_in_range(parent.space, vma.start, vma.end))
-            # o1: allow(flow-bounded) -- the VMAs partition the declared n leaves
-            for page_va, pte in leaves:
-                self.clock.advance(self.costs.fork_page_copy_ns)
-                page_index = vma.backing_page(page_va)
-                child_pfn = child_vma.private_copies.get(page_index, pte.pfn)
-                writable = pte.writable and not cow
-                child.space.page_table.map(
-                    page_va, child_pfn, page_size=pte.page_size,
-                    writable=writable,
-                )
-                if cow and pte.writable:
-                    parent.space.page_table.protect(
-                        page_va, writable=False, page_size=pte.page_size
-                    )
+            self._fork_copy_window(
+                parent, child, {id(vma): child_vma}, vma.start, vma.end
+            )
             if cow:
                 self.cpu.invalidate_space_range(
                     vma.start, vma.length, asid=parent.space.asid
@@ -440,16 +426,20 @@ class Kernel:
         self._fork_finish(parent, child)
         return child
 
-    @complexity("n", note="per-leaf copy of one unshareable window")
+    @complexity("n", note="per-leaf copy of one range of the parent's leaves")
     def _fork_copy_window(
         self, parent: Process, child: Process, child_vmas: dict,
         window_va: int, window_end: int,
     ) -> None:
-        """Eager per-leaf copy of one window that cannot be share-linked.
+        """Eager per-leaf copy of ``[window_va, window_end)``.
 
-        Used for windows whose leaves include pre-fork private COW
-        copies: the child owns duplicate frames there, so a by-reference
-        subtree share would leave it translating the parent's copies.
+        Maps each resident leaf into the child (its own duplicate where
+        the VMA holds a pre-fork private copy) and write-protects COW
+        leaves in the parent.  ``child_vmas`` maps ``id(parent_vma)`` to
+        the child's clone.  Eager fork copies each VMA this way; COW fork
+        copies the windows whose leaves include pre-fork private copies,
+        where a by-reference subtree share would leave the child
+        translating the parent's copies.
         """
         parent_pt = parent.space.page_table
         child_pt = child.space.page_table

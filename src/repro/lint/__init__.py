@@ -12,8 +12,8 @@ finding.
   decorators hot paths use to *declare* their simulated-cost class, and
   the :func:`allocfree` / :func:`allocbound` decorators that declare the
   orthogonal wall-clock contract (how many Python-level allocations a
-  call may perform).  Declaring is free at runtime (attributes set at
-  import time, no wrapper).
+  call may perform).  Declaring is free at runtime: each decorator
+  returns its function unchanged.
 * :mod:`repro.lint.flow` (with :mod:`repro.lint.callgraph`,
   :mod:`repro.lint.summaries`, :mod:`repro.lint.protocols`,
   :mod:`repro.lint.astcheck`, :mod:`repro.lint.controls`) — the o1
@@ -60,27 +60,19 @@ dependency-free to avoid import cycles.
 from repro.lint.decorators import (
     AllocDeclaration,
     ComplexityClass,
-    Declaration,
     allocbound,
     allocfree,
     complexity,
-    declared_alloc,
-    declared_complexity,
     iter_alloc_declarations,
-    iter_declarations,
     o1,
 )
 
 __all__ = [
     "AllocDeclaration",
     "ComplexityClass",
-    "Declaration",
     "allocbound",
     "allocfree",
     "complexity",
-    "declared_alloc",
-    "declared_complexity",
     "iter_alloc_declarations",
-    "iter_declarations",
     "o1",
 ]

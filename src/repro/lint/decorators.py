@@ -11,11 +11,12 @@ consumes).  ``@allocfree`` / ``@allocbound(n)`` bound how many
 :mod:`repro.lint.allocfit` cross-checks under ``tracemalloc``.
 
 Both the AST linters and the empirical checkers enforce the contracts;
-the decorators themselves do no work at call time — they set attributes
-on the function object at import time and record the declaration in a
-module-level registry, so decorating a hot path costs nothing on the hot
-path (an O(1) checker must itself be O(1), and an allocation checker
-must itself be allocation-free per call).
+the static passes read the decorators from the source, so each one
+returns its function unchanged.  Decorating a hot path costs nothing on
+the hot path (an O(1) checker must itself be O(1), and an allocation
+checker must itself be allocation-free per call).  The allocation
+contracts are also recorded in a module-level registry at import time,
+which :mod:`repro.lint.allocfit` reads.
 """
 
 from __future__ import annotations
@@ -25,14 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, TypeVar, overload
 
 F = TypeVar("F", bound=Callable[..., object])
-
-#: Attribute names set on declared functions; the AST linter matches the
-#: decorators syntactically, these exist for runtime introspection.
-ATTR_CLASS = "__complexity__"
-ATTR_NOTE = "__complexity_note__"
-#: Allocation-contract attributes (``@allocfree`` / ``@allocbound``).
-ATTR_ALLOC = "__alloc_bound__"
-ATTR_ALLOC_NOTE = "__alloc_note__"
 
 
 class ComplexityClass(enum.Enum):
@@ -95,39 +88,6 @@ _ALIASES: Dict[str, ComplexityClass] = {
 }
 
 
-@dataclass(frozen=True)
-class Declaration:
-    """One recorded complexity declaration."""
-
-    module: str
-    qualname: str
-    declared: ComplexityClass
-    note: str = ""
-
-    @property
-    def function(self) -> str:
-        """Fully qualified dotted name (``module.qualname``)."""
-        return f"{self.module}.{self.qualname}"
-
-
-#: Import-order registry of every declaration seen this process.
-_REGISTRY: List[Declaration] = []
-
-
-def _declare(func: F, declared: ComplexityClass, note: str) -> F:
-    setattr(func, ATTR_CLASS, declared)
-    setattr(func, ATTR_NOTE, note)
-    _REGISTRY.append(
-        Declaration(
-            module=func.__module__,
-            qualname=func.__qualname__,
-            declared=declared,
-            note=note,
-        )
-    )
-    return func
-
-
 @overload
 def o1(func: F) -> F: ...
 
@@ -144,10 +104,10 @@ def o1(
     Usable bare (``@o1``) or with a note (``@o1(note="per extent")``).
     """
     if func is not None:
-        return _declare(func, ComplexityClass.CONSTANT, note)
+        return func
 
     def wrap(inner: F) -> F:
-        return _declare(inner, ComplexityClass.CONSTANT, note)
+        return inner
 
     return wrap
 
@@ -158,23 +118,12 @@ def complexity(klass: str, *, note: str = "") -> Callable[[F], F]:
     The class string is parsed eagerly so a typo fails at import time,
     not lint time.
     """
-    parsed = ComplexityClass.parse(klass)
+    ComplexityClass.parse(klass)
 
     def wrap(func: F) -> F:
-        return _declare(func, parsed, note)
+        return func
 
     return wrap
-
-
-def declared_complexity(func: object) -> Optional[ComplexityClass]:
-    """The declared class of ``func``, or None if undeclared."""
-    value = getattr(func, ATTR_CLASS, None)
-    return value if isinstance(value, ComplexityClass) else None
-
-
-def iter_declarations() -> Iterator[Declaration]:
-    """Every declaration registered by modules imported so far."""
-    return iter(list(_REGISTRY))
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +159,6 @@ _ALLOC_REGISTRY: List[AllocDeclaration] = []
 
 
 def _declare_alloc(func: F, bound: int, note: str) -> F:
-    setattr(func, ATTR_ALLOC, bound)
-    setattr(func, ATTR_ALLOC_NOTE, note)
     _ALLOC_REGISTRY.append(
         AllocDeclaration(
             module=func.__module__,
@@ -263,19 +210,6 @@ def allocbound(n: int = -1, *, note: str = "") -> Callable[[F], F]:
         return _declare_alloc(func, n, note)
 
     return wrap
-
-
-def declared_alloc(func: object) -> Optional[AllocDeclaration]:
-    """The allocation contract of ``func``, or None if undeclared."""
-    bound = getattr(func, ATTR_ALLOC, None)
-    if not isinstance(bound, int) or isinstance(bound, bool):
-        return None
-    return AllocDeclaration(
-        module=getattr(func, "__module__", "?"),
-        qualname=getattr(func, "__qualname__", "?"),
-        bound=bound,
-        note=str(getattr(func, ATTR_ALLOC_NOTE, "")),
-    )
 
 
 def iter_alloc_declarations() -> Iterator[AllocDeclaration]:

@@ -6,10 +6,12 @@ Shadow state, per allocator:
   blocks (``pfn -> order``), lazily seeded from the allocator's own
   ledger at the first armed event so allocations made before arming
   (e.g. the zero pool refilled inside ``Kernel.__init__``) are known.
-* **NVM (PMFS block allocator)** — event-based: the sets of blocks
-  allocated and freed *since arming*.  The bitmap's pre-arm contents
-  are unknown and stay unjudged; a block freed twice since arming is a
-  double free regardless.
+* **NVM (PMFS block allocator)** — event-based: the blocks allocated
+  and freed *since arming*, as two bitsets (Python ints, bit = block
+  pfn - the region's first pfn), so an extent of any size updates each
+  with one mask.  The bitmap's pre-arm contents are unknown and stay
+  unjudged; a block freed twice since arming is a double free
+  regardless.
 * **Taint** — frames whose contents are not zero (crypto-erased or
   returned dirty).  The zero pool's fast path must only ever hand out
   frames that were zeroed since they were last dirtied.
@@ -39,10 +41,10 @@ class FrameSan:
         self._dram: Dict[int, Dict[int, int]] = {}
         #: id(buddy) -> (first_pfn, frame_count, max_order) for UAF lookup.
         self._dram_regions: Dict[int, Tuple[int, int, int]] = {}
-        #: id(nvm allocator) -> set of blocks allocated since arming.
-        self._nvm_allocated: Dict[int, Set[int]] = {}
-        #: id(nvm allocator) -> set of blocks freed (and not re-allocated).
-        self._nvm_freed: Dict[int, Set[int]] = {}
+        #: id(nvm allocator) -> bitset of blocks allocated since arming.
+        self._nvm_allocated: Dict[int, int] = {}
+        #: id(nvm allocator) -> bitset of blocks freed (and not re-allocated).
+        self._nvm_freed: Dict[int, int] = {}
         #: id(nvm allocator) -> (first_pfn, block_count) for UAF lookup.
         self._nvm_regions: Dict[int, Tuple[int, int]] = {}
         #: 4 KiB frames whose contents are known non-zero.
@@ -126,21 +128,23 @@ class FrameSan:
     # ------------------------------------------------------------------
     # NVM block ledger
     # ------------------------------------------------------------------
-    def _nvm_sets(self, allocator: Any) -> Tuple[Set[int], Set[int]]:
+    def _nvm_mask(self, allocator: Any, first_block: int, block_count: int) -> Tuple[int, int]:
+        """The ledger key of ``allocator`` and the bitset of its blocks
+        ``[first_block, first_block + block_count)``."""
         key = id(allocator)
-        allocated = self._nvm_allocated.get(key)
-        if allocated is None:
-            allocated = set()
-            self._nvm_allocated[key] = allocated
-            self._nvm_freed[key] = set()
-            region = allocator._region
-            self._nvm_regions[key] = (region.first_pfn, region.frame_count)
-        return allocated, self._nvm_freed[key]
+        region = self._nvm_regions.get(key)
+        if region is None:
+            region = (allocator._region.first_pfn, allocator._region.frame_count)
+            self._nvm_regions[key] = region
+            self._nvm_allocated[key] = 0
+            self._nvm_freed[key] = 0
+        return key, ((1 << block_count) - 1) << (first_block - region[0])
 
-    @complexity("n", note="one ledger update per block of the extent")
+    @o1(note="one mask per ledger bitset; probes the retired set, not the extent")
     def on_nvm_alloc(self, allocator: Any, first_block: int, block_count: int) -> None:
         """PMFS allocated an extent of blocks."""
         end = first_block + block_count
+        # o1: allow(flow-bounded) -- the retired set holds the few frames RAS pulled, not operand data
         if any(first_block <= retired < end for retired in self._retired):
             self._report(
                 "retired-frame-realloc",
@@ -148,28 +152,32 @@ class FrameSan:
                 "permanently retired block",
                 {"pfn": first_block, "count": block_count},
             )
-        allocated, freed = self._nvm_sets(allocator)
-        for block in range(first_block, first_block + block_count):
-            freed.discard(block)
-            allocated.add(block)
+        key, mask = self._nvm_mask(allocator, first_block, block_count)
+        self._nvm_freed[key] &= ~mask
+        self._nvm_allocated[key] |= mask
 
-    @complexity("n", note="one ledger update per block of the extent")
+    @o1(note="one mask per ledger bitset")
     def on_nvm_free(
         self, allocator: Any, first_block: int, block_count: int, check: bool
     ) -> None:
         """PMFS freed an extent.  ``check=False`` for fsck scrubbing."""
-        allocated, freed = self._nvm_sets(allocator)
-        for block in range(first_block, first_block + block_count):
-            if check and block in freed:
-                self._report(
-                    "double-free",
-                    f"NVM block {block:#x} freed twice (second free without "
-                    "an intervening allocation)",
-                    {"pfn": block},
-                )
-                return
-            allocated.discard(block)
-            freed.add(block)
+        key, mask = self._nvm_mask(allocator, first_block, block_count)
+        refreed = self._nvm_freed[key] & mask if check else 0
+        # A double free stops the extent at its lowest re-freed block:
+        # the blocks below it are freed, that one is reported.
+        lowest = refreed & -refreed
+        if lowest:
+            mask &= lowest - 1
+        self._nvm_allocated[key] &= ~mask
+        self._nvm_freed[key] |= mask
+        if lowest:
+            block = self._nvm_regions[key][0] + lowest.bit_length() - 1
+            self._report(
+                "double-free",
+                f"NVM block {block:#x} freed twice (second free without "
+                "an intervening allocation)",
+                {"pfn": block},
+            )
 
     # ------------------------------------------------------------------
     # Use-after-free at access time
@@ -200,7 +208,7 @@ class FrameSan:
         # o1: allow(flow-bounded) -- region list is machine topology, a config constant
         for key, (first, count) in self._nvm_regions.items():
             if first <= frame < first + count:
-                if frame in self._nvm_freed.get(key, set()):
+                if self._nvm_freed[key] >> (frame - first) & 1:
                     self._report(
                         "use-after-free",
                         f"data access at pa {paddr:#x} landed in freed NVM "
@@ -223,10 +231,9 @@ class FrameSan:
     def on_nvm_retired(self, allocator: Any, first_block: int, block_count: int) -> None:
         """RAS retired NVM blocks (badblock adoption or migration): the
         bitmap keeps them allocated forever; mark them unusable."""
-        allocated, _freed = self._nvm_sets(allocator)
-        for block in range(first_block, first_block + block_count):
-            allocated.add(block)
-            self._retired.add(block)
+        key, mask = self._nvm_mask(allocator, first_block, block_count)
+        self._nvm_allocated[key] |= mask
+        self._retired.update(range(first_block, first_block + block_count))
 
     # ------------------------------------------------------------------
     # Zeroing taint
@@ -257,7 +264,7 @@ class FrameSan:
         return {
             "dram_blocks_outstanding": sum(len(lg) for lg in self._dram.values()),
             "nvm_blocks_outstanding_since_arming": sum(
-                len(s) for s in self._nvm_allocated.values()
+                bin(bits).count("1") for bits in self._nvm_allocated.values()
             ),
             "tainted_frames": len(self._tainted),
             "retired_frames": len(self._retired),

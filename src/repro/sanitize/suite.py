@@ -182,7 +182,6 @@ class SanitizerSuite:
     def on_nvm_alloc(self, allocator: Any, first_block: int, block_count: int) -> None:
         """The PMFS block allocator carved out an extent."""
         if self._frame is not None:
-            # o1: allow(flow-bounded) -- shadow ledger walk; audit work is off the charged path
             self._frame.on_nvm_alloc(allocator, first_block, block_count)
 
     @o1(note="clock-neutral shadow audit, compiled out when unarmed")
@@ -201,7 +200,6 @@ class SanitizerSuite:
         """
         if self._frame is not None:
             self._count("nvm_free")
-            # o1: allow(flow-bounded) -- shadow ledger walk; audit work is off the charged path
             self._frame.on_nvm_free(allocator, first_block, block_count, check)
         if self._trans is not None and check:
             # o1: allow(flow-bounded) -- dangling-translation audit; off the charged path

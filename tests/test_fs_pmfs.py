@@ -51,9 +51,14 @@ class TestBlockAllocator:
         held = [alloc.alloc_extent(1) for _ in range(3)]
         # Interleave frees to fragment.
         alloc.free_extent(held[1])
-        pieces = alloc.alloc_best_effort(alloc.free_blocks)
+        pieces = []
+        alloc.alloc_best_effort(alloc.free_blocks, pieces, logical=7)
         assert sum(piece.count for piece in pieces) > 0
         assert alloc.free_blocks == 0
+        # Pieces carry consecutive file blocks from ``logical`` on.
+        assert pieces[0].logical == 7
+        for before, after in zip(pieces, pieces[1:]):
+            assert after.logical == before.logical + before.count
 
     def test_charged_per_extent_not_per_block(self, kernel):
         with kernel.measure() as small:

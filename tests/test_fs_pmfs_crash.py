@@ -1,9 +1,10 @@
 """PMFS crash consistency: journal undo/redo under injected failures."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from repro.errors import SimulatedCrashError
+from repro.chaos import FaultPlan, explore
+from repro.errors import NoSpaceError, SimulatedCrashError
 from repro.fs.extent import Extent
 from repro.fs.pmfs import BlockAllocator, Pmfs
 from repro.hw.clock import SimClock
@@ -11,7 +12,7 @@ from repro.hw.costmodel import CostModel, MemoryTechnology
 from repro.kernel import Kernel, MachineConfig
 from repro.mem.physical import MemoryRegion
 from repro.obs.metrics import MetricsRegistry
-from repro.units import GIB, KIB, MIB, PAGE_SIZE
+from repro.units import KIB, MIB, PAGE_SIZE
 
 
 @pytest.fixture
@@ -114,12 +115,35 @@ class TestFsckMatchesPerBlockReference:
         assert fs.fsck() == [problem for problem in reference if problem not in leaked]
 
 
+def _crash_during(kernel, plan, operation, *args):
+    """Run ``operation(*args)`` under ``plan`` and expect the power cut."""
+    kernel.arm_chaos(plan)
+    try:
+        with pytest.raises(SimulatedCrashError):
+            operation(*args)
+    finally:
+        kernel.disarm_chaos()
+
+
+def _fragmented_kernel(blocks, hole):
+    """A machine whose PMFS has ``blocks`` blocks, every other ``hole``
+    of them free: no free run is longer than ``hole``."""
+    kernel = Kernel(MachineConfig(dram_bytes=64 * MIB, nvm_bytes=blocks * PAGE_SIZE))
+    fs = kernel.pmfs
+    for index in range(blocks // hole):
+        fs.create(f"/fill{index}", size=hole * PAGE_SIZE)
+    for index in range(0, blocks // hole, 2):
+        fs.unlink(f"/fill{index}")
+    return kernel
+
+
 class TestInjectedCrashes:
     def test_crash_before_commit_is_undone(self, fs, kernel):
         free_before = fs.allocator.free_blocks
-        fs.schedule_crash(0)  # first tick: after the first extent alloc
-        with pytest.raises(SimulatedCrashError):
-            fs.create("/doomed", size=1 * MIB)
+        _crash_during(
+            kernel, FaultPlan.crash_at_site("pmfs.journal.commit.pre"),
+            fs.create, "/doomed", 1 * MIB,
+        )
         kernel.crash()
         # The allocation rolled back: no leak, fsck clean.
         assert fs.allocator.free_blocks == free_before
@@ -128,45 +152,56 @@ class TestInjectedCrashes:
     def test_crash_after_commit_is_redone(self, fs, kernel):
         fs.create("/pre", size=4 * KIB)  # something in the trees
         inode = fs.lookup("/pre")
-        fs.schedule_crash(2)  # after alloc tick + commit's first tick
-        with pytest.raises(SimulatedCrashError):
-            fs.truncate(inode, 1 * MIB)
+        _crash_during(
+            kernel, FaultPlan.crash_at_site("pmfs.journal.commit.post"),
+            fs.truncate, inode, 1 * MIB,
+        )
         kernel.crash()
         assert fs.fsck() == []
-        # Either fully rolled back or fully applied, never in-between:
-        assert inode.page_count * PAGE_SIZE in (4 * KIB, 4 * KIB)
-        tree_blocks = fs._tree_of(inode).block_count
-        assert tree_blocks in (1, 256)
+        # Committed, so replay finishes the growth: fully applied.
+        assert fs._tree_of(inode).block_count == 256
 
     def test_crash_during_free_keeps_consistency(self, fs, kernel):
         fs.create("/gone", size=1 * MIB)
-        fs.schedule_crash(0)
-        with pytest.raises(SimulatedCrashError):
-            fs.unlink("/gone")
+        free_before = fs.allocator.free_blocks
+        _crash_during(
+            kernel, FaultPlan.crash_at_site("pmfs.journal.commit.pre"),
+            fs.unlink, "/gone",
+        )
         kernel.crash()
         assert fs.fsck() == []
-
-    def test_schedule_validation(self, fs):
-        with pytest.raises(ValueError):
-            fs.schedule_crash(-1)
+        # An uncommitted free changed nothing durable.
+        assert fs.allocator.free_blocks == free_before
 
 
-class TestTickSemantics:
-    """Nail down exactly where each ``schedule_crash`` tick fires.
+class TestCrashWindows:
+    """What each crash point of the journal protocol leaves behind.
 
-    For a single-extent allocation the durable steps are: record the
-    extent in the journal (tick 0), commit-pre (tick 1), commit-post
-    (tick 2).  Tick 0 therefore fires *after* the first journaled write —
-    there is no tick before it, because nothing durable has happened yet.
+    An allocation's durable steps are: take each extent from the bitmap
+    and record it in the journal entry, commit, apply.  ``pmfs.extent.alloc``
+    is hit before each extent is taken, ``pmfs.journal.commit.pre`` once
+    every extent is recorded (undo window) and ``.post`` once the record
+    is committed but not applied (redo window).
     """
 
-    def test_tick0_fires_after_first_journaled_write(self, fs, kernel):
+    def test_crash_after_first_journaled_write_is_commit_pre(self, fs, kernel):
         free_before = fs.allocator.free_blocks
-        fs.schedule_crash(0)
-        with pytest.raises(SimulatedCrashError):
-            fs.create("/f", size=PAGE_SIZE)
-        # The extent was taken from the bitmap and recorded before the
-        # crash fired: the journal holds an uncommitted record with it.
+        # The last crash point before the write: the extent is not taken.
+        _crash_during(
+            kernel, FaultPlan.crash_at_site("pmfs.extent.alloc"),
+            fs.create, "/e", PAGE_SIZE,
+        )
+        assert fs.journal[-1].extents == []
+        assert fs.allocator.free_blocks == free_before
+        kernel.crash()
+        assert fs.allocator.free_blocks == free_before
+        assert fs.fsck() == []
+        # The first crash point after it: the extent was taken from the
+        # bitmap and recorded, and the record is not yet committed.
+        _crash_during(
+            kernel, FaultPlan.crash_at_site("pmfs.journal.commit.pre"),
+            fs.create, "/f", PAGE_SIZE,
+        )
         record = fs.journal[-1]
         assert not record.committed
         assert len(record.extents) == 1
@@ -174,106 +209,101 @@ class TestTickSemantics:
         kernel.crash()
         assert fs.allocator.free_blocks == free_before
 
-    def test_tick1_fires_at_commit_pre(self, fs, kernel):
-        fs.schedule_crash(1)
-        with pytest.raises(SimulatedCrashError):
-            fs.create("/f", size=PAGE_SIZE)
+    def test_crash_at_commit_pre_is_undone(self, fs, kernel):
+        free_before = fs.allocator.free_blocks
+        _crash_during(
+            kernel, FaultPlan.crash_at_site("pmfs.journal.commit.pre"),
+            fs.create, "/f", PAGE_SIZE,
+        )
         record = fs.journal[-1]
         assert not record.committed and not record.applied
         kernel.crash()
+        assert fs.allocator.free_blocks == free_before
         assert fs.fsck() == []
         # Undone: the file's storage never became durable.
         tree = fs._trees.get(fs.lookup("/f").ino)
         assert tree is None or tree.block_count == 0
 
-    def test_tick2_fires_at_commit_post(self, fs, kernel):
-        fs.schedule_crash(2)
-        with pytest.raises(SimulatedCrashError):
-            fs.create("/f", size=PAGE_SIZE)
+    def test_crash_at_commit_post_is_redone(self, fs, kernel):
+        _crash_during(
+            kernel, FaultPlan.crash_at_site("pmfs.journal.commit.post"),
+            fs.create, "/f", PAGE_SIZE,
+        )
         record = fs.journal[-1]
         assert record.committed and not record.applied
         kernel.crash()
         # Redone: the extent landed in the tree despite the crash.
-        assert record.extents[0].count == 1
+        assert fs._tree_of(fs.lookup("/f")).block_count == 1
         assert fs.fsck() == []
 
-    @staticmethod
-    def _fragmented_fs(clock, costs, counters):
-        """A 4-block PMFS whose only free blocks are non-contiguous."""
-        region = MemoryRegion(
-            start=0, size=4 * PAGE_SIZE, tech=MemoryTechnology.NVM, name="nv"
+    def test_crash_between_pieces_undoes_every_piece(self):
+        # Free blocks {0, 2}: a 2-block file takes two 1-block pieces.
+        # Hit 0 of pmfs.extent.alloc is the failed contiguous attempt,
+        # hits 1 and 2 precede the two pieces.
+        kernel = _fragmented_kernel(blocks=4, hole=1)
+        fs = kernel.pmfs
+        _crash_during(
+            kernel, FaultPlan.crash_at_site("pmfs.extent.alloc", nth=2),
+            fs.create, "/big", 2 * PAGE_SIZE,
         )
-        fs = Pmfs(
-            "pmfs-tiny",
-            BlockAllocator(region, clock, costs, counters),
-            clock,
-            costs,
-            counters,
-        )
-        for name in "abcd":
-            fs.create(f"/{name}", size=PAGE_SIZE)
-        fs.unlink("/a")
-        fs.unlink("/c")
-        return fs  # free blocks: {0, 2} — no contiguous pair
-
-    def test_multi_extent_alloc_gets_one_tick_per_extent(
-        self, clock, costs, counters
-    ):
-        # A 2-block allocation over fragmented space takes two 1-block
-        # extents, so the tick map shifts: 0 and 1 land after each extent
-        # record, commit-pre is tick 2, commit-post is tick 3.
-        fs = self._fragmented_fs(clock, costs, counters)
-        fs.schedule_crash(1)
-        with pytest.raises(SimulatedCrashError):
-            fs.create("/big", size=2 * PAGE_SIZE)
         record = fs.journal[-1]
         assert not record.committed
-        assert len(record.extents) == 2
-        fs.crash()
+        assert len(record.extents) == 1  # the first piece, recorded as taken
+        assert fs.allocator.free_blocks == 1
+        kernel.crash()
         assert fs.fsck() == []
         assert fs.allocator.free_blocks == 2
 
-    def test_multi_extent_commit_post_is_final_tick(
-        self, clock, costs, counters
-    ):
-        fs = self._fragmented_fs(clock, costs, counters)
-        fs.schedule_crash(3)
-        with pytest.raises(SimulatedCrashError):
-            fs.create("/big", size=2 * PAGE_SIZE)
+    def test_crash_at_commit_post_of_pieces_is_redone(self):
+        kernel = _fragmented_kernel(blocks=4, hole=1)
+        fs = kernel.pmfs
+        _crash_during(
+            kernel, FaultPlan.crash_at_site("pmfs.journal.commit.post"),
+            fs.create, "/big", 2 * PAGE_SIZE,
+        )
         record = fs.journal[-1]
         assert record.committed and not record.applied
-        fs.crash()
-        assert fs.fsck() == []
-        # Redone: both extents are durable, nothing is free.
-        assert fs.allocator.free_blocks == 0
-
-    @given(
-        crash_tick=st.integers(0, 12),
-        sizes=st.lists(st.integers(1, 64), min_size=1, max_size=5),
-    )
-    @settings(max_examples=40)
-    def test_any_crash_point_recovers_consistent(self, crash_tick, sizes):
-        """Property: crash at *any* journal tick during a random op mix,
-        and post-recovery fsck is clean with no leaked blocks."""
-        kernel = Kernel(MachineConfig(dram_bytes=128 * MIB, nvm_bytes=256 * MIB))
-        fs = kernel.pmfs
-        for index, pages in enumerate(sizes[:-1]):
-            fs.create(f"/warm{index}", size=pages * PAGE_SIZE)
-        fs.schedule_crash(crash_tick)
-        try:
-            fs.create("/victim", size=sizes[-1] * PAGE_SIZE)
-            inode = fs.lookup("/victim")
-            fs.truncate(inode, (sizes[-1] + 8) * PAGE_SIZE)
-            fs.unlink("/victim")
-            if len(sizes) > 1:
-                fs.unlink("/warm0")
-        except SimulatedCrashError:
-            pass
+        assert len(record.extents) == 2
         kernel.crash()
         assert fs.fsck() == []
-        # Bitmap accounting matches the trees exactly.
-        tree_blocks = sum(
-            tree.block_count for tree in fs._trees.values()
-        )
-        used = fs.allocator.total_blocks - fs.allocator.free_blocks
-        assert tree_blocks == used
+        # Redone: both pieces are durable, nothing is free.
+        assert fs.allocator.free_blocks == 0
+
+    def test_error_between_pieces_leaves_nothing_to_undo(self):
+        kernel = _fragmented_kernel(blocks=4, hole=1)
+        fs = kernel.pmfs
+        kernel.arm_chaos(FaultPlan.fault_at_site("pmfs.extent.alloc", "error", nth=2))
+        with pytest.raises(NoSpaceError):
+            fs.create("/big", size=2 * PAGE_SIZE)
+        kernel.disarm_chaos()
+        # The first piece went back to the bitmap and off the record, so
+        # a later replay does not free it a second time.
+        assert fs.allocator.free_blocks == 2
+        assert fs.journal[-1].extents == []
+        kernel.crash()
+        assert fs.allocator.free_blocks == 2
+        assert fs.fsck() == []
+
+    def test_any_crash_point_recovers_consistent(self):
+        """Crash at every fault-site hit of a workload whose allocations
+        fragment (eight 4-block holes), and every recovery is clean."""
+
+        def build():
+            kernel = _fragmented_kernel(blocks=64, hole=4)
+            fs = kernel.pmfs
+
+            def run():
+                fs.create("/a", size=10 * PAGE_SIZE)  # pieces of 2, 4, 4
+                fs.truncate(fs.lookup("/a"), 4 * PAGE_SIZE)
+                fs.create("/b", size=6 * PAGE_SIZE)  # pieces of 3, 3
+                fs.unlink("/a")
+
+            return kernel, run
+
+        report = explore(build)
+        assert report.baseline_problems == []
+        assert report.failures == [], report.summary()
+        # Two failed contiguous attempts, then one hit before each of
+        # the five pieces: 19 crash points in all.
+        assert report.census["pmfs.extent.alloc"] == 7
+        assert report.crash_points == 19

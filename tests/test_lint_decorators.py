@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.lint.decorators import (
-    ComplexityClass,
-    declared_complexity,
-    iter_declarations,
-    o1,
-)
+from repro.lint.decorators import ComplexityClass, o1
 from repro.lint import complexity
 
 
@@ -43,7 +38,6 @@ class TestDecorators:
             return 42
 
         assert fn() == 42
-        assert declared_complexity(fn) is ComplexityClass.CONSTANT
 
     def test_o1_with_note(self):
         @o1(note="one pointer write")
@@ -51,7 +45,6 @@ class TestDecorators:
             return 42
 
         assert fn() == 42
-        assert fn.__complexity_note__ == "one pointer write"
 
     def test_complexity_decorator(self):
         @complexity("log n", note="binary search")
@@ -59,40 +52,18 @@ class TestDecorators:
             return x + 1
 
         assert fn(1) == 2
-        assert declared_complexity(fn) is ComplexityClass.LOG
 
     def test_complexity_rejects_bad_class_eagerly(self):
         with pytest.raises(ValueError):
             complexity("exponential")
 
-    def test_undecorated_returns_none(self):
-        def fn():
-            pass
-
-        assert declared_complexity(fn) is None
-
     def test_decorator_does_not_wrap(self):
-        # Zero runtime cost: the original function object comes back.
+        # Zero runtime cost: the original function object comes back,
+        # with nothing set on it.
         def fn():
             pass
 
         assert o1(fn) is fn
-
-    def test_registry_records_declarations(self):
-        @o1(note="registry check")
-        def registered_fn():
-            pass
-
-        names = [d.qualname for d in iter_declarations()]
-        assert any("registered_fn" in name for name in names)
-
-    def test_codebase_declarations_registered(self):
-        # Importing the kernel pulls in every annotated module.
-        import repro.kernel.kernel  # noqa: F401
-
-        decls = list(iter_declarations())
-        assert len(decls) >= 40
-        constants = [
-            d for d in decls if d.declared is ComplexityClass.CONSTANT
-        ]
-        assert len(constants) >= 20
+        assert o1(note="n")(fn) is fn
+        assert complexity("n")(fn) is fn
+        assert vars(fn) == {}

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import NoSpaceError, OutOfMemoryError
+from repro.fs.extent import Extent
 from repro.fs.pmfs import BlockAllocator
 from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel, MemoryTechnology
@@ -90,9 +91,11 @@ class TestBlockAllocatorRollback:
         alloc = self.make(blocks=64)
         alloc.alloc_extent(32)
         free_before = alloc.free_blocks
+        held = [Extent(logical=0, pfn=0, count=1)]  # an earlier piece, not ours
         with pytest.raises(NoSpaceError):
-            alloc.alloc_best_effort(64)  # more than remains
+            alloc.alloc_best_effort(64, held, logical=1)  # more than remains
         assert alloc.free_blocks == free_before  # partial grabs undone
+        assert held == [Extent(logical=0, pfn=0, count=1)]  # and unlisted
 
     def test_aligned_search_skips_misaligned_candidates(self):
         alloc = self.make(blocks=64)

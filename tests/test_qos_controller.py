@@ -142,6 +142,28 @@ class TestCharging:
         sys_calls.unlink(kernel.pmfs, "/data")
         assert cg.nvm_blocks == 0
 
+    def test_fragmented_pmfs_allocation_charges_every_piece(self):
+        # 16 blocks, every other one free: a 3-block file takes 3 pieces,
+        # and its unlink uncharges all three.
+        kernel = Kernel(MachineConfig(dram_bytes=64 * MIB, nvm_bytes=16 * PAGE_SIZE))
+        qos = kernel.arm_qos()
+        cg = qos.cgroup("tenant")
+        sys_calls = kernel.syscalls(kernel.spawn("w", cgroup=cg))
+        for index in range(16):
+            sys_calls.close(sys_calls.open(
+                kernel.pmfs, f"/f{index}", create=True, size=PAGE_SIZE
+            ))
+        for index in range(0, 16, 2):
+            sys_calls.unlink(kernel.pmfs, f"/f{index}")
+        assert cg.nvm_blocks == 8
+        sys_calls.close(sys_calls.open(
+            kernel.pmfs, "/big", create=True, size=3 * PAGE_SIZE
+        ))
+        assert kernel.pmfs.extent_count(kernel.pmfs.lookup("/big")) == 3
+        assert cg.nvm_blocks == 11
+        sys_calls.unlink(kernel.pmfs, "/big")
+        assert cg.nvm_blocks == 8
+
     def test_fork_child_inherits_parent_cgroup(self, kernel):
         qos = kernel.arm_qos()
         cg = qos.cgroup("tenant")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chaos import FaultPlan
 from repro.errors import SimulatedCrashError
 from repro.ras import BADBLOCK_PATH, FaultKind, MediaFaultModel
 from repro.units import PAGE_SIZE
@@ -13,6 +14,16 @@ from repro.units import PAGE_SIZE
 def ras_kernel(kernel):
     kernel.arm_ras(model=MediaFaultModel(seed=0, faults_per_bind=0))
     return kernel
+
+
+def _crash_during(kernel, site: str, pfn: int) -> None:
+    """Retire ``pfn`` with a power cut at the first hit of ``site``."""
+    kernel.arm_chaos(FaultPlan.crash_at_site(site))
+    try:
+        with pytest.raises(SimulatedCrashError):
+            kernel.counters.ras.retire_frame(pfn)
+    finally:
+        kernel.disarm_chaos()
 
 
 def _free_nvm_pfn(kernel) -> int:
@@ -131,9 +142,8 @@ class TestCrashDuringRetirement:
         kernel.counters.ras.model.inject(pfn, FaultKind.DEAD)
         free_before = fs.allocator.free_blocks
 
-        fs.schedule_crash(0)  # first journaled write of the adoption
-        with pytest.raises(SimulatedCrashError):
-            kernel.counters.ras.retire_frame(pfn)
+        # The claimed block is recorded, the record not yet committed.
+        _crash_during(kernel, "pmfs.journal.commit.pre", pfn)
         kernel.crash()
 
         # Undo: the half-adopted block is not leaked and the fault is
@@ -151,9 +161,7 @@ class TestCrashDuringRetirement:
         pfn = _free_nvm_pfn(kernel)
         kernel.counters.ras.model.inject(pfn, FaultKind.DEAD)
 
-        fs.schedule_crash(2)  # committed but not applied: redo window
-        with pytest.raises(SimulatedCrashError):
-            kernel.counters.ras.retire_frame(pfn)
+        _crash_during(kernel, "pmfs.journal.commit.post", pfn)  # redo window
         kernel.crash()
 
         # Redo: recovery finishes the adoption from the journal.
@@ -171,18 +179,18 @@ class TestCrashDuringRetirement:
         sys_calls.open(fs, "/victim", create=True, size=2 * PAGE_SIZE)
         old_pfn = fs.charge_block_lookup(fs.lookup("/victim"), 0)
         kernel.counters.ras.model.inject(old_pfn, FaultKind.DEAD)
-        # Create the badblock file first so the scheduled crash lands in
-        # the migration transaction itself, not the list's creation.
+        # Create the badblock file first so the crash lands in the
+        # migration transaction itself, not the list's creation.
         kernel.counters.ras.badblock_inode()
 
-        fs.schedule_crash(0)
-        with pytest.raises(SimulatedCrashError):
-            kernel.counters.ras.retire_frame(old_pfn)
+        _crash_during(kernel, "pmfs.journal.commit.pre", old_pfn)
+        assert fs.journal[-1].op == "migrate"
         kernel.crash()
 
-        # Whatever window the crash hit, the file system is coherent
-        # and the retirement can be completed afterwards.
+        # Undo: the replacement block goes back, the file still maps the
+        # old one, and the retirement can be completed afterwards.
         assert fs.fsck() == []
+        assert fs._tree_of(fs.lookup("/victim")).lookup(0)[0] == old_pfn
         assert kernel.counters.ras.retire_frame(old_pfn)
         assert old_pfn in kernel.counters.ras.badblock_pfns()
         assert fs.fsck() == []
