@@ -15,6 +15,7 @@ make it the natural substrate for file-only memory:
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -785,24 +786,62 @@ class Pmfs(FileSystem):
     def fsck(self) -> List[str]:
         """Consistency check: every allocated block belongs to exactly
         one file extent.  Returns human-readable problems (empty = clean).
+
+        Double claims are found per extent: a sweep of the extents
+        sorted by first block finds the runs that overlap, and only
+        their blocks are visited one by one, in claim order (file, then
+        extent, then block), so the messages come as a per-block check
+        over every extent makes them.  A block the bitmap disagrees on
+        is owned by its last claimer: the overlapping runs' per-block
+        record, else a bisect over the sorted extents.
         """
         problems: List[str] = []
+        # Every extent in claim order: (first block, end, ino).
+        extents = [
+            (extent.pfn, extent.pfn + extent.count, ino)
+            for ino, tree in self._trees.items()
+            for extent in tree.extents()
+        ]
+        ranked = sorted(range(len(extents)), key=lambda claim: extents[claim][0])
+        overlapping: List[int] = []
+        run: List[int] = []
+        run_end = 0
+        for claim in ranked:
+            start, end, _ino = extents[claim]
+            if run and start < run_end:
+                run.append(claim)
+                run_end = max(run_end, end)
+                continue
+            if len(run) > 1:
+                overlapping.extend(run)
+            run = [claim]
+            run_end = end
+        if len(run) > 1:
+            overlapping.extend(run)
         claimed: Dict[int, int] = {}
-        for ino, tree in self._trees.items():
-            for extent in tree.extents():
-                for pfn in range(extent.pfn, extent.pfn + extent.count):
-                    if pfn in claimed:
-                        problems.append(
-                            f"block {pfn} claimed by ino {claimed[pfn]} "
-                            f"and ino {ino}"
-                        )
-                    claimed[pfn] = ino
+        for claim in sorted(overlapping):
+            start, end, ino = extents[claim]
+            for pfn in range(start, end):
+                if pfn in claimed:
+                    problems.append(
+                        f"block {pfn} claimed by ino {claimed[pfn]} "
+                        f"and ino {ino}"
+                    )
+                claimed[pfn] = ino
+        starts = [extents[claim][0] for claim in ranked]
         first_pfn = self.allocator._region.first_pfn
         for index in self.allocator._bitmap.mismatches(self._owned_bits()):
             pfn = first_pfn + index
-            if pfn in claimed:
+            owner = claimed.get(pfn)
+            if owner is None:
+                # Outside the overlapping runs a covered block has one
+                # claimer: the last extent starting at or below it.
+                at = bisect.bisect_right(starts, pfn) - 1
+                if at >= 0 and pfn < extents[ranked[at]][1]:
+                    owner = extents[ranked[at]][2]
+            if owner is not None:
                 problems.append(
-                    f"block {pfn} owned by ino {claimed[pfn]} but free in bitmap"
+                    f"block {pfn} owned by ino {owner} but free in bitmap"
                 )
             else:
                 problems.append(f"block {pfn} allocated but owned by no file")

@@ -16,8 +16,10 @@ A page walk prices its whole path with one :meth:`CacheModel.reference_lines`
 call: the same per-line L1/LLC updates, in the same order, as one
 :meth:`CacheModel.reference` per line, but one clock advance and one
 counter bump per outcome instead of one of each per line.  Both methods
-share the LLC-promotion and miss-fill helpers, so there is one copy of
-the fill logic.
+share the miss-fill helper, so there is one copy of the fill logic.  A
+fault's retry walk reads its path again through
+:meth:`CacheModel.reference_again`, which skips both LRUs when the path
+is still the L1's most recent lines.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable, List, Optional
 
 from repro.hw.clock import SimClock
 from repro.hw.costmodel import CostModel, MemoryTechnology
-from repro.lint.decorators import allocfree, o1
+from repro.lint.decorators import allocbound, allocfree, o1
 from repro.obs.metrics import MetricsRegistry
 from repro.units import CACHE_LINE
 
@@ -86,7 +88,8 @@ class CacheModel:
             cost = self._costs.l1_hit_ns
             self._counters.bump("cache_l1_hit")
         elif line in self._llc:
-            self._promote(line)
+            self._llc.move_to_end(line)
+            self._install_l1(line)
             cost = self._costs.llc_hit_ns
             self._counters.bump("cache_llc_hit")
         else:
@@ -108,6 +111,7 @@ class CacheModel:
         """
         l1 = self._l1
         llc = self._llc
+        l1_lines = self._l1_lines
         l1_hits = llc_hits = misses = 0
         miss_cost = 0
         # o1: allow(flow-bounded) -- a walk's lines: (levels + 1) * (host levels + 1) - 1 <= 35
@@ -116,7 +120,11 @@ class CacheModel:
                 l1.move_to_end(line)
                 l1_hits += 1
             elif line in llc:
-                self._promote(line)
+                # Promote: refresh it in the LLC, install it in the L1.
+                llc.move_to_end(line)
+                l1[line] = None
+                if len(l1) > l1_lines:
+                    l1.popitem(last=False)
                 llc_hits += 1
             else:
                 miss_cost += self._fill(line, False)
@@ -131,6 +139,29 @@ class CacheModel:
             counters.bump("cache_llc_hit", llc_hits)
         if misses:
             counters.bump("cache_miss", misses)
+        self._clock.advance(cost)
+        return cost
+
+    @o1(note="one tail probe per line; a flat walk's path is at most 5 lines")
+    @allocbound(2, note="two reverse iterators")
+    def reference_again(self, lines: List[int]) -> int:
+        """:meth:`reference_lines` for a path read again, as a fault's
+        retry walk reads its failed walk's path.
+
+        While ``lines`` (distinct, as a flat walk's are) are still the
+        L1's most recent lines in visit order, reading each in order hits
+        and moves none: one clock advance and one ``cache_l1_hit`` bump
+        price them, and neither LRU is touched.  Any other cache state
+        goes through :meth:`reference_lines`.
+        """
+        tail = reversed(self._l1)
+        # o1: allow(flow-bounded) -- a flat walk's lines: one per level, <= 5
+        for line in reversed(lines):
+            if next(tail, None) != line:
+                return self.reference_lines(lines)
+        count = len(lines)
+        cost = count * self._costs.l1_hit_ns
+        self._counters.bump("cache_l1_hit", count)
         self._clock.advance(cost)
         return cost
 
@@ -182,11 +213,6 @@ class CacheModel:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _promote(self, line: int) -> None:
-        """LLC hit: refresh ``line`` there and install it in the L1."""
-        self._llc.move_to_end(line)
-        self._install_l1(line)
-
     def _fill(self, line: int, write: bool) -> int:
         """Miss: install ``line`` at both levels; returns its media latency."""
         tech = self._tech_of(line)
@@ -196,8 +222,8 @@ class CacheModel:
         return cost
 
     def _install_l1(self, line: int) -> None:
+        """Install ``line``, which the L1 does not hold, as its newest."""
         self._l1[line] = None
-        self._l1.move_to_end(line)
         if len(self._l1) > self._l1_lines:
             self._l1.popitem(last=False)
 

@@ -200,9 +200,10 @@ class Cpu:
     ) -> Optional[int]:
         """Translate without accessing data; None means 'must fault'."""
         self._clock.advance(self._costs.tlb_lookup_ns)
+        asid = space.asid
 
         if self._rtlb is not None:
-            entry = self._rtlb.lookup(vaddr, asid=space.asid)
+            entry = self._rtlb.lookup(vaddr, asid=asid)
             if entry is not None:
                 if write and not entry.writable:
                     return None
@@ -223,18 +224,19 @@ class Cpu:
                     return None
                 return range_entry.translate(vaddr)
 
-        entry = self._tlb.lookup(vaddr, asid=space.asid)
+        entry = self._tlb.lookup(vaddr, asid=asid)
         if entry is not None:
             self._counters.bump("tlb_hit")
             if write and not entry.writable:
                 # Permission fault (e.g. COW): drop the stale entry so the
                 # retry after the OS upgrades the PTE re-walks.
-                self._tlb.invalidate(vaddr, asid=space.asid)
+                self._tlb.invalidate(vaddr, asid=asid)
                 return None
             san = self._counters.sanitize
             if san is not None:
                 san.check_tlb_hit(space, vaddr, entry, write)
-            return entry.paddr + vaddr % entry.page_size
+            page_size = entry.page_size
+            return entry.pfn * page_size + vaddr % page_size
 
         self._counters.bump("tlb_miss")
         walked = space.walk(vaddr)
@@ -245,7 +247,8 @@ class Cpu:
         self._clock.advance(self._costs.tlb_fill_ns)
         # alloc: allow(cold-call) -- miss fill; the hit certificate excludes refills
         self._tlb.insert(walked)
-        return walked.paddr + vaddr % walked.page_size
+        page_size = walked.page_size
+        return walked.pfn * page_size + vaddr % page_size
 
     # ------------------------------------------------------------------
     # TLB maintenance entry points used by the OS
@@ -282,7 +285,8 @@ class Cpu:
         dropped = self._tlb.invalidate(vaddr, asid=asid)
         if dropped:
             self._clock.advance(self._costs.tlb_invalidate_ns * dropped)
-        self._broadcast_shootdown()
+        if self.remote_cpus > 0:
+            self._broadcast_shootdown()
 
     @o1(note="one range drop plus one broadcast, however large the range")
     def invalidate_space_range(self, vaddr: int, length: int, asid: int = 0) -> None:

@@ -98,6 +98,13 @@ class Tlb:
             (size, self._geometry[size][0], self._arrays[size])
             for size in sorted(self._geometry)
         )
+        #: page_size -> (sets, ways, array): one probe per fill.
+        self._fill: Dict[
+            int, Tuple[int, int, Dict[int, "OrderedDict[int, TlbEntry]"]]
+        ] = {
+            size: (sets, ways, self._arrays[size])
+            for size, (sets, ways) in self._geometry.items()
+        }
 
     @property
     def page_sizes(self) -> Tuple[int, ...]:
@@ -131,14 +138,16 @@ class Tlb:
     @allocbound(2, note="one association per fill; the evicted entry is handed back")
     def insert(self, entry: TlbEntry) -> Optional[TlbEntry]:
         """Install ``entry``, returning any entry evicted by LRU."""
-        if entry.page_size not in self._geometry:
+        vpn, _pfn, page_size, _writable, asid = entry
+        fill = self._fill.get(page_size)
+        if fill is None:
             raise ValueError(
-                f"TLB has no array for page size {entry.page_size}; "
+                f"TLB has no array for page size {page_size}; "
                 f"supported: {sorted(self._geometry)}"
             )
-        nsets, ways = self._geometry[entry.page_size]
-        entry_set = self._arrays[entry.page_size][entry.vpn % nsets]
-        key = (entry.vpn << _ASID_BITS) | entry.asid
+        nsets, ways, sets = fill
+        entry_set = sets[vpn % nsets]
+        key = (vpn << _ASID_BITS) | asid
         entry_set[key] = entry
         entry_set.move_to_end(key)
         if len(entry_set) > ways:

@@ -33,12 +33,16 @@ Software reads descend once too; the walker reads a hardware walk's
 path through :meth:`~PageTable.path_nodes`.  :meth:`PageTable.descend`
 is the one uncharged software descent: it returns the node and slot
 where ``vaddr``'s leaf sits, the raw leaf, and whether the path is
-write-protected or shared, so a fault, an eviction or a per-page
-teardown decides and acts from one descent; :meth:`~PageTable.lookup`
-is its effective-leaf view.  Every leaf clear ends in
-:meth:`PageTable.clear_slot` (delete, one PTE write, the sanitizer
-hook), which callers holding an unshared path use directly and
-:meth:`~PageTable.unmap` uses after unsharing.
+write-protected or shared, so an eviction or a per-page teardown
+decides and acts from one descent; :meth:`~PageTable.lookup` is its
+effective-leaf view.  A demand fault usually needs none: a flat walk
+that finds its slot empty keeps the same answer for the fault
+(:class:`~repro.paging.walker.MissedWalk`), and when the fault writes
+its leaf into that walk's node the retry re-reads the walk's path
+instead of calling :meth:`~PageTable.path_nodes` again.  Every leaf
+clear ends in :meth:`PageTable.clear_slot` (delete, one PTE write, the
+sanitizer hook), which callers holding an unshared path use directly
+and :meth:`~PageTable.unmap` uses after unsharing.
 """
 
 from __future__ import annotations
@@ -95,7 +99,8 @@ class Pte(NamedTuple):
         ``_replace(writable=False)`` without its keyword handling, which
         costs more than the tuple itself: a first store into a
         fork-shared window downgrades up to 512 leaves at once.  Name
-        every field here when adding one above.
+        every field here, and in :meth:`PageTable.write_leaf`'s
+        constructor, when adding one above.
         """
         return Pte(
             self.pfn, self.page_size, False, self.user, self.dirty, self.accessed
@@ -168,7 +173,10 @@ class PageTable:
     ) -> None:
         if levels not in _SHIFTS:
             raise ConfigurationError(f"levels must be 4 or 5, got {levels}")
-        self._levels = levels
+        #: Number of radix levels (4 or 5).
+        self.levels = levels
+        #: Depth of the lowest interior node (one 2 MiB window each).
+        self.bottom_depth = levels - 1
         self.shifts: Tuple[int, ...] = _SHIFTS[levels]
         self._clock: SimClock = clock or SimClock()
         self._costs: CostModel = costs or CostModel()
@@ -182,11 +190,6 @@ class PageTable:
     # Geometry
     # ------------------------------------------------------------------
     @property
-    def levels(self) -> int:
-        """Number of radix levels (4 or 5)."""
-        return self._levels
-
-    @property
     def root(self) -> PageTableNode:
         """Top-level node (CR3 target)."""
         return self._root
@@ -194,7 +197,7 @@ class PageTable:
     @property
     def va_bits(self) -> int:
         """Virtual-address bits this table can translate."""
-        return _PAGE_SHIFT + _BITS_PER_LEVEL * self._levels
+        return _PAGE_SHIFT + _BITS_PER_LEVEL * self.levels
 
     @property
     def node_count(self) -> int:
@@ -208,10 +211,10 @@ class PageTable:
         # o1: allow(flow-bounded) -- _LEAF_SIZES is the hardware page-size menu
         for up, size in enumerate(_LEAF_SIZES):
             if size == page_size:
-                depth = self._levels - 1 - up
+                depth = self.levels - 1 - up
                 if depth < 1:
                     raise ConfigurationError(
-                        f"page size {page_size} needs more levels than {self._levels}"
+                        f"page size {page_size} needs more levels than {self.levels}"
                     )
                 return depth
         raise ConfigurationError(
@@ -299,7 +302,8 @@ class PageTable:
                 f"vaddr {vaddr:#x}: cannot place a {page_size}-byte leaf over "
                 f"an existing subtree"
             )
-        pte = Pte(pfn, page_size, writable, user)
+        # The named tuple's generated constructor is a Python-level call.
+        pte = tuple.__new__(Pte, (pfn, page_size, writable, user, False, False))
         node.entries[index] = pte
         self._charge_pte_write()
         san = self._counters.sanitize
@@ -380,7 +384,7 @@ class PageTable:
         new leaf's map hook), from one descent.  The new leaf goes last
         in the node's entry order, as a delete and re-insert leaves it.
         """
-        node = self._clear_leaf(vaddr, self._levels - 1)[0]
+        node = self._clear_leaf(vaddr, self.bottom_depth)[0]
         return self.write_leaf(node, vaddr, pfn, writable=writable)
 
     @o1(note="one leaf clear after a fixed-depth descent")
@@ -492,7 +496,7 @@ class PageTable:
         node = self._root
         shifts = self.shifts
         # o1: allow(flow-bounded) -- the level count is a hardware constant
-        for depth in range(self._levels - 1):
+        for depth in range(self.bottom_depth):
             entry = node.entries.get((vaddr >> shifts[depth]) & INDEX_MASK)
             if not isinstance(entry, PageTableNode):
                 break
@@ -506,8 +510,8 @@ class PageTable:
     @o1(note="fixed-depth radix descent")
     def subtree_at(self, vaddr: int, depth: int) -> Optional[PageTableNode]:
         """Interior node rooted at ``vaddr``'s slot chain down to ``depth``."""
-        if depth < 1 or depth >= self._levels:
-            raise ValueError(f"depth must be in 1..{self._levels - 1}, got {depth}")
+        if depth < 1 or depth >= self.levels:
+            raise ValueError(f"depth must be in 1..{self.levels - 1}, got {depth}")
         node = self._root
         # o1: allow(flow-bounded) -- depth is bounded by the table's level count
         for d in range(depth):
@@ -530,9 +534,9 @@ class PageTable:
         constraint the paper calls out.
         """
         depth = subtree.depth
-        if depth < 1 or depth >= self._levels:
+        if depth < 1 or depth >= self.levels:
             raise MappingError(
-                f"cannot link a node of depth {depth} into a {self._levels}-level table"
+                f"cannot link a node of depth {depth} into a {self.levels}-level table"
             )
         span = self.span_at(depth - 1)
         if vaddr % span:
@@ -572,11 +576,6 @@ class PageTable:
     # ------------------------------------------------------------------
     # Bottom-level windows — the COW-fork granularity
     # ------------------------------------------------------------------
-    @property
-    def bottom_depth(self) -> int:
-        """Depth of the lowest interior node (one 2 MiB window each)."""
-        return self._levels - 1
-
     @complexity("n", note="one yield per resident 2 MiB window")
     def iter_bottom_subtrees(
         self,

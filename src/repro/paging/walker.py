@@ -19,11 +19,20 @@ addresses in visit order and prices the whole path with one
 :meth:`~repro.hw.cache.CacheModel.reference_lines` call, bumping its own
 counters once per walk — the same clock, counters and cache state as one
 reference per line, at a fraction of the interpreter's work.
+
+A demand fault's host work follows the model's one walk.  A flat walk
+that finds an empty slot keeps its descent as :attr:`PageWalker.missed`
+(a :class:`MissedWalk`), and the fault handler starts from it instead of
+descending again.  When the handler writes the leaf into the node that
+walk reached, it hands the descent back as :attr:`PageWalker.reread`,
+and the retry walks no path: it prices the recorded lines again through
+:meth:`~repro.hw.cache.CacheModel.reference_again` and reads the new
+leaf from the slot.  Either record lives until the next walk.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.hw.cache import CacheModel
 from repro.hw.clock import SimClock
@@ -31,11 +40,29 @@ from repro.hw.costmodel import CostModel
 from repro.hw.tlb import TlbEntry
 from repro.lint import allocbound, o1
 from repro.obs.metrics import MetricsRegistry
-from repro.paging.pagetable import INDEX_MASK, PageTable, Pte
-from repro.units import CACHE_LINE
+from repro.paging.pagetable import INDEX_MASK, PageTable, PageTableNode, Pte
+from repro.units import CACHE_LINE, PAGE_SIZE
 
 #: Masks a reference's address down to its cache line, as the cache does.
 _LINE_MASK = ~(CACHE_LINE - 1)
+
+
+class MissedWalk(NamedTuple):
+    """The descent of a flat walk that found ``page_va``'s slot empty.
+
+    ``node``, ``index``, ``write_protected`` and ``shared`` are what
+    :meth:`PageTable.descend` returns for ``page_va`` (its leaf is None);
+    ``lines`` are the lines the walk priced, in visit order.  Built with
+    ``tuple.__new__``, as the walker builds its :class:`TlbEntry`.
+    """
+
+    table: PageTable
+    page_va: int
+    node: PageTableNode
+    index: int
+    write_protected: bool
+    shared: bool
+    lines: List[int]
 
 
 class PageWalker:
@@ -60,6 +87,15 @@ class PageWalker:
         self._nested_levels = nested_levels
         #: Synthetic base for host-EPT node lines, distinct per walker.
         self._ept_base = 1 << 53
+        #: The last walk's descent when it was flat and found its slot
+        #: empty, else None: the fault the CPU raises next starts from it.
+        self.missed: Optional[MissedWalk] = None
+        #: A descent whose node the fault handler wrote the leaf into,
+        #: else None: the next walk re-reads it if it is for the same
+        #: table and page.  That walk is the CPU's retry: nothing in the
+        #: fault path fills the TLB or a range table for the faulting
+        #: page, so the retry's translation misses both and walks.
+        self.reread: Optional[MissedWalk] = None
 
     @property
     def virtualized(self) -> bool:
@@ -74,14 +110,35 @@ class PageWalker:
         return (levels + 1) * (host + 1) - 1
 
     @o1(note="4-5 fixed levels, independent of mapping size")
-    @allocbound(3, note="one node-path list, one line list and one TlbEntry per walk")
+    @allocbound(3, note="one node-path list, one line list and one TlbEntry or MissedWalk per walk")
     def walk(self, table: PageTable, vaddr: int, asid: int = 0) -> Optional[TlbEntry]:
         """Translate ``vaddr``; None if no valid leaf exists.
 
         Charges one cache reference per table node actually visited (plus
         nested references when virtualized), whether or not the walk
-        succeeds — hardware pays for failed walks too.
+        succeeds — hardware pays for failed walks too.  Every walk
+        replaces :attr:`missed` and clears :attr:`reread`.
         """
+        reread = self.reread
+        if reread is not None:
+            self.reread = None
+            if reread.table is table and reread.page_va == vaddr - vaddr % PAGE_SIZE:
+                pte = reread.node.entries.get(reread.index)
+                if isinstance(pte, Pte):
+                    # The retry of the fault that wrote this leaf into
+                    # the node the failed walk reached: that walk's path,
+                    # which was not write-protected, priced again, and
+                    # the new leaf.
+                    self.missed = None
+                    lines = reread.lines
+                    counters = self._counters
+                    counters.bump("walk_start")
+                    self._cache.reference_again(lines)
+                    counters.bump("walk_ref", len(lines))
+                    page_size = pte.page_size
+                    return tuple.__new__(TlbEntry, (
+                        vaddr // page_size, pte.pfn, page_size, pte.writable, asid,
+                    ))
         # path_nodes stops at the node whose slot holds the leaf (or
         # nothing), so every node it returns is read, and only the last
         # one's slot can hold the Pte.
@@ -122,12 +179,28 @@ class PageWalker:
         counters.bump("walk_ref", len(nodes))
         if virtualized:
             counters.bump("nested_walk_ref", len(lines) - len(nodes))
-        if pte is None:
-            return None
-        return TlbEntry(
-            vaddr // pte.page_size,
-            pte.pfn,
-            pte.page_size,
-            pte.writable and not write_protected,
-            asid,
-        )
+        if pte is not None:
+            self.missed = None
+            page_size = pte.page_size
+            return tuple.__new__(TlbEntry, (
+                vaddr // page_size,
+                pte.pfn,
+                page_size,
+                pte.writable and not write_protected,
+                asid,
+            ))
+        missed = None
+        if entry is None and not virtualized:
+            # Kept for the fault.  ``shared`` as descend reports it: a
+            # node below the root (depth 0) with refs > 1.
+            shared = False
+            # o1: allow(flow-bounded) -- path_nodes is at most the level count
+            for below in nodes:
+                if below.refs > 1 and below.depth:
+                    shared = True
+            missed = tuple.__new__(MissedWalk, (
+                table, vaddr - vaddr % PAGE_SIZE, node, index,
+                write_protected, shared, lines,
+            ))
+        self.missed = missed
+        return None

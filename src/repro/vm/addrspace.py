@@ -21,13 +21,17 @@ The simulated clock pays those costs per page; the host does its share
 of the work coarser where the model allows.  A 4 KiB populate descends
 the page table once per 2 MiB window and writes each PTE into that
 window's node; and the first store into a fork-shared window looks up
-one VMA per run of leaves, not per leaf.  A fault, an eviction and each
-page of the per-page munmap descend the page table once
-(:meth:`PageTable.descend`), and a fault descends again only after a COW
-break rewrote the window: a leaf on an unshared path is written into,
-cleared from, or (on a COW fault) replaced in the node that descent
-reached.  Every charge, counter and hook still comes per page,
-in the same order and at the same clock.
+one VMA per run of leaves, not per leaf.  An eviction and each page of
+the per-page munmap descend the page table once
+(:meth:`PageTable.descend`).  A demand fault starts from the descent of
+the hardware walk that failed (:attr:`PageWalker.missed`) and descends
+only after a COW break rewrote the window, or when the walk kept none:
+a leaf on an unshared path is written into, cleared from, or (on a COW
+fault) replaced in the node that descent reached.  When the leaf goes
+into the node the failed walk reached, the retry walk re-reads that
+walk's path (:attr:`PageWalker.reread`) instead of walking it again.
+Every charge, counter and hook still comes per page, in the same order
+and at the same clock.
 """
 
 from __future__ import annotations
@@ -70,7 +74,9 @@ class AddressSpace:
         frame_table: Optional[FrameTable] = None,
         mmap_base: int = _MMAP_BASE,
     ) -> None:
-        self._asid = asid
+        #: Address-space identifier tagging TLB entries (the
+        #: :class:`~repro.hw.cpu.TranslationContext` attribute).
+        self.asid = asid
         self._pt = page_table
         self._walker = walker
         self._clock = clock
@@ -99,11 +105,6 @@ class AddressSpace:
     # TranslationContext protocol
     # ------------------------------------------------------------------
     @property
-    def asid(self) -> int:
-        """Address-space identifier tagging TLB entries."""
-        return self._asid
-
-    @property
     def page_table(self) -> PageTable:
         """The backing page-table tree."""
         return self._pt
@@ -115,7 +116,7 @@ class AddressSpace:
 
     def walk(self, vaddr: int) -> Optional[TlbEntry]:
         """Hardware walk of this space's page table (costs charged)."""
-        return self._walker.walk(self._pt, vaddr, asid=self._asid)
+        return self._walker.walk(self._pt, vaddr, asid=self.asid)
 
     def lookup_range(self, vaddr: int) -> Optional[RangeEntry]:
         """Architectural range-table lookup, if range hardware is wired."""
@@ -129,7 +130,8 @@ class AddressSpace:
     def find_vma(self, vaddr: int) -> Optional[Vma]:
         """VMA containing ``vaddr`` (no cost charged — internal)."""
         index = bisect.bisect_right(self._starts, vaddr) - 1
-        if index >= 0 and self._vmas[index].contains(vaddr):
+        # The VMA at ``index`` starts at or below ``vaddr``.
+        if index >= 0 and vaddr < self._vmas[index].end:
             return self._vmas[index]
         return None
 
@@ -350,7 +352,7 @@ class AddressSpace:
             cut_end = min(end, vma.end)
             unmapped += self._unmap_vma_range(vma, cut_start, cut_end)
         if self.cpu is not None:
-            self.cpu.invalidate_space_range(addr, length, asid=self._asid)
+            self.cpu.invalidate_space_range(addr, length, asid=self.asid)
         return unmapped
 
     @complexity("n", note="page (or window) teardown plus COW-copy returns")
@@ -519,7 +521,7 @@ class AddressSpace:
         """
         self._remove_vma(vma)
         if self.cpu is not None:
-            self.cpu.invalidate_space_range(vma.start, vma.length, asid=self._asid)
+            self.cpu.invalidate_space_range(vma.start, vma.length, asid=self.asid)
 
     @complexity("n", note="rewrites every resident PTE of the VMA")
     def mprotect(self, addr: int, length: int, prot: int) -> None:
@@ -545,13 +547,22 @@ class AddressSpace:
             else:
                 va += PAGE_SIZE
         if self.cpu is not None:
-            self.cpu.invalidate_space_range(vma.start, vma.length, asid=self._asid)
+            self.cpu.invalidate_space_range(vma.start, vma.length, asid=self.asid)
 
     # ------------------------------------------------------------------
     # Fault handling
     # ------------------------------------------------------------------
     def handle_fault(self, vaddr: int, write: bool) -> None:
-        """Resolve a page fault at ``vaddr`` or raise ProtectionError."""
+        """Resolve a page fault at ``vaddr`` or raise ProtectionError.
+
+        The CPU raises the fault right after the hardware walk that
+        failed; when the walker kept that walk's descent for this table
+        and page, the handler starts from it instead of descending.
+        """
+        walker = self._walker
+        missed = walker.missed
+        # A kept descent serves this fault at most, whatever it does.
+        walker.missed = None
         self._clock.advance(self._costs.vma_find_ns)
         vma = self.find_vma(vaddr)
         if vma is None:
@@ -562,23 +573,41 @@ class AddressSpace:
             raise ProtectionError(f"read from PROT_NONE mapping at {vaddr:#x}")
         page_va = vaddr - vaddr % PAGE_SIZE
         pt = self._pt
-        node, _index, leaf, write_protected, shared = pt.descend(page_va)
+        if missed is not None and missed.table is pt and missed.page_va == page_va:
+            # The walk found the slot empty: descend's answer, leaf None.
+            node = missed.node
+            leaf = None
+            write_protected = missed.write_protected
+            shared = missed.shared
+        else:
+            missed = None
+            node, _index, leaf, write_protected, shared = pt.descend(page_va)
         if write and write_protected:
             # First store into a fork-shared page-table window: break the
             # share once, for the whole window, charged to this access.
-            # The break rewrote the window, so descend again.
+            # The break rewrote the window, so descend again, and the
+            # retry walks in full.
             self._cow_break_window(page_va)
             node, _index, leaf, write_protected, shared = pt.descend(page_va)
+            missed = None
         if leaf is None:
             # The leaf goes straight into a bottom node on an unshared
             # path; otherwise map creates or unshares the path, after the
-            # data frame, as ever.  Between here and that write the node
-            # stays attached and private: the frame allocation may run
-            # reclaim, but eviction pins shared paths and never unshares,
-            # unmap never frees nodes, and the OOM killer never tears
-            # down the running process.
+            # data frame, as ever.  From the failed walk to that write
+            # the node stays attached and private: the frame allocation
+            # may run reclaim, but eviction pins shared paths and never
+            # unshares, unmap never frees nodes, and the OOM killer never
+            # tears down the running process.  Nothing touches the table
+            # between that write and the retry walk, so when the descent
+            # is the failed walk's, the retry would read the same nodes
+            # and lines; it re-reads them instead (the cache prices the
+            # lines again) unless the path was write-protected, whose bit
+            # a COW break of the window in between (a userfault handler's
+            # store) may have cleared.
             private = not shared and node.depth == pt.bottom_depth
             self._minor_fault(vma, page_va, write, node if private else None)
+            if private and missed is not None and not write_protected:
+                walker.reread = missed
         elif write and (write_protected or not leaf.writable):
             # On an unshared path the copy replaces the leaf in the node
             # this descent reached; a shared path unshares on the way.
@@ -645,8 +674,11 @@ class AddressSpace:
             # The fault is major when the page waits on the swap device.
             major = backing.is_swapped(page_index)
             pfn = backing.frame_for(page_index, write=write)
-        writable = self._map_writable(vma) or page_index in vma.private_copies
-        if write and vma.needs_cow():
+        cow = vma.needs_cow()
+        writable = (
+            not cow and vma.prot & Protection.WRITE != 0
+        ) or page_index in vma.private_copies
+        if write and cow:
             # Write fault on a COW page (private file / forked anon):
             # copy immediately rather than mapping read-only and
             # re-faulting.
@@ -659,7 +691,7 @@ class AddressSpace:
         if self._frame_table is not None and vma.backing.tracks_frame_meta:
             meta = self._frame_table.get_ref(pfn)
             meta.mapcount += 1
-            meta.set_flag(PageFlags.REFERENCED)
+            meta.flags |= PageFlags.REFERENCED
         if self.lru is not None:
             self.lru.page_mapped(pfn, self, page_va)
         kind = FaultType.MAJOR if major else FaultType.MINOR
@@ -690,7 +722,7 @@ class AddressSpace:
             page_base = page_va - page_va % old.page_size
             self._teardown_pages(vma, page_base, page_base + old.page_size)
             if self.cpu is not None:
-                self.cpu.invalidate_page(page_base, asid=self._asid)
+                self.cpu.invalidate_page(page_base, asid=self.asid)
             self._minor_fault(vma, page_va, True, None)
             return
         page_index = vma.backing_page(page_va)
@@ -735,43 +767,36 @@ class AddressSpace:
         if pte is None:
             return False
         vma = self.find_vma(page_va)
-        if shared or write_protected or not self._evictable(vma, page_va, pte):
-            # A COW-shared translation (fork's subtree sharing) is pinned:
-            # unmapping here would privatize only this table's path while
-            # the sibling keeps a live PTE to the frame swap-out is about
-            # to free — a cross-space dangling translation.  Without a
-            # reverse map the share cannot be broken from this side, so
-            # the page waits until a write fault breaks the share (or a
-            # sharer exits).
+        # A COW-shared translation (fork's subtree sharing) is pinned:
+        # unmapping here would privatize only this table's path while
+        # the sibling keeps a live PTE to the frame swap-out is about to
+        # free — a cross-space dangling translation.  Without a reverse
+        # map the share cannot be broken from this side, so the page
+        # waits until a write fault breaks the share (or a sharer exits).
+        pinned = shared or write_protected
+        page_index = 0
+        if vma is not None:
+            page_index = vma.backing_page(page_va)
+            # A shared backing (anon frames after a COW fork) pins every
+            # frame but this space's private copies: a sibling space
+            # whose page table we cannot reach may map it.
+            if vma.backing.shared and vma.private_copies.get(page_index) != pte.pfn:
+                pinned = True
+        if pinned:
             self._counters.bump("vm_evict_pinned")
             return False
         # The path is this table's alone: clear the leaf where the
         # descent found it.
         self._pt.clear_slot(node, index, pte)
         if self.cpu is not None:
-            self.cpu.invalidate_page(page_va, asid=self._asid)
+            self.cpu.invalidate_page(page_va, asid=self.asid)
         if vma is not None:
-            page_index = vma.backing_page(page_va)
             if vma.backing.resident_frame(page_index) == pte.pfn:
                 # Only write back the frame we actually unmapped: a
                 # private COW copy must not push out (and free) the
                 # backing's original, possibly still-mapped frame.
                 vma.backing.swap_out(page_index)
         self._counters.bump("vm_page_evict")
-        return True
-
-    @o1(note="refcount checks on the backing")
-    def _evictable(self, vma, page_va: int, pte) -> bool:
-        """Whether the backing lets this space alone reclaim the page."""
-        if vma is None:
-            return True
-        if vma.backing.shared:
-            # The backing (anon frames after a COW fork) is shared: the
-            # frame may be mapped by a sibling space whose page table we
-            # cannot reach from here.
-            page_index = vma.backing_page(page_va)
-            if vma.private_copies.get(page_index) != pte.pfn:
-                return False
         return True
 
     # ------------------------------------------------------------------

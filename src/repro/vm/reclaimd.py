@@ -174,6 +174,7 @@ class ClockReclaimer:
         """
         lru = self._lru
         scan_meta = self._frame_table.scan_meta
+        referenced = PageFlags.REFERENCED
         reclaimed = 0
         scanned = 0
         # Examined but not yet charged: flushed before every eviction.
@@ -194,8 +195,8 @@ class ClockReclaimer:
             scanned += 1
             pending += 1
             meta = scan_meta(entry.pfn)
-            if meta.has_flag(PageFlags.REFERENCED):
-                meta.clear_flag(PageFlags.REFERENCED)
+            if meta.flags & referenced:
+                meta.flags &= ~referenced
                 meta.lru_list = "active"
                 lru.active.append(entry)
                 continue

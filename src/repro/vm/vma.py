@@ -125,7 +125,8 @@ class AnonBacking(MemoryBacking):
     ) -> None:
         self._allocator = allocator
         self._clock = clock
-        self._costs = costs
+        #: Zeroing one page, read once: the cost model is frozen.
+        self._zero_page_ns = costs.zero_page_ns(PAGE_SIZE)
         self._counters = counters
         self._zeropool = zeropool
         self._swap = swap
@@ -159,7 +160,7 @@ class AnonBacking(MemoryBacking):
             pfn = self._zeropool.take()
         else:
             pfn = self._allocator.alloc(0)
-            self._clock.advance(self._costs.zero_page_ns(PAGE_SIZE))
+            self._clock.advance(self._zero_page_ns)
         self._counters.bump("anon_page_alloc")
         self._frames[page_index] = pfn
         return pfn
@@ -318,7 +319,7 @@ class Vma:
         Private file mappings always COW; private anonymous memory COWs
         only after a fork made its frames shared.
         """
-        if not self.is_private():
+        if not self.flags & MapFlags.PRIVATE:
             return False
         if not self.flags & MapFlags.ANONYMOUS:
             return True

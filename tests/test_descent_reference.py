@@ -7,9 +7,11 @@ handler that descends for the write-protect check
 time to map it (``map``); an eviction that descends with
 ``lookup_shared`` and again to ``unmap``; and a per-page munmap that
 descends with ``lookup`` and again to ``unmap``.  The single-purpose
-descents they used are kept here too, as they were.  The hardware walk
-is not among them: it still reads its path through
-``PageTable.path_nodes``, in both twins.
+descents they used are kept here too, as they were.  The reference
+fault handler takes nothing from the failed walk and hands nothing
+back, so its retries walk in full; the current one starts from the
+failed walk's descent, and its retry re-reads that walk's path.  Both
+twins' first walks read their path through ``PageTable.path_nodes``.
 
 Twin kernels run the same steps, one with the current code and one with
 the references patched in, and must agree after every call on
@@ -27,6 +29,7 @@ from hypothesis import given, strategies as st
 from repro.core.o1.premap import PageTableCache
 from repro.core.pbm import PbmManager
 from repro.errors import ProtectionError
+from repro.hw.cache import CacheModel
 from repro.paging.pagetable import (
     _SYNTHETIC_NODE_BASE,
     INDEX_MASK,
@@ -36,6 +39,7 @@ from repro.paging.pagetable import (
 )
 from repro.units import MIB, PAGE_SIZE
 from repro.vm.addrspace import AddressSpace
+from repro.vm.userfault import UserFaultRegion
 from repro.vm.vma import Protection
 
 from tests.test_fork_path_reference import _Machine as _ForkMachine
@@ -118,18 +122,28 @@ def _ref_handle_fault(self, vaddr, write):
     self._minor_fault(vma, page_va, write, None)
 
 
+def _ref_evictable(vma, page_va, pte):
+    if vma is None:
+        return True
+    if vma.backing.shared:
+        page_index = vma.backing_page(page_va)
+        if vma.private_copies.get(page_index) != pte.pfn:
+            return False
+    return True
+
+
 def _ref_evict_page(self, vaddr):
     page_va = vaddr - vaddr % PAGE_SIZE
     pte, shared = _ref_lookup_shared(self._pt, page_va)
     if pte is None:
         return False
     vma = self.find_vma(page_va)
-    if shared or not self._evictable(vma, page_va, pte):
+    if shared or not _ref_evictable(vma, page_va, pte):
         self._counters.bump("vm_evict_pinned")
         return False
     self._pt.unmap(page_va, page_size=pte.page_size)
     if self.cpu is not None:
-        self.cpu.invalidate_page(page_va, asid=self._asid)
+        self.cpu.invalidate_page(page_va, asid=self.asid)
     if vma is not None:
         backing = vma.backing
         swap_out = getattr(backing, "swap_out", None)
@@ -197,6 +211,20 @@ class _Machine(_ForkMachine):
 
     def step(self, op, a, b, c):
         kernel = self.kernel
+        if op == "uffd":
+            # A userfault region of ``a`` pages whose handler reads the
+            # first page of the newest earlier mapping before it resolves
+            # each fault with a zero page: a touch inside a fault.
+            target = self.regions[-1][0] if self.regions else None
+            parent = self.parent
+
+            def handler(_page_index):
+                if target is not None:
+                    kernel.access(parent, target)
+
+            region = UserFaultRegion(kernel, parent, a * PAGE_SIZE, handler)
+            self.regions.append((region.vaddr, a))
+            return region.vaddr
         if op == "evict":
             if not self.regions:
                 return None
@@ -267,6 +295,42 @@ def _twins(steps, **config):
     return current, reference
 
 
+def _round_trips(steps, **config):
+    """``_twins``, plus per step of the current twin: [retry walks that
+    re-read their failed walk's path, of which the cache priced through
+    ``reference_lines`` because the L1 tail had moved]."""
+    counts = [[0, 0]]  # set-up, then one row per step
+    again, priced = CacheModel.reference_again, CacheModel.reference_lines
+    inside = []
+
+    def reference_again(self, lines):
+        counts[-1][0] += 1
+        inside.append(lines)
+        try:
+            return again(self, lines)
+        finally:
+            inside.pop()
+
+    def reference_lines(self, lines):
+        if inside:
+            counts[-1][1] += 1
+        return priced(self, lines)
+
+    class Counting(_Machine):
+        def step(self, op, a, b, c):
+            counts.append([0, 0])
+            return super().step(op, a, b, c)
+
+    counting = mock.patch.multiple(
+        CacheModel, reference_again=reference_again, reference_lines=reference_lines
+    )
+    with _synthetic_addrs(), counting:
+        current = _drive(Counting(**config), steps)
+    with _references(), _synthetic_addrs():
+        reference = _drive(_Machine(**config), steps)
+    return current, reference, counts[1:]
+
+
 _STEP = st.one_of(
     st.tuples(st.just("mmap"), st.integers(1, 80), st.integers(0, 3), st.just(0)),
     st.tuples(st.just("dax"), st.integers(1, 700), st.booleans(), st.just(0)),
@@ -275,6 +339,7 @@ _STEP = st.one_of(
         st.sampled_from(["premap", "pbm"]),
         st.integers(1, 600), st.booleans(), st.just(0),
     ),
+    st.tuples(st.just("uffd"), st.integers(1, 40), st.just(0), st.just(0)),
     st.tuples(
         st.sampled_from(["load", "store", "child_store", "evict"]),
         st.integers(0, 7), st.integers(0, 700), st.integers(0, 3),
@@ -474,12 +539,116 @@ class TestPinnedCases:
             assert len(_leaves(unmapped, process=1)) == 32
 
 
+class TestRoundTrip:
+    """The fault round trip's cases, pinned: the handler starts from the
+    failed walk's descent, and the retry re-reads that walk's path only
+    when the leaf went into the node the walk reached."""
+
+    def test_reclaim_evicts_from_the_faulting_node_between_walk_and_retry(self):
+        # 64 pages in one window under a 24-frame cgroup: each fault's
+        # frame allocation reclaims earlier pages of the bottom node the
+        # failed walk reached, and the retry still re-reads its path.
+        steps = [("mmap", 64, 0, 0), ("touch", 0, 0, 0)]
+        current, reference, counts = _round_trips(steps, high=24)
+        _assert_same(current, reference)
+        touched = current[1]
+        assert _counter(touched, "vm_page_evict") > 0
+        assert _counter(touched, "fault_minor") == 64
+        # Every fault but the one that created the bottom node re-reads,
+        # and nothing touched the L1 between a walk and its retry.
+        assert counts[1] == [63, 0]
+
+    def test_a_userfault_handler_touches_memory_before_resolving(self):
+        # The handler reads a TLB-resident page: its data line lands
+        # after the failed walk's lines in the L1, so the retry prices
+        # its path through reference_lines.
+        steps = [
+            ("mmap", 8, 1, 0),   # populated: the window's node exists
+            ("load", 0, 0, 0),   # the handler's target is TLB-resident
+            ("uffd", 16, 0, 0),  # the same window
+            ("load", 1, 3, 0),
+            ("store", 1, 4, 0),
+            ("load", 1, 3, 0),   # resolved: a TLB hit, no fault
+        ]
+        current, reference, counts = _round_trips(steps)
+        _assert_same(current, reference)
+        assert all(entry[1][0] == "ok" for entry in current)
+        assert _counter(current[-1], "userfault_upcall") == 2
+        assert counts[3:] == [[1, 1], [1, 1], [0, 0]]
+
+    def test_a_userfault_handler_that_faults_itself(self):
+        # The handler's own touch faults (and walks) inside the fault:
+        # the outer retry still re-reads, priced through reference_lines.
+        steps = [
+            ("mmap", 8, 0, 0),
+            ("load", 0, 1, 0),   # creates the window's bottom node
+            ("uffd", 16, 0, 0),  # the handler reads page 0, not resident
+            ("load", 1, 5, 0),
+        ]
+        current, reference, counts = _round_trips(steps)
+        _assert_same(current, reference)
+        assert _counter(current[-1], "fault_minor") == 3
+        # The handler's fault re-reads with its lines still the L1 tail;
+        # the outer retry finds them, and a data line, after its own.
+        assert counts[-1] == [2, 1]
+
+    def test_a_first_store_into_a_fork_shared_window_re_reads_nothing(self):
+        # The failed walk passed the write-protected slot: the COW break
+        # descends again and the retry walks in full.  Later faults in
+        # the now private window re-read.
+        steps = [
+            ("mmap", 16, 1, 0),
+            ("mmap", 16, 0, 0),       # same window, nothing resident
+            ("fork", 0, 0, 0),
+            ("store", 1, 3, 0),       # COW break, then into the clone
+            ("store", 1, 4, 0),
+        ]
+        current, reference, counts = _round_trips(steps, reset=True)
+        _assert_same(current, reference)
+        assert _counter(current[3], "cow_break") == 1
+        assert _counter(current[3], "pt_node_clone") == 1
+        assert counts[3:] == [[0, 0], [1, 0]]
+
+    def test_a_read_fault_under_a_write_protected_slot_re_reads_nothing(self):
+        # After the child's break the parent's window node is its own,
+        # but its slot stays write-protected: a read fault writes into
+        # the node and the retry walks in full.
+        steps = [
+            ("mmap", 16, 1, 0),
+            ("mmap", 16, 0, 0),
+            ("fork", 0, 0, 0),
+            ("child_store", 0, 2, 0),  # the child breaks its share
+            ("load", 1, 5, 0),
+        ]
+        current, reference, counts = _round_trips(steps, reset=True)
+        _assert_same(current, reference)
+        assert _counter(current[-1], "cow_break") == 1
+        assert _counter(current[-1], "fault_minor") == 1
+        assert counts[-1] == [0, 0]
+
+    def test_a_fault_that_creates_its_bottom_node_re_reads_nothing(self):
+        steps = [("mmap", 8, 0, 0), ("load", 0, 2, 0), ("load", 0, 3, 0)]
+        current, reference, counts = _round_trips(steps)
+        _assert_same(current, reference)
+        assert _counter(current[1], "pt_node_alloc") > _counter(
+            current[0], "pt_node_alloc"
+        )
+        assert counts[1:] == [[0, 0], [1, 0]]
+
+    def test_five_levels_re_read_and_a_virtualized_walker_keeps_nothing(self):
+        steps = [("mmap", 8, 0, 0), ("touch", 0, 0, 0), ("load", 0, 9, 0)]
+        for virtualized, rereads in ((False, 7), (True, 0)):
+            current, reference, counts = _round_trips(
+                steps, page_table_levels=5, virtualized=virtualized
+            )
+            _assert_same(current, reference)
+            assert _counter(current[1], "fault_minor") == 8
+            assert (_counter(current[-1], "nested_walk_ref") > 0) == virtualized
+            assert counts[1] == [rereads, 0]
+
+
 class TestOneDescent:
-    def test_a_minor_fault_and_an_eviction_descend_once(self):
-        machine = _Machine()
-        machine.step("mmap", 8, 0, 0)
-        machine.step("load", 0, 0, 0)  # the window's bottom node exists
-        va, _ = machine.regions[0]
+    def _calls(self):
         calls = {}
 
         def counting(name):
@@ -492,10 +661,50 @@ class TestOneDescent:
             return wrapper
 
         names = ("descend", "path_nodes", "lookup", "map", "leaf_node", "unmap")
-        with mock.patch.multiple(PageTable, **{n: counting(n) for n in names}):
+        return calls, mock.patch.multiple(
+            PageTable, **{n: counting(n) for n in names}
+        )
+
+    def test_a_minor_fault_and_an_eviction_descend_once(self):
+        machine = _Machine()
+        machine.step("mmap", 8, 0, 0)
+        machine.step("load", 0, 0, 0)  # the window's bottom node exists
+        va, _ = machine.regions[0]
+        calls, counting = self._calls()
+        with counting:
             machine.kernel.access(machine.parent, va + PAGE_SIZE)
-            # Two hardware walks (the failing one and the retry) and one
-            # software descent.
-            assert calls == {"path_nodes": 2, "descend": 1}
+            # One hardware walk, which fails: the fault starts from its
+            # descent, and the retry re-reads its path.
+            assert calls == {"path_nodes": 1}
             assert machine.parent.space.evict_page(va + PAGE_SIZE)
-            assert calls == {"path_nodes": 2, "descend": 2}
+            assert calls == {"path_nodes": 1, "descend": 1}
+
+    def test_a_failed_walk_no_fault_took_is_not_reused(self):
+        machine = _Machine()
+        machine.step("mmap", 8, 0, 0)
+        machine.step("load", 0, 0, 0)
+        va, _ = machine.regions[0]
+        kernel, space = machine.kernel, machine.parent.space
+        # A walk outside any access fails on page 1; an access to page 2
+        # walks (and faults) before the fault on page 1 comes.
+        assert kernel.walker.walk(space.page_table, va + PAGE_SIZE) is None
+        kernel.access(machine.parent, va + 2 * PAGE_SIZE)
+        calls, counting = self._calls()
+        with counting:
+            space.handle_fault(va + PAGE_SIZE, False)
+        assert calls == {"descend": 1}
+        # An access whose fault raises took its walk's descent with it:
+        # the fault on that page after the mprotect descends.
+        machine.sys.mprotect(va, 8 * PAGE_SIZE, Protection.NONE)
+        try:
+            kernel.access(machine.parent, va + 3 * PAGE_SIZE)
+        except ProtectionError:
+            pass
+        else:
+            raise AssertionError("a PROT_NONE load must fault")
+        machine.sys.mprotect(va, 8 * PAGE_SIZE, Protection.rw())
+        calls.clear()
+        with counting:
+            space.handle_fault(va + 3 * PAGE_SIZE, False)
+        assert calls == {"descend": 1}
+        assert space.page_table.lookup(va + 3 * PAGE_SIZE) is not None

@@ -591,7 +591,7 @@ class TestRealTree:
         mutated = re.sub(
             r"\n        if self\.cpu is not None:\n"
             r"            self\.cpu\.invalidate_space_range\("
-            r"addr, length, asid=self\._asid\)\n",
+            r"addr, length, asid=self\.asid\)\n",
             "\n",
             source,
         )

@@ -31,6 +31,7 @@ class TestTerabyteScale:
         kernel = big_kernel
         inode = kernel.pmfs.create("/huge", size=512 * GIB)
         assert kernel.pmfs.extent_count(inode) == 1
+        assert kernel.pmfs.fsck() == []
 
     def test_range_map_512gb_costs_same_as_1mb(self, big_kernel):
         kernel = big_kernel
