@@ -14,6 +14,10 @@ Every set of every array is preallocated at construction and tags are
 packed into a single int key (``vpn << 16 | asid``), so the lookup and
 invalidate paths construct no Python objects per probe — the property
 AllocSan certifies and ``lint --alloc`` cross-checks empirically.
+Lookups and invalidations probe only the arrays that have ever held an
+entry, smallest page size first: an array joins the probe on its first
+insert and stays in it across flushes.  An array that never held an
+entry cannot hit, so a machine that maps no huge page probes one array.
 ``invalidate_range`` works per VPN for a range naming no more VPNs than
 an array has sets — one keyed pop each, as a small munmap's invlpg loop
 would — and scans every set only for larger ranges.
@@ -90,21 +94,17 @@ class Tlb:
             size: {index: OrderedDict() for index in range(sets)}
             for size, (sets, _ways) in self._geometry.items()
         }
-        #: Probe order for the hit path, smallest page size first; the
-        #: tuple is built once so lookups only unpack it.
+        #: Probe order of the arrays that have held an entry, smallest
+        #: page size first; rebuilt only when an array joins, so lookups
+        #: only unpack it.
         self._probe: Tuple[
             Tuple[int, int, Dict[int, "OrderedDict[int, TlbEntry]"]], ...
-        ] = tuple(
-            (size, self._geometry[size][0], self._arrays[size])
-            for size in sorted(self._geometry)
-        )
-        #: page_size -> (sets, ways, array): one probe per fill.
+        ] = ()
+        #: page_size -> (sets, ways, array) of the joined arrays: one
+        #: probe per fill.  A fill of any other size joins its array.
         self._fill: Dict[
             int, Tuple[int, int, Dict[int, "OrderedDict[int, TlbEntry]"]]
-        ] = {
-            size: (sets, ways, self._arrays[size])
-            for size, (sets, ways) in self._geometry.items()
-        }
+        ] = {}
 
     @property
     def page_sizes(self) -> Tuple[int, ...]:
@@ -114,12 +114,13 @@ class Tlb:
     # ------------------------------------------------------------------
     # Lookup / insert
     # ------------------------------------------------------------------
-    @o1(note="parallel probe of three fixed page-size arrays")
+    @o1(note="parallel probe of at most three fixed page-size arrays")
     @allocfree(note="int-keyed probe of preallocated sets; constructs nothing")
     def lookup(self, vaddr: int, asid: int = 0) -> Optional[TlbEntry]:
         """Translation covering ``vaddr`` for ``asid``, or None on miss.
 
-        Probes every page-size array, as hardware does in parallel.
+        Probes every page-size array that has held an entry, as hardware
+        probes all of them in parallel.
         """
         # o1: allow(flow-bounded) -- the geometry has exactly 3 arrays
         for size, nsets, sets in self._probe:
@@ -141,10 +142,7 @@ class Tlb:
         vpn, _pfn, page_size, _writable, asid = entry
         fill = self._fill.get(page_size)
         if fill is None:
-            raise ValueError(
-                f"TLB has no array for page size {page_size}; "
-                f"supported: {sorted(self._geometry)}"
-            )
+            fill = self._join(page_size)
         nsets, ways, sets = fill
         entry_set = sets[vpn % nsets]
         key = (vpn << _ASID_BITS) | asid
@@ -155,10 +153,28 @@ class Tlb:
             return evicted
         return None
 
+    @o1(note="once per page size: rebuilds a probe of at most three arrays")
+    def _join(
+        self, page_size: int
+    ) -> Tuple[int, int, Dict[int, "OrderedDict[int, TlbEntry]"]]:
+        """Add ``page_size``'s array to the probe, on its first fill."""
+        if page_size not in self._geometry:
+            raise ValueError(
+                f"TLB has no array for page size {page_size}; "
+                f"supported: {sorted(self._geometry)}"
+            )
+        nsets, ways = self._geometry[page_size]
+        fill = self._fill[page_size] = (nsets, ways, self._arrays[page_size])
+        # o1: allow(flow-bounded) -- the geometry has exactly 3 arrays
+        self._probe = tuple(
+            (size, joined[0], joined[2]) for size, joined in sorted(self._fill.items())
+        )
+        return fill
+
     # ------------------------------------------------------------------
     # Invalidation
     # ------------------------------------------------------------------
-    @o1(note="one probe per fixed page-size array")
+    @o1(note="one probe per joined page-size array, at most three")
     @allocfree(note="int-keyed pops of preallocated sets")
     def invalidate(self, vaddr: int, asid: int = 0) -> int:
         """Drop any entry covering ``vaddr`` (invlpg); returns count dropped."""
@@ -172,7 +188,7 @@ class Tlb:
         return dropped
 
     @o1(
-        note="min(range VPNs, sets) probes per fixed array, each a keyed "
+        note="min(range VPNs, sets) probes per joined array, each a keyed "
         "pop or a scan of fixed associativity — work bounded by the "
         "TLB's capacity"
     )

@@ -191,7 +191,7 @@ class Kernel:
         self.swap: Optional[SwapDevice] = None
         if cfg.swap_pages:
             self.swap = SwapDevice(cfg.swap_pages, self.clock, self.costs, self.counters)
-        self.lru = LruLists(self.frame_table)
+        self.lru = LruLists()
 
         # --- processes ----------------------------------------------------------
         self._pids = itertools.count(1)

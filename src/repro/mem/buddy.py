@@ -51,6 +51,8 @@ class BuddyAllocator:
         if max_order < 0:
             raise ValueError(f"max_order must be >= 0, got {max_order}")
         self._region = region
+        #: Read once: ``MemoryRegion.first_pfn`` is a computed property.
+        self._first_pfn = region.first_pfn
         self._max_order = max_order
         self._clock: SimClock = clock or SimClock()
         self._costs: CostModel = costs or CostModel()
@@ -67,7 +69,7 @@ class BuddyAllocator:
 
     def _seed_free_lists(self) -> None:
         """Carve the region into maximal aligned blocks."""
-        pfn = self._region.first_pfn
+        pfn = self._first_pfn
         remaining = self._region.frame_count
         while remaining > 0:
             order = min(
@@ -208,7 +210,7 @@ class BuddyAllocator:
         free_lists = self._free_lists
         allocated = self._allocated
         retired = self._retired
-        first = self._region.first_pfn
+        first = self._first_pfn
         max_order = self._max_order
         charge_ns = self._costs.frame_free_ns
         freed = merges = 0
@@ -271,7 +273,7 @@ class BuddyAllocator:
         allocated — the caller (the patrol scrubber) retries after it
         frees.  Retiring an already-retired frame is a no-op.
         """
-        first = self._region.first_pfn
+        first = self._first_pfn
         if not first <= pfn < first + self._region.frame_count:
             raise ValueError(
                 f"pfn {pfn:#x} outside region {self._describe()}"

@@ -14,7 +14,8 @@ A scan (a reclaim aging pass, a run of the clock hand) is charged in
 closed form: :meth:`FrameTable.scan_charge` prices ``n`` metadata updates
 with one clock advance and one counter bump, the same simulated sum as
 ``n`` separate touches, and :meth:`FrameTable.scan_meta` hands out the
-visited metas uncharged.
+visited metas uncharged.  A meta keeps no LRU linkage: reclaim's lists
+(:class:`repro.vm.reclaimd.LruLists`) point at the metas instead.
 """
 
 from __future__ import annotations
@@ -67,9 +68,10 @@ class FrameMeta:
     """Metadata for one physical frame.
 
     A condensed ``struct page``: flags, reference/map counts, the owning
-    mapping (file or anon) and offset within it, LRU linkage, and the
-    buddy/slab private word.  Linux packs 38 fields into unions; we keep
-    the ones kernel paths in this simulator actually read or write.
+    mapping (file or anon) and offset within it, and the buddy/slab
+    private word.  Linux packs 38 fields into unions; we keep the ones
+    kernel paths in this simulator actually read or write.  The LRU
+    linkage lives in :class:`repro.vm.reclaimd.LruLists` alone.
     """
 
     pfn: int
@@ -81,9 +83,6 @@ class FrameMeta:
     index: int = 0
     #: Buddy order while free, or slab bookkeeping while PageFlags.SLAB.
     private: int = 0
-    #: LRU list the frame is on ("active", "inactive", or "") — the state
-    #: page-reclaim scans maintain and file-only memory eliminates.
-    lru_list: str = ""
 
     def set_flag(self, flag: int) -> None:
         """Set ``flag`` on this frame."""
@@ -136,10 +135,11 @@ class FrameTable:
         """Metadata for frame ``pfn``, charging one metadata update.
 
         A one-frame scan: the same get-or-create as :meth:`scan_meta`
-        and the same charge as :meth:`scan_charge`.
+        and the same charge as ``scan_charge(1)``, made in place.
         """
         meta = self._frames[pfn]
-        self.scan_charge(1)
+        self._clock.advance(self._update_ns)
+        self._counters.bump("frame_meta_touch")
         return meta
 
     def scan_meta(self, pfn: int) -> FrameMeta:

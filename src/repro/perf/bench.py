@@ -537,7 +537,7 @@ TIER1_OPS: List[BenchOp] = [
     BenchOp("qos.reclaim_batch", lambda: _prep_qos_reclaim_batch(16), 16,
             "one direct-reclaim batch (32 evictions to swap) against a "
             "limited cgroup, with a neighbour cgroup's pages resident"),
-    BenchOp("reclaim.aging_pass", lambda: _prep_reclaim_aging_pass(1024), 16,
+    BenchOp("reclaim.aging_pass", lambda: _prep_reclaim_aging_pass(1024), 128,
             "clock reclaim that ages a 1,024-entry active list of "
             "referenced pages, then promotes one"),
     BenchOp("qos.charge", _prep_qos_charge, 256,

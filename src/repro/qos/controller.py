@@ -118,7 +118,7 @@ class QosController:
             max_frames=max_frames,
             oom_policy=oom_policy,
             oom_priority=oom_priority,
-            lru=LruLists(self._frame_table),
+            lru=LruLists(),
         )
         self._cgs[name] = cg
         return cg

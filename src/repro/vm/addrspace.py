@@ -688,12 +688,13 @@ class AddressSpace:
             self._pt.map(page_va, pfn, writable=writable)
         else:
             self._pt.write_leaf(node, page_va, pfn, PAGE_SIZE, writable)
+        meta = None
         if self._frame_table is not None and vma.backing.tracks_frame_meta:
             meta = self._frame_table.get_ref(pfn)
             meta.mapcount += 1
             meta.flags |= PageFlags.REFERENCED
         if self.lru is not None:
-            self.lru.page_mapped(pfn, self, page_va)
+            self.lru.page_mapped(pfn, self, page_va, meta)
         kind = FaultType.MAJOR if major else FaultType.MINOR
         self.fault_stats[kind] += 1
         self._counters.bump(FAULT_COUNTERS[kind])

@@ -10,17 +10,25 @@ contrasts this with file-granularity reclamation (delete one discardable
 file, O(1) per file).
 
 On the host the same sum is charged per pass or per run: an aging pass
-charges its whole list at once, and a scan counts the pages it examines
-and charges them (``reclaim_scanned`` plus ``FrameTable.scan_charge``)
-right before each eviction — the only call that leaves the reclaimer —
-and before returning.  Every hook, chaos site and trace span an eviction
-reaches therefore sees the clock and counters a per-page charge leaves.
+charges its whole list at once and moves it in one splice, and a scan
+counts the pages it examines and charges them (``reclaim_scanned`` plus
+``FrameTable.scan_charge``) right before each eviction — the only call
+that leaves the reclaimer — and before returning.  Every hook, chaos
+site and trace span an eviction reaches therefore sees the clock and
+counters a per-page charge leaves.
+
+The lists are threaded through ``struct page`` as Linux threads its LRU:
+an entry carries its frame's :class:`FrameMeta`, so the hand reads the
+REFERENCED bit without a pfn lookup.  The fault hands over the meta
+``FrameTable.get_ref`` returned; a frame without one (a DAX page, which
+has no ``struct page``) gets it from ``FrameTable.scan_meta`` the first
+time a hand pops its entry, and the entry keeps it.  Which list a page
+is on is recorded by the deques alone.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Deque, Dict, Optional
 
 from repro.lint import complexity
@@ -29,13 +37,23 @@ from repro.obs.metrics import MetricsRegistry
 from repro.units import PAGE_SIZE
 
 
-@dataclass
 class _LruEntry:
-    """One resident page the reclaimers may scan."""
+    """One resident page the reclaimers may scan.
 
-    pfn: int
-    space: Any  # AddressSpace; typed loosely to avoid an import cycle
-    vaddr: int
+    ``meta`` is ``pfn``'s :class:`FrameMeta` — the same object the frame
+    table holds for it — or None until a hand first pops an entry whose
+    frame had none when it was mapped.
+    """
+
+    __slots__ = ("pfn", "space", "vaddr", "meta")
+
+    def __init__(
+        self, pfn: int, space: Any, vaddr: int, meta: Optional[FrameMeta]
+    ) -> None:
+        self.pfn = pfn
+        self.space = space  # AddressSpace; typed loosely to avoid an import cycle
+        self.vaddr = vaddr
+        self.meta = meta
 
     def is_mapped(self) -> bool:
         """True while ``space`` still translates ``vaddr`` to ``pfn``.
@@ -73,28 +91,27 @@ class LruLists:
     whose pfn a new fault reuses.
     """
 
-    def __init__(self, frame_table: FrameTable) -> None:
-        self._frame_table = frame_table
+    def __init__(self) -> None:
         self.active: Deque[_LruEntry] = deque()
         self.inactive: Deque[_LruEntry] = deque()
         self._entries: Dict[int, _LruEntry] = {}
 
-    def page_mapped(self, pfn: int, space: object, vaddr: int) -> None:
+    def page_mapped(
+        self, pfn: int, space: object, vaddr: int, meta: Optional[FrameMeta]
+    ) -> None:
         """Register a freshly mapped page (called from the fault path).
 
-        A pfn whose entry still maps it keeps it (a shared page is
-        scanned once); a dead entry holding a reused pfn is replaced,
-        also when its address now maps another frame.
+        ``meta`` is the frame's metadata, or None for a frame the fault
+        gave none.  A pfn whose entry still maps it keeps it (a shared
+        page is scanned once); a dead entry holding a reused pfn is
+        replaced, also when its address now maps another frame.
         """
         tracked = self._entries.get(pfn)
         if tracked is not None and tracked.is_mapped():
             return
-        entry = _LruEntry(pfn=pfn, space=space, vaddr=vaddr)
+        entry = _LruEntry(pfn, space, vaddr, meta)
         self._entries[pfn] = entry
         self.inactive.append(entry)
-        meta = self._frame_table.peek(pfn)
-        if meta is not None:
-            meta.lru_list = "inactive"
 
     def page_unmapped(self, pfn: int) -> None:
         """Forget a page that went away outside reclaim (munmap)."""
@@ -117,17 +134,15 @@ class LruLists:
         if self._entries.get(entry.pfn) is entry:
             del self._entries[entry.pfn]
 
-    def _evict(self, entry: _LruEntry, meta: FrameMeta) -> bool:
+    def _evict(self, entry: _LruEntry) -> bool:
         """Evict ``entry``'s page; on refusal requeue or drop the entry."""
         if entry.space.evict_page(entry.vaddr):
             self._drop(entry)
-            meta.lru_list = ""
             return True
         if entry.is_mapped():
             # Pinned (e.g. a fork-shared COW window): keep it on the
             # active list so it is revisited once unpinned, instead of
             # silently falling off both lists.
-            meta.lru_list = "active"
             self.active.append(entry)
         else:
             # Dead: munmap or exit already took the page.
@@ -173,6 +188,8 @@ class ClockReclaimer:
         whole active list.  Examined pages are charged per run.
         """
         lru = self._lru
+        # Aging splices into these deques; it never replaces them.
+        inactive, active = lru.inactive, lru.active
         scan_meta = self._frame_table.scan_meta
         referenced = PageFlags.REFERENCED
         reclaimed = 0
@@ -187,38 +204,36 @@ class ClockReclaimer:
             else 4 * max(1, lru.resident_count)
         )
         while reclaimed < nr_pages and scanned < scan_budget:
-            if not lru.inactive:
+            if not inactive:
                 # o1: allow(flow-bounded) -- aging moves pages the scan then consumes; amortized into the declared n
                 if not self._age_active():
                     break
-            entry = lru.inactive.popleft()
+            entry = inactive.popleft()
             scanned += 1
             pending += 1
-            meta = scan_meta(entry.pfn)
+            meta = entry.meta
+            if meta is None:
+                meta = entry.meta = scan_meta(entry.pfn)
             if meta.flags & referenced:
                 meta.flags &= ~referenced
-                meta.lru_list = "active"
-                lru.active.append(entry)
+                active.append(entry)
                 continue
             _charge_scanned(self._counters, self._frame_table, pending)
             pending = 0
-            if lru._evict(entry, meta):
+            if lru._evict(entry):
                 reclaimed += 1
                 self._counters.bump("reclaim_evicted")
         _charge_scanned(self._counters, self._frame_table, pending)
         self.scanned = scanned
         return reclaimed
 
-    @complexity("n", note="one pass over the active list, charged once for all of it")
+    @complexity("n", note="one splice of the active list, charged once for all of it")
     def _age_active(self) -> bool:
         """Move the active list to inactive (one aging pass)."""
         active = self._lru.active
         if not active:
             return False
         _charge_scanned(self._counters, self._frame_table, len(active))
-        scan_meta = self._frame_table.scan_meta
-        for entry in active:
-            scan_meta(entry.pfn).lru_list = "inactive"
         self._lru.inactive.extend(active)
         active.clear()
         return True
@@ -260,27 +275,26 @@ class TwoQueueReclaimer:
                 if not lru.active:
                     break
                 # Demote the Am head when A1 is empty.
-                entry = lru.active.popleft()
                 pending += 1
                 scan_budget -= 1
-                scan_meta(entry.pfn).lru_list = "inactive"
-                lru.inactive.append(entry)
+                lru.inactive.append(lru.active.popleft())
                 continue
             entry = lru.inactive.popleft()
             scan_budget -= 1
             pending += 1
-            meta = scan_meta(entry.pfn)
+            meta = entry.meta
+            if meta is None:
+                meta = entry.meta = scan_meta(entry.pfn)
             if (
                 meta.has_flag(PageFlags.REFERENCED)
                 and len(lru.active) < max_protected
             ):
                 meta.clear_flag(PageFlags.REFERENCED)
-                meta.lru_list = "active"
                 lru.active.append(entry)
                 continue
             _charge_scanned(self._counters, self._frame_table, pending)
             pending = 0
-            if lru._evict(entry, meta):
+            if lru._evict(entry):
                 reclaimed += 1
                 self._counters.bump("reclaim_evicted")
         _charge_scanned(self._counters, self._frame_table, pending)

@@ -474,7 +474,7 @@ class TestPinnedCases:
         assert copy.page_size == PAGE_SIZE and copy.writable
 
         def mapcounts(entry):
-            return {pfn: mapcount for pfn, _, _, mapcount, _ in entry[2][6]}
+            return {pfn: mapcount for pfn, _, _, mapcount in entry[2][6]}
 
         frames = range(huge.pfn * 512, huge.pfn * 512 + 512)
         before, after = mapcounts(current[0]), mapcounts(current[1])

@@ -10,7 +10,8 @@ that charge each block and each merge.  Twin kernels run the same
 steps, one with the current code and one with the references patched
 in, and must agree after every call on the clock, the counters in
 creation order, the page tables (leaves, node identity, ``refs`` and
-``wp_slots``), the buddy free lists and ledger, and the frame metadata.
+``wp_slots``), the buddy free lists and ledger, the frame metadata and
+the order of the parent's LRU lists.
 """
 
 from unittest import mock
@@ -123,6 +124,7 @@ def _ref_minor_fault(self, vma, page_va, write, _node):
         pfn = self._make_private_copy(vma, page_index, pfn)
         writable = True
     self._pt.map(page_va, pfn, writable=writable)
+    meta = None
     if self._frame_table is not None and getattr(
         vma.backing, "tracks_frame_meta", True
     ):
@@ -130,7 +132,7 @@ def _ref_minor_fault(self, vma, page_va, write, _node):
         meta.mapcount += 1
         meta.set_flag(PageFlags.REFERENCED)
     if self.lru is not None:
-        self.lru.page_mapped(pfn, self, page_va)
+        self.lru.page_mapped(pfn, self, page_va, meta)
     kind = FaultType.MAJOR if major else FaultType.MINOR
     self.fault_stats[kind] += 1
     self._counters.bump(FAULT_COUNTERS[kind])
@@ -411,6 +413,7 @@ class _Machine:
                 list(process.space.fault_stats),
             ))
         qos = kernel.counters.qos
+        lru = self.parent.space.lru
         return (
             kernel.clock.now,
             # Ordered items: key creation order too, so a counter created
@@ -421,8 +424,13 @@ class _Machine:
             list(buddy._allocated.items()),
             buddy.free_frames,
             [
-                (pfn, meta.flags, meta.refcount, meta.mapcount, meta.lru_list)
+                (pfn, meta.flags, meta.refcount, meta.mapcount)
                 for pfn, meta in kernel.frame_table.items()
+            ],
+            # The parent's LRU deques, in order: which list a page is on.
+            [
+                [(e.pfn, e.vaddr, e.space.asid) for e in queue]
+                for queue in (lru.inactive, lru.active)
             ],
             None if qos is None else [
                 (name, cg.usage_frames) for name, cg in qos._cgs.items()

@@ -7,10 +7,11 @@ from hypothesis import given, strategies as st
 
 from repro.errors import OutOfMemoryError
 from repro.kernel import Kernel, MachineConfig
-from repro.mem.frame_meta import PageFlags
+from repro.mem.frame_meta import FrameTable, PageFlags
 from repro.units import GIB, KIB, MIB, PAGE_SIZE
 from repro.vm.addrspace import AddressSpace
 from repro.vm.reclaimd import ClockReclaimer, TwoQueueReclaimer
+from repro.vm.vma import MapFlags
 
 
 @pytest.fixture
@@ -25,6 +26,16 @@ def machine():
 def fault_in(kernel, process, sys, pages):
     va = sys.mmap(pages * PAGE_SIZE)
     kernel.access_range(process, va, pages * PAGE_SIZE)
+    return va
+
+
+def write_dax(kernel, process, pages, name="/dax"):
+    """Write ``pages`` pages of a MAP_SHARED PMFS file: DAX frames, which
+    have no ``struct page``."""
+    sys = kernel.syscalls(process)
+    fd = sys.open(kernel.pmfs, name, create=True, size=pages * PAGE_SIZE)
+    va = sys.mmap(pages * PAGE_SIZE, flags=MapFlags.SHARED, fd=fd)
+    kernel.access_range(process, va, pages * PAGE_SIZE, write=True)
     return va
 
 
@@ -153,6 +164,50 @@ class TestStaleEntries:
         assert kernel.lru.resident_count == 0
 
 
+class TestEntriesCarryTheirMeta:
+    """An entry carries its frame's ``struct page``: the fault hands over
+    the meta it took a reference on, and a frame without one (DAX) gets
+    it on a hand's first pop, not from an aging pass."""
+
+    def test_fault_meta_is_kept_and_a_dax_meta_waits_for_the_hand(self):
+        kernel = Kernel(MachineConfig(dram_bytes=64 * MIB, nvm_bytes=16 * MIB))
+        process = kernel.spawn("t", track_lru=True)
+        sys = kernel.syscalls(process)
+        returned = []
+        get_ref = FrameTable.get_ref
+
+        def recording_get_ref(table, pfn):
+            returned.append(get_ref(table, pfn))
+            return returned[-1]
+
+        with mock.patch.object(FrameTable, "get_ref", recording_get_ref):
+            kernel.access(process, sys.mmap(PAGE_SIZE), write=True)
+        write_dax(kernel, process, 1)
+        lru, table = kernel.lru, kernel.frame_table
+        anon, dax = lru.inactive
+        assert [meta.pfn for meta in returned] == [anon.pfn]
+        assert anon.meta is returned[0]
+        assert dax.meta is None and table.peek(dax.pfn) is None
+        # Both entries on the active list without a pop (as the tier-1
+        # aging op arranges them), then one aging pass: a splice that
+        # creates no meta.
+        lru.active.extend(lru.inactive)
+        lru.inactive.clear()
+        tracked = table.tracked_count()
+        reclaimer = ClockReclaimer(lru, table, kernel.counters)
+        assert reclaimer._age_active()
+        assert list(lru.inactive) == [anon, dax] and not lru.active
+        assert dax.meta is None and table.peek(dax.pfn) is None
+        assert table.tracked_count() == tracked
+        # The hand promotes the referenced anon page, then makes the DAX
+        # frame's meta on its first pop and keeps it on the entry.
+        reclaimer.reclaim(1, max_scan=2)
+        assert reclaimer.scanned == 2
+        assert dax.meta is not None and dax.meta is table.peek(dax.pfn)
+        assert table.tracked_count() == tracked + 1
+        assert anon.meta is returned[0] and anon in lru.active
+
+
 class TestTwoQueueReclaimer:
     def test_reclaims(self, machine):
         kernel, process, sys = machine
@@ -204,10 +259,9 @@ class _PerPageClock(ClockReclaimer):
             meta = self._frame_table.touch(entry.pfn)
             if meta.has_flag(PageFlags.REFERENCED):
                 meta.clear_flag(PageFlags.REFERENCED)
-                meta.lru_list = "active"
                 self._lru.active.append(entry)
                 continue
-            if self._lru._evict(entry, meta):
+            if self._lru._evict(entry):
                 reclaimed += 1
                 self._counters.bump("reclaim_evicted")
         self.scanned = scanned
@@ -219,8 +273,7 @@ class _PerPageClock(ClockReclaimer):
         while self._lru.active:
             entry = self._lru.active.popleft()
             self._counters.bump("reclaim_scanned")
-            meta = self._frame_table.touch(entry.pfn)
-            meta.lru_list = "inactive"
+            self._frame_table.touch(entry.pfn)
             self._lru.inactive.append(entry)
         return True
 
@@ -239,7 +292,7 @@ class _PerPageTwoQueue(TwoQueueReclaimer):
                 entry = self._lru.active.popleft()
                 self._counters.bump("reclaim_scanned")
                 scan_budget -= 1
-                self._frame_table.touch(entry.pfn).lru_list = "inactive"
+                self._frame_table.touch(entry.pfn)
                 self._lru.inactive.append(entry)
                 continue
             entry = self._lru.inactive.popleft()
@@ -251,32 +304,38 @@ class _PerPageTwoQueue(TwoQueueReclaimer):
                 and len(self._lru.active) < max_protected
             ):
                 meta.clear_flag(PageFlags.REFERENCED)
-                meta.lru_list = "active"
                 self._lru.active.append(entry)
                 continue
-            if self._lru._evict(entry, meta):
+            if self._lru._evict(entry):
                 reclaimed += 1
                 self._counters.bump("reclaim_evicted")
         return reclaimed
 
 
 def _twin_machine(
-    pages, neighbour, forked, unmapped, referenced, swap_pages, reset
+    pages, neighbour, dax, forked, unmapped, referenced, swap_pages, reset
 ):
     """One deterministic machine; built twice, it gives twin kernels.
 
-    ``pages`` written pages in a tracked process (plus ``neighbour`` in a
-    second one), optionally fork-shared; the first ``unmapped`` pages are
-    munmapped (their entries stay behind, dead); REFERENCED survives only
-    on the metas whose creation index is a set bit of ``referenced``.
-    ``reset`` empties the counters, so reclaim creates its keys itself.
+    ``pages`` written pages in a tracked process (then ``dax`` pages of a
+    shared PMFS file, whose frames have no metadata until a hand pops
+    them, and ``neighbour`` pages in a second process), optionally
+    fork-shared; the first ``unmapped`` pages are munmapped (their
+    entries stay behind, dead); REFERENCED survives only on the metas
+    whose creation index is a set bit of ``referenced``.  ``reset``
+    empties the counters, so reclaim creates its keys itself.
     """
     kernel = Kernel(
-        MachineConfig(dram_bytes=64 * MIB, nvm_bytes=0, swap_pages=swap_pages)
+        MachineConfig(
+            dram_bytes=64 * MIB, nvm_bytes=16 * MIB if dax else 0,
+            swap_pages=swap_pages,
+        )
     )
     process = kernel.spawn("t", track_lru=True)
     va = fault_in(kernel, process, kernel.syscalls(process), pages)
     kernel.access_range(process, va, pages * PAGE_SIZE, write=True)
+    if dax:
+        write_dax(kernel, process, dax)
     if neighbour:
         other = kernel.spawn("n", track_lru=True)
         fault_in(kernel, other, kernel.syscalls(other), neighbour)
@@ -302,7 +361,7 @@ def _reclaim_state(kernel):
         list(kernel.counters.snapshot().items()),
         [(e.pfn, e.vaddr, e.space.asid) for e in lru.inactive],
         [(e.pfn, e.vaddr, e.space.asid) for e in lru.active],
-        [(pfn, meta.flags, meta.lru_list) for pfn, meta in table.items()],
+        [(pfn, meta.flags) for pfn, meta in table.items()],
         table.tracked_count(),
     )
 
@@ -361,6 +420,7 @@ class TestPerRunChargingMatchesPerPage:
         protected=st.sampled_from([0.25, 0.5, 0.75]),
         pages=st.integers(1, 48),
         neighbour=st.integers(0, 8),
+        dax=st.integers(0, 4),
         forked=st.booleans(),
         unmapped=st.integers(0, 16),
         referenced=st.integers(0, (1 << 64) - 1),
@@ -369,13 +429,14 @@ class TestPerRunChargingMatchesPerPage:
         steps=_RECLAIM_STEPS,
     )
     def test_twin_kernels_agree_after_every_call(
-        self, two_queue, protected, pages, neighbour, forked, unmapped,
+        self, two_queue, protected, pages, neighbour, dax, forked, unmapped,
         referenced, swap_pages, reset, steps,
     ):
         unmapped = min(unmapped, pages)
         machines = [
             _twin_machine(
-                pages, neighbour, forked, unmapped, referenced, swap_pages, reset
+                pages, neighbour, dax, forked, unmapped, referenced,
+                swap_pages, reset,
             )
             for _ in range(2)
         ]
